@@ -3,7 +3,8 @@
 Subcommands: cmin, ideals, verify, alcove.  All output is single-object JSON
 on stdout (canonical key order, no timestamps), so identical configuration
 and seed give byte-identical reports.  Exit codes: 0 pass, 1 suite failure,
-2 resource or window errors.
+2 resource, window or input errors, 3 an internal result that failed its exact
+check (a program fault; nothing is printed on stdout).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from tiltlab.cache import (
     cached_standard_module,
     set_active_cache,
 )
-from tiltlab.cyclotomic import CycloField
+from tiltlab.cyclotomic import CertificationError, CycloField
 from tiltlab.ideals import (
     WindowOverflowError,
     enumerate_tilt_ideals,
@@ -40,6 +41,7 @@ from tiltlab.suites import SUITE_NAMES, run_suite
 EXIT_PASS = 0
 EXIT_FAILURE = 1
 EXIT_RESOURCE = 2
+EXIT_INTERNAL = 3
 
 DEFAULTS = {
     "ell": 3,
@@ -251,6 +253,9 @@ def main(argv=None):
     except (WindowError, WindowOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except CertificationError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -1,24 +1,23 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_ell), ell odd.
 
-Elements are coefficient vectors of length phi(ell) over arbitrary-precision
-rationals, representing Q[x]/(Phi_ell(x)) with x mapped to zeta.  Quantum
-integers, factorials and Gaussian binomials are computed as balanced Laurent
-polynomials in the quantum parameter and only specialized at zeta after all
-cancellation has happened, so [n choose k] never divides by a vanishing
-quantum factorial.
+An element is a vector of phi(ell) integer numerators over one positive common
+denominator, representing Q[x]/(Phi_ell(x)) with x mapped to zeta (the layout
+of FLINT's fmpq_poly).  The pair is kept in normal form, gcd(den, *num) = 1, so
+equal elements have equal numerators and denominators and zero is
+((0, ..., 0), 1).  Phi_ell is monic, so reduction modulo Phi_ell stays in Z,
+and inverses come from the norm and the Galois conjugates (Cohen, GTM 138,
+sec. 4.3) with integer arithmetic only.  Quantum integers, factorials and
+Gaussian binomials are computed as balanced Laurent polynomials in the quantum
+parameter and only specialized at zeta after all cancellation has happened, so
+[n choose k] never divides by a vanishing quantum factorial.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
-
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as _Q
-
-_QZERO = _Q(0)
-_QONE = _Q(1)
+from math import gcd
+from operator import add, neg, sub
 
 
 def euler_phi(n: int) -> int:
@@ -85,6 +84,10 @@ class MismatchedFieldError(ValueError):
     """Raised when two scalars over different roots of unity are combined."""
 
 
+class CertificationError(ArithmeticError):
+    """An internal result failed its exact check: the program is wrong."""
+
+
 class CycloField:
     """Arithmetic context for Q(zeta_ell).  One instance per ell; immutable."""
 
@@ -105,27 +108,35 @@ class CycloField:
     def _init_tables(self):
         phi = self.phi
         cyc = cyclotomic_polynomial(self.ell)
-        # x^phi = -(cyc[0] + cyc[1] x + ...)/cyc[phi]; Phi_ell is monic
-        self._reduction = []  # row k: coefficients of x^(phi+k) mod Phi
-        head = [_Q(-c) for c in cyc[:phi]]
-        self._reduction.append(tuple(head))
+        # x^phi = -(cyc[0] + cyc[1] x + ...) since Phi_ell is monic; row k holds
+        # the coefficients of x^(phi+k) mod Phi_ell
+        rows = [[-c for c in cyc[:phi]]]
         for _ in range(phi - 2):
-            prev = self._reduction[-1]
-            row = [_QZERO] + [c for c in prev[:-1]]
+            prev = rows[-1]
             top = prev[-1]
-            if top:
-                row = [row[i] + top * head[i] for i in range(phi)]
-            self._reduction.append(tuple(row))
-        self.zero = CyclotomicScalar(self, tuple([_QZERO] * phi))
-        self.one = CyclotomicScalar(self, tuple([_QONE] + [_QZERO] * (phi - 1)))
+            rows.append([top * rows[0][0]] + [prev[i - 1] + top * rows[0][i] for i in range(1, phi)])
+        # sparse (degree, [(i, coefficient), ...]) pairs for _mul_num
+        self._reduction = tuple(
+            (phi + k, tuple((i, c) for i, c in enumerate(row) if c)) for k, row in enumerate(rows)
+        )
+        self.zero = CyclotomicScalar(self, (0,) * phi, 1)
+        self.one = CyclotomicScalar(self, (1,) + (0,) * (phi - 1), 1)
         # zeta^k for k = 0..ell-1, reduced mod Phi_ell
         powers = [self.one]
-        zeta = self.zeta = CyclotomicScalar(
-            self, tuple([_QZERO, _QONE] + [_QZERO] * (phi - 2))
-        )
+        zeta = self.zeta = CyclotomicScalar(self, (0, 1) + (0,) * (phi - 2), 1)
         for _ in range(self.ell - 1):
             powers.append(powers[-1] * zeta)
         self._zeta_powers = powers
+        # the automorphisms zeta -> zeta^k, k in (Z/ell)^x minus 1, each as the
+        # sparse images of the basis vectors zeta^0 .. zeta^(phi-1)
+        self._conjugations = tuple(
+            tuple(
+                tuple((j, c) for j, c in enumerate(powers[i * k % self.ell].num) if c)
+                for i in range(phi)
+            )
+            for k in range(2, self.ell)
+            if gcd(k, self.ell) == 1
+        )
         self._qint_cache = {}
         self._qbinom_cache = {}
         self.qone_minus = self.zeta_power(1) - self.zeta_power(-1)  # zeta - zeta^-1
@@ -138,31 +149,24 @@ class CycloField:
         return (CycloField, (self.ell,))
 
     def scalar(self, value) -> "CyclotomicScalar":
-        """Embed a rational (int, mpq, Fraction or 'a/b' string) into the field."""
-        q = _Q(value) if not isinstance(value, type(_QONE)) else value
-        coeffs = [q] + [_QZERO] * (self.phi - 1)
-        return CyclotomicScalar(self, tuple(coeffs))
+        """Embed a rational (int, Fraction or 'a/b' string) into the field."""
+        if isinstance(value, int):
+            return CyclotomicScalar(self, (int(value),) + (0,) * (self.phi - 1), 1)
+        q = Fraction(value)
+        return CyclotomicScalar(self, (q.numerator,) + (0,) * (self.phi - 1), q.denominator)
 
     def from_coeffs(self, coeffs) -> "CyclotomicScalar":
-        vals = tuple(_Q(c) for c in coeffs)
+        """The element sum_i coeffs[i] zeta^i; each coefficient as in `scalar`."""
+        vals = [Fraction(c) for c in coeffs]
         if len(vals) != self.phi:
             raise ValueError(f"expected {self.phi} coefficients, got {len(vals)}")
-        return CyclotomicScalar(self, vals)
+        den = 1
+        for q in vals:
+            den = den * q.denominator // gcd(den, q.denominator)
+        return _normalised(self, tuple(q.numerator * (den // q.denominator) for q in vals), den)
 
     def zeta_power(self, k: int) -> "CyclotomicScalar":
         return self._zeta_powers[k % self.ell]
-
-    def _reduce(self, raw):
-        phi = self.phi
-        out = list(raw[:phi]) + [_QZERO] * (phi - min(phi, len(raw)))
-        for k in range(phi, len(raw)):
-            c = raw[k]
-            if c:
-                row = self._reduction[k - phi]
-                for i in range(phi):
-                    if row[i]:
-                        out[i] += c * row[i]
-        return tuple(out)
 
     # -- quantum combinatorics ------------------------------------------
 
@@ -241,105 +245,148 @@ def _qfactorial_poly(n: int):
     return (tuple(_poly_mul(list(prev), list(cur))), poff + coff)
 
 
+def _mul_num(field, a, b):
+    """Numerators of the product of two numerator vectors, reduced mod Phi_ell."""
+    raw = [0] * (2 * field.phi - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                if y:
+                    raw[j] += x * y
+    out = raw[: field.phi]
+    for k, row in field._reduction:
+        c = raw[k]
+        if c:
+            for i, r in row:
+                out[i] += c * r
+    return tuple(out)
+
+
+def _normalised(field, num, den):
+    """The scalar num/den (den nonzero), with the common factor divided out."""
+    if den != 1:
+        g = gcd(den, *num)
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = tuple(n // g for n in num)
+            den //= g
+    return CyclotomicScalar(field, num, den)
+
+
 class CyclotomicScalar:
-    """Immutable element of Q(zeta_ell)."""
+    """Immutable element of Q(zeta_ell): sum_i num[i] zeta^i / den, in normal form.
 
-    __slots__ = ("field", "coeffs", "_hash")
+    The constructor trusts its arguments; build scalars through the field
+    (`zero`, `one`, `scalar`, `from_coeffs`) or by arithmetic.
+    """
 
-    def __init__(self, field: CycloField, coeffs: tuple):
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: CycloField, num: tuple, den: int):
         self.field = field
-        self.coeffs = coeffs
-        self._hash = None
-
-    def _check(self, other):
-        if self.field is not other.field:
-            raise MismatchedFieldError(
-                f"scalars over ell={self.field.ell} and ell={other.field.ell}"
-            )
+        self.num = num
+        self.den = den
 
     def __add__(self, other):
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
-        return CyclotomicScalar(self.field, tuple(a[i] + b[i] for i in range(len(a))))
+        field = self.field
+        if field is not other.field:
+            raise MismatchedFieldError(f"scalars over ell={field.ell} and ell={other.field.ell}")
+        # dense matrices hold mostly zeros, so most sums have a zero term
+        if not any(other.num):
+            return self
+        if not any(self.num):
+            return other
+        d, e = self.den, other.den
+        if d == e:
+            num = tuple(map(add, self.num, other.num))
+            return CyclotomicScalar(field, num, 1) if d == 1 else _normalised(field, num, d)
+        return _normalised(field, tuple(x * e + y * d for x, y in zip(self.num, other.num)), d * e)
 
     def __sub__(self, other):
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
-        return CyclotomicScalar(self.field, tuple(a[i] - b[i] for i in range(len(a))))
+        field = self.field
+        if field is not other.field:
+            raise MismatchedFieldError(f"scalars over ell={field.ell} and ell={other.field.ell}")
+        if not any(other.num):
+            return self
+        d, e = self.den, other.den
+        if d == e:
+            num = tuple(map(sub, self.num, other.num))
+            return CyclotomicScalar(field, num, 1) if d == 1 else _normalised(field, num, d)
+        return _normalised(field, tuple(x * e - y * d for x, y in zip(self.num, other.num)), d * e)
 
     def __neg__(self):
-        return CyclotomicScalar(self.field, tuple(-c for c in self.coeffs))
+        return CyclotomicScalar(self.field, tuple(map(neg, self.num)), self.den)
 
     def __mul__(self, other):
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
-        n = len(a)
-        raw = [_QZERO] * (2 * n - 1)
-        for i in range(n):
-            ai = a[i]
-            if ai:
-                for j in range(n):
-                    if b[j]:
-                        raw[i + j] += ai * b[j]
-        return CyclotomicScalar(self.field, self.field._reduce(raw))
+        field = self.field
+        if field is not other.field:
+            raise MismatchedFieldError(f"scalars over ell={field.ell} and ell={other.field.ell}")
+        a, b = self.num, other.num
+        # most products in the elimination and tensor layers have a rational
+        # (often zero) factor: scale instead of convolving
+        if not any(a[1:]):
+            x = a[0]
+            if not x:
+                return field.zero
+            num = tuple([x * y for y in b])
+        elif not any(b[1:]):
+            y = b[0]
+            if not y:
+                return field.zero
+            num = tuple([x * y for x in a])
+        else:
+            num = _mul_num(field, a, b)
+        den = self.den * other.den
+        return CyclotomicScalar(field, num, 1) if den == 1 else _normalised(field, num, den)
 
     def inverse(self) -> "CyclotomicScalar":
-        """Field inverse via extended Euclid against Phi_ell."""
-        if self.is_zero():
+        """Field inverse: den * prod_{sigma != 1} sigma(num) / N(num).
+
+        N(num), the product of all Galois conjugates of num, is a nonzero
+        integer; anything else means the kernel itself is wrong.
+        """
+        num, field = self.num, self.field
+        if not any(num):
             raise ZeroDivisionError("inverse of zero in Q(zeta)")
-        phi = self.field.phi
-        mod = [_Q(c) for c in cyclotomic_polynomial(self.field.ell)]
-        a = list(self.coeffs)
-        # extended gcd of a and mod over Q[x]
-        r0, r1 = mod, a
-        s0, s1 = [_QZERO], [_QONE]
-
-        def deg(p):
-            for i in range(len(p) - 1, -1, -1):
-                if p[i]:
-                    return i
-            return -1
-
-        while deg(r1) > 0:
-            d0, d1 = deg(r0), deg(r1)
-            if d0 < d1:
-                r0, r1, s0, s1 = r1, r0, s1, s0
-                continue
-            c = r0[d0] / r1[d1]
-            shift = d0 - d1
-            for i in range(d1 + 1):
-                r0[i + shift] -= c * r1[i]
-            s1p = s1 + [_QZERO] * (shift + len(s0))
-            s0 = s0 + [_QZERO] * (len(s1p) - len(s0))
-            for i in range(len(s1)):
-                s0[i + shift] -= c * s1p[i]
-            r0, r1, s0, s1 = r1, r0, s1, s0
-        if deg(r1) != 0:
-            raise ZeroDivisionError("element not invertible (shares factor with Phi)")
-        inv_lead = _QONE / r1[deg(r1)]
-        res = [c * inv_lead for c in s1]
-        res = res + [_QZERO] * max(0, phi - len(res))
-        return CyclotomicScalar(self.field, self.field._reduce(res))
+        if not any(num[1:]):
+            return _normalised(field, (self.den,) + num[1:], num[0])
+        phi = field.phi
+        adj = None  # product of the conjugates other than num itself
+        for images in field._conjugations:
+            conj = [0] * phi
+            for n, image in zip(num, images):
+                if n:
+                    for j, c in image:
+                        conj[j] += n * c
+            adj = conj if adj is None else _mul_num(field, adj, conj)
+        norm = _mul_num(field, num, adj)
+        if any(norm[1:]) or not norm[0]:
+            raise CertificationError(f"norm of {self!r} is not a nonzero rational: {norm}")
+        return _normalised(field, tuple(self.den * c for c in adj), norm[0])
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def __eq__(self, other):
         if not isinstance(other, CyclotomicScalar):
             return NotImplemented
-        return self.field is other.field and self.coeffs == other.coeffs
+        return self.field is other.field and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.field.ell, self.coeffs))
-        return self._hash
+        return hash((self.field.ell, self.num, self.den))
+
+    @property
+    def coeffs(self):
+        """The coefficients on zeta^0 .. zeta^(phi-1) as Fractions."""
+        return tuple(Fraction(n, self.den) for n in self.num)
 
     def __repr__(self):
         terms = []
-        for i, c in enumerate(self.coeffs):
-            if c:
+        for i, c in enumerate(self.as_strings()):
+            if c != "0":
                 if i == 0:
-                    terms.append(str(c))
+                    terms.append(c)
                 elif i == 1:
                     terms.append(f"{c}*z")
                 else:
@@ -347,10 +394,18 @@ class CyclotomicScalar:
         return " + ".join(terms) if terms else "0"
 
     def as_strings(self):
-        return [str(c) for c in self.coeffs]
+        """Each coefficient as 'a/b' in lowest terms, or 'a' when it is an integer."""
+        den = self.den
+        if den == 1:
+            return [str(n) for n in self.num]
+        out = []
+        for n in self.num:
+            g = gcd(n, den)
+            out.append(str(n // g) if g == den else f"{n // g}/{den // g}")
+        return out
 
     def rational_value(self):
-        """The rational this scalar equals, or None if it is irrational."""
-        if any(self.coeffs[1:]):
+        """The rational this scalar equals, as a Fraction, or None if it is irrational."""
+        if any(self.num[1:]):
             return None
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)

@@ -8,7 +8,12 @@ systems coming from intertwiner equations.
 
 from __future__ import annotations
 
-from tiltlab.cyclotomic import CycloField, CyclotomicScalar, MismatchedFieldError
+from tiltlab.cyclotomic import (
+    CertificationError,
+    CycloField,
+    CyclotomicScalar,
+    MismatchedFieldError,
+)
 
 
 class ExactMatrix:
@@ -257,6 +262,7 @@ class ExactMatrix:
         """Solve self @ X = b for each column of b.
 
         Returns X (cols of b solved) or None if any column is inconsistent.
+        Raises CertificationError if the X found does not satisfy self @ X = b.
         """
         if b_cols.rows != self.rows:
             raise ValueError("rhs row mismatch")
@@ -270,7 +276,8 @@ class ExactMatrix:
         for r_i, pc in enumerate(pivots):
             for j in range(b_cols.cols):
                 out.data[pc][j] = m[r_i][self.cols + j]
-        # verify (guards free-variable columns interacting with pivots)
+        if self @ out != b_cols:
+            raise CertificationError("solve returned X with self @ X != b")
         return out
 
     def determinant(self) -> CyclotomicScalar:
@@ -357,7 +364,6 @@ class SparseSystem:
         pivots = {}
         order = sorted(range(len(self.rows)), key=lambda i: min(self.rows[i], default=self.ncols))
         work = [(dict(self.rows[i]), self.rhs[i]) for i in order]
-        done = []
         for entries, rhs in work:
             while entries:
                 c = min(entries)
@@ -380,7 +386,6 @@ class SparseSystem:
             else:
                 if not rhs.is_zero():
                     return pivots, True
-            done.append(None)
         # back-substitute: normalize pivot rows against later pivots
         for c in sorted(pivots, reverse=True):
             entries, rhs = pivots[c]

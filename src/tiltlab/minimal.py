@@ -11,6 +11,7 @@ recomputing cohomology: the source module in degree zero and nothing else.
 from __future__ import annotations
 
 from tiltlab.complexes import ChainComplex, labeled_direct_sum, minimalize
+from tiltlab.cyclotomic import CertificationError
 from tiltlab.linalg import ExactMatrix, SparseSystem
 from tiltlab.modules import (
     UModule,
@@ -563,14 +564,14 @@ def minimal_tilting_complex(M: UModule, certify: bool = True) -> MinimalTiltingC
 def _certify_cmin(M: UModule, cmin: ChainComplex):
     coh = cmin.cohomology()
     if set(coh) - {0}:
-        raise ArithmeticError(f"minimal complex has cohomology in degrees {sorted(coh)}")
+        raise CertificationError(f"minimal complex has cohomology in degrees {sorted(coh)}")
     h0 = coh.get(0)
     if M.dim == 0:
         if h0 is not None:
-            raise ArithmeticError("expected acyclic complex for the zero module")
+            raise CertificationError("expected acyclic complex for the zero module")
         return
     if h0 is None or h0.dim != M.dim or find_isomorphism(h0, M) is None:
-        raise ArithmeticError("degree-zero cohomology is not the source module")
+        raise CertificationError("degree-zero cohomology is not the source module")
 
 
 def filtration_dimensions(M: UModule):

@@ -12,7 +12,7 @@ import json
 
 
 def scalar_to_json(s):
-    return [str(c) for c in s.coeffs]
+    return s.as_strings()
 
 
 def scalar_from_json(field, data):

@@ -180,3 +180,17 @@ def test_cross_process_byte_identical():
     b = subprocess.run(cmd, capture_output=True, text=True, timeout=590)
     assert a.returncode == 0 and b.returncode == 0
     assert a.stdout == b.stdout
+
+
+def test_failed_certification_exits_internal(monkeypatch, capsys):
+    import tiltlab.cache
+    import tiltlab.minimal
+
+    monkeypatch.setattr(tiltlab.cache, "_active_cache", None)
+    monkeypatch.setattr(tiltlab.minimal, "_cmin_cache", {})
+    monkeypatch.setattr(tiltlab.minimal, "find_isomorphism", lambda M, N: None)
+    code = main(["cmin", "--ell", "3", "--module", "L:3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "degree-zero cohomology" in captured.err
