@@ -215,10 +215,15 @@ def root_system(label: str) -> RootSystemData:
     return _rs_cache[key]
 
 
-def _check_dominant(rs: RootSystemData, lam):
+def _check_rank(rs: RootSystemData, lam):
     lam = tuple(lam)
     if len(lam) != rs.rank:
         raise ValueError(f"weight has {len(lam)} coordinates, rank is {rs.rank}")
+    return lam
+
+
+def _check_dominant(rs: RootSystemData, lam):
+    lam = _check_rank(rs, lam)
     if not rs.is_dominant(lam):
         raise ValueError(f"weight {lam} is not dominant")
     return lam
@@ -257,13 +262,15 @@ def separating_hyperplane_count_bruteforce(rs: RootSystemData, lam, p: int) -> i
 def is_p_regular(rs: RootSystemData, lam, p: int) -> bool:
     if p < 2:
         raise ValueError("p must be at least 2")
-    lam = tuple(lam)
+    lam = _check_rank(rs, lam)
     shifted = tuple(l + r for l, r in zip(lam, rs.rho))
     return all(beta.pairing(shifted) % p != 0 for beta in rs.positive_roots)
 
 
 def steinberg_decompose(rs: RootSystemData, lam, p: int):
     """lam = lam0 + p*lam1 with lam0 p-restricted; coordinatewise divmod."""
+    if p < 1:
+        raise ValueError("p must be positive")
     lam = _check_dominant(rs, lam)
     lam0 = tuple(x % p for x in lam)
     lam1 = tuple((x - x0) // p for x, x0 in zip(lam, lam0))
@@ -271,57 +278,60 @@ def steinberg_decompose(rs: RootSystemData, lam, p: int):
 
 
 def is_p_restricted(rs: RootSystemData, lam, p: int) -> bool:
-    return all(0 <= x < p for x in lam)
+    return all(0 <= x < p for x in _check_rank(rs, lam))
 
 
 def is_negligible_weight(rs: RootSystemData, lam, p: int) -> bool:
     """(lam + rho, highest coroot) >= p."""
+    if p < 1:
+        raise ValueError("p must be positive")
     lam = _check_dominant(rs, lam)
     shifted = tuple(l + r for l, r in zip(lam, rs.rho))
     return rs.highest_coroot.pairing(shifted) >= p
 
 
+def linkage_class(rs: RootSystemData, lam, p: int):
+    """The W_p-representative of lam + rho in the closed fundamental p-alcove
+    {x : (x, alpha_i^vee) >= 0 for all i, (x, highest coroot) <= p}.
+
+    The closed alcove is a fundamental domain for W_p (Humphreys, Reflection
+    Groups and Coxeter Groups, ch. 4; Jantzen, Representations of Algebraic
+    Groups, II.6), so lam and mu are linked (mu lies in the dot orbit
+    W_p . lam) iff their linkage classes are equal.  lam need not be dominant.
+    Each step reflects in a wall of the alcove that separates the point from
+    it, which brings the point strictly closer to an interior point; the
+    orbit is discrete, so the loop ends.
+    """
+    if p < 1:
+        raise ValueError("p must be positive")
+    nu = [l + r for l, r in zip(_check_rank(rs, lam), rs.rho)]
+    theta = rs.highest_coroot
+    while True:
+        for i, x in enumerate(nu):
+            if x < 0:
+                # s_i: alpha_i in omega coordinates is column i of the Cartan matrix
+                nu = [y - x * row[i] for y, row in zip(nu, rs.cartan)]
+                break
+        else:
+            step = theta.pairing(nu) - p
+            if step <= 0:
+                return tuple(nu)
+            nu = [y - step * a for y, a in zip(nu, theta.weight_coords)]
+
+
 def dot_orbit(rs: RootSystemData, lam, p: int, bound: int):
     """Dominant weights in the affine dot orbit of lam, with
-    (mu, highest coroot) <= bound.
+    (mu, highest coroot) <= bound, sorted.
 
-    The reflection closure runs over shifted weights nu = mu + rho; interior
-    points may exceed the bound by a slack of one Coxeter number plus 2p so
-    that boundary orbits are not cut off.
+    Exact linkage classes: the dominant weights under the bound, enumerated
+    in lexicographic order, are kept when their linkage class equals that
+    of lam.
     """
-    lam = _check_dominant(rs, lam)
-    start = tuple(l + r for l, r in zip(lam, rs.rho))
-    theta = rs.highest_coroot
-    rho_pair = theta.pairing(rs.rho)
-    cutoff = bound + rho_pair  # bound is on the unshifted weight
-    slack = cutoff + rs.coxeter_number + 2 * p
-    seen = {start}
-    queue = [start]
-    while queue:
-        nu = queue.pop()
-        for beta in rs.positive_roots:
-            val = beta.pairing(nu)
-            # reflect across (x, beta^vee) = rp: new pairing is 2rp - val
-            r_lo = (-slack + val) // (2 * p) - 1
-            r_hi = (slack + val) // (2 * p) + 1
-            for r in range(r_lo, r_hi + 1):
-                delta = val - r * p
-                if delta == 0:
-                    continue
-                nxt = tuple(
-                    x - delta * w for x, w in zip(nu, beta.weight_coords)
-                )
-                if abs(theta.pairing(nxt)) > slack:
-                    continue
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-    out = []
-    for nu in seen:
-        mu = tuple(x - r for x, r in zip(nu, rs.rho))
-        if rs.is_dominant(mu) and theta.pairing(nu) <= cutoff:
-            out.append(mu)
-    return sorted(out)
+    home = linkage_class(rs, _check_dominant(rs, lam), p)
+    box = [((), bound)]  # (leading coordinates, what the bound leaves for the rest)
+    for c in rs.highest_coroot.coroot_coords:
+        box = [(mu + (x,), rest - c * x) for mu, rest in box for x in range(rest // c + 1)]
+    return [mu for mu, _ in box if linkage_class(rs, mu, p) == home]
 
 
 def steinberg_twist_example(rs: RootSystemData, p: int):
@@ -330,6 +340,8 @@ def steinberg_twist_example(rs: RootSystemData, p: int):
     For p >= h the weight is p-regular and negligible; below h the
     regularity assertion is skipped with a notice.
     """
+    if p < 1:
+        raise ValueError("p must be positive")
     lam = tuple((p * p - p) * r for r in rs.rho)
     out = {
         "type": rs.label,

@@ -117,10 +117,8 @@ def cmd_cmin(args):
     cfg = resolve_config(args)
     field = CycloField(cfg["ell"])
     kind, n = parse_module_spec(args.module)
-    cache = None
-    if cfg["cache"]:
-        cache = CacheDir(cfg["cache"])
-        set_active_cache(cache)
+    cache = CacheDir(cfg["cache"]) if cfg["cache"] else None
+    set_active_cache(cache)
     module = cached_standard_module(cache, field, kind, n)
     table = active_cmin_labels(module)
     pretty_kind = {"Delta": "delta", "Nabla": "nabla"}.get(kind, kind)
@@ -158,8 +156,7 @@ def cmd_ideals(args):
 
 def cmd_verify(args):
     cfg = resolve_config(args)
-    if cfg["cache"]:
-        set_active_cache(CacheDir(cfg["cache"]))
+    set_active_cache(CacheDir(cfg["cache"]) if cfg["cache"] else None)
     report = run_suite(
         args.suite, cfg["ell"], cfg["window"], cfg["budget"], cfg["seed"],
         workers=cfg["workers"],
@@ -173,9 +170,12 @@ def cmd_verify(args):
 def cmd_alcove(args):
     rs = root_system(args.type)
     out = {"type": rs.label, "p": args.p}
-    lam = parse_weight(args.lam, rs.rank) if args.lam is not None else None
-    if lam is not None:
+    lam = None
+    if args.lam is not None:
+        lam = parse_weight(args.lam, rs.rank)
         out["lambda"] = list(lam)
+    elif args.action != "twist":
+        raise ValueError(f"alcove {args.action} needs --lambda")
     if args.action == "d":
         out["d"] = separating_hyperplane_count(rs, lam, args.p)
     elif args.action == "regular":

@@ -9,10 +9,10 @@ from __future__ import annotations
 import random
 
 from tiltlab.alcove import (
-    dot_orbit,
     is_negligible_weight,
     is_p_regular,
     is_p_restricted,
+    linkage_class,
     root_system,
     separating_hyperplane_count,
     separating_hyperplane_count_bruteforce,
@@ -357,12 +357,12 @@ def suite_alcove_cross(ell, window, lam_max=12):
         labels = cmin_labels(simple_module(field, lam))
         bound_ok = []
         linkage_ok = []
-        orbit = {m[0] for m in dot_orbit(rs, (lam,), ell, lam + 4 * ell)}
+        home = linkage_class(rs, (lam,), ell)
         for deg, labs in labels.items():
             for nu in labs:
                 dnu = separating_hyperplane_count(rs, (nu,), ell)
                 bound_ok.append(abs(deg) <= d - dnu)
-                linkage_ok.append(nu in orbit)
+                linkage_ok.append(linkage_class(rs, (nu,), ell) == home)
         observations.append(
             {
                 "case": f"degree bound probe L({lam})",

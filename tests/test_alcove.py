@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,6 +8,8 @@ from tiltlab.alcove import (
     dot_orbit,
     is_negligible_weight,
     is_p_regular,
+    is_p_restricted,
+    linkage_class,
     root_system,
     separating_hyperplane_count,
     separating_hyperplane_count_bruteforce,
@@ -157,3 +161,107 @@ def test_nonrank_weight_rejected():
         separating_hyperplane_count(A2, (1,), 3)
     with pytest.raises(ValueError):
         separating_hyperplane_count(A2, (-1, 0), 3)
+
+
+def bfs_dot_orbit(rs, lam, p, bound):
+    """The orbit by breadth-first reflection closure, cut off at a slack of
+    one Coxeter number plus 2p beyond the bound; the test oracle for
+    dot_orbit."""
+    start = tuple(l + r for l, r in zip(lam, rs.rho))
+    theta = rs.highest_coroot
+    cutoff = bound + theta.pairing(rs.rho)
+    slack = cutoff + rs.coxeter_number + 2 * p
+    seen = {start}
+    queue = [start]
+    while queue:
+        nu = queue.pop()
+        for beta in rs.positive_roots:
+            val = beta.pairing(nu)
+            # reflect across (x, beta^vee) = rp: new pairing is 2rp - val
+            for r in range((val - slack) // (2 * p) - 1, (val + slack) // (2 * p) + 2):
+                delta = val - r * p
+                if delta == 0:
+                    continue
+                nxt = tuple(x - delta * w for x, w in zip(nu, beta.weight_coords))
+                if abs(theta.pairing(nxt)) <= slack and nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+    out = []
+    for nu in seen:
+        mu = tuple(x - r for x, r in zip(nu, rs.rho))
+        if rs.is_dominant(mu) and theta.pairing(nu) <= cutoff:
+            out.append(mu)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2"])
+def test_dot_orbit_matches_bfs(label):
+    # every dominant weight under the bound, one BFS per orbit it meets
+    rs = root_system(label)
+    for p in (2, 3, 5):
+        for bound in (5, 8):
+            box = [
+                lam for lam in itertools.product(range(bound + 1), repeat=rs.rank)
+                if rs.highest_coroot.pairing(lam) <= bound
+            ]
+            seen = set()
+            for lam in box:
+                if lam in seen:
+                    continue
+                orbit = bfs_dot_orbit(rs, lam, p, bound)
+                assert lam in orbit
+                for mu in orbit:
+                    assert dot_orbit(rs, mu, p, bound) == orbit, (p, bound, mu)
+                seen.update(orbit)
+
+
+def _dot_reflect(rs, lam, beta, shift):
+    """s_{beta, shift} . lam = s_{beta, shift}(lam + rho) - rho."""
+    delta = beta.pairing(tuple(l + r for l, r in zip(lam, rs.rho))) - shift
+    return tuple(l - delta * w for l, w in zip(lam, beta.weight_coords))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["A1", "A2", "B2", "G2", "A3", "C3"]),
+    st.sampled_from([1, 2, 3, 5, 7]),
+    st.lists(st.integers(min_value=-15, max_value=15), min_size=3, max_size=3),
+)
+def test_linkage_class_is_in_the_alcove_and_invariant(label, p, coords):
+    rs = root_system(label)
+    lam = tuple(coords[: rs.rank])
+    nu = linkage_class(rs, lam, p)
+    assert all(x >= 0 for x in nu)
+    assert rs.highest_coroot.pairing(nu) <= p
+    for beta in rs.positive_roots:
+        for r in range(-3, 4):
+            assert linkage_class(rs, _dot_reflect(rs, lam, beta, r * p), p) == nu, (beta, r)
+
+
+def test_linkage_class_examples():
+    A1 = root_system("A1")
+    # A1, p = 3: the closed alcove holds nu = 0..3
+    assert [linkage_class(A1, (x,), 3) for x in (0, 4, 6, -2, 2, 8)] == [(1,)] * 4 + [(3,)] * 2
+    A2 = root_system("A2")
+    assert linkage_class(A2, (0, 0), 5) == (1, 1)
+    assert linkage_class(A2, (-1, -1), 5) == (0, 0)
+
+
+def test_alcove_inputs_rejected():
+    A2 = root_system("A2")
+    with pytest.raises(ValueError):
+        is_p_regular(A2, (1,), 3)
+    with pytest.raises(ValueError):
+        is_p_restricted(A2, (1, 2, 0), 3)
+    for p in (0, -3):
+        with pytest.raises(ValueError, match="p must be positive"):
+            dot_orbit(A2, (1, 1), p, 8)
+        with pytest.raises(ValueError, match="p must be positive"):
+            linkage_class(A2, (1, 1), p)
+        for query in (steinberg_decompose, is_negligible_weight):
+            with pytest.raises(ValueError, match="p must be positive"):
+                query(A2, (1, 1), p)
+        with pytest.raises(ValueError, match="p must be positive"):
+            steinberg_twist_example(A2, p)
+    with pytest.raises(ValueError):
+        linkage_class(A2, (1,), 3)

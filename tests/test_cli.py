@@ -71,6 +71,21 @@ def test_alcove_malformed_weight(capsys):
     assert code == 2
 
 
+def test_alcove_missing_lambda(capsys):
+    code = main(["alcove", "d", "--type", "A2", "--p", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--lambda" in captured.err
+
+
+def test_alcove_orbit_nonpositive_p(capsys):
+    code = main(["alcove", "orbit", "--type", "A2", "--p", "0", "--lambda", "1,1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "p must be positive" in captured.err
+
+
 def test_verify_suite_exit_codes(capsys):
     code, out = run_cli(
         capsys, "verify", "--suite", "lemmas", "--ell", "3",
@@ -126,6 +141,16 @@ def test_cache_stores_module_files_with_filtration(tmp_path, capsys):
     data = json.loads(open(path).read())
     assert data["delta_filtration"] == [3, 1]
     assert data["module"]["dim"] == 6
+
+
+def test_cache_not_kept_by_later_commands(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    run_cli(capsys, "cmin", "--ell", "3", "--module", "L:3", "--cache", str(cache))
+    before = sorted(os.listdir(cache))
+    assert before
+    code, _ = run_cli(capsys, "cmin", "--ell", "3", "--module", "L:4")
+    assert code == 0
+    assert sorted(os.listdir(cache)) == before
 
 
 def test_cache_corruption_rebuilds(tmp_path, capsys):
