@@ -10,6 +10,7 @@ check (a program fault; nothing is printed on stdout).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from tiltlab.alcove import (
@@ -22,6 +23,7 @@ from tiltlab.alcove import (
     steinberg_twist_example,
 )
 from tiltlab.cache import (
+    ENV_VAR,
     CacheDir,
     active_cmin_labels,
     cached_standard_module,
@@ -68,20 +70,37 @@ def load_config_file(path):
     return out
 
 
-def resolve_config(args):
-    """Flags override config file entries, which override defaults."""
+def resolve_config(args, unused=()):
+    """Flags override config file entries, which override defaults.
+
+    Keys in `unused` are ones the command ignores; setting one by flag or in
+    the config file is an error, not silently dropped.
+    """
     cfg = dict(DEFAULTS)
+    given = set()
     if getattr(args, "config", None):
         file_cfg = load_config_file(args.config)
         for key, value in file_cfg.items():
             if key not in cfg:
                 raise ValueError(f"unknown config key {key!r}")
             cfg[key] = type(DEFAULTS[key])(value) if DEFAULTS[key] is not None else value
+            given.add(key)
     for key in cfg:
         flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
+            given.add(key)
+    for key in unused:
+        if key in given:
+            raise ValueError(f"{key} is not used by this command; remove --{key} or its config entry")
     return cfg
+
+
+def open_cache(cfg):
+    """The disk cache from --cache or the config file, else from TILTLAB_CACHE,
+    else none."""
+    path = cfg["cache"] or os.environ.get(ENV_VAR)
+    return CacheDir(path) if path else None
 
 
 def parse_module_spec(spec):
@@ -117,7 +136,7 @@ def cmd_cmin(args):
     cfg = resolve_config(args)
     field = CycloField(cfg["ell"])
     kind, n = parse_module_spec(args.module)
-    cache = CacheDir(cfg["cache"]) if cfg["cache"] else None
+    cache = open_cache(cfg)
     set_active_cache(cache)
     module = cached_standard_module(cache, field, kind, n)
     table = active_cmin_labels(module)
@@ -154,9 +173,14 @@ def cmd_ideals(args):
     return EXIT_PASS
 
 
+# suites that draw no samples: a budget or seed for them would be ignored
+SAMPLE_FREE_SUITES = ("alcove-cross", "bijection")
+
+
 def cmd_verify(args):
-    cfg = resolve_config(args)
-    set_active_cache(CacheDir(cfg["cache"]) if cfg["cache"] else None)
+    unused = ("budget", "seed") if args.suite in SAMPLE_FREE_SUITES else ()
+    cfg = resolve_config(args, unused)
+    set_active_cache(open_cache(cfg))
     report = run_suite(
         args.suite, cfg["ell"], cfg["window"], cfg["budget"], cfg["seed"],
         workers=cfg["workers"],

@@ -1,18 +1,19 @@
 """Bounded chain complexes of U-modules.
 
-Cohomology, tensor products of complexes with the usual sign, totalization of
-commuting double complexes, and minimalization by Gaussian elimination on
-differential blocks between indecomposable summands.  Minimalization carries
-explicit homotopy-equivalence witnesses so that split embeddings can be
-verified, not just inferred from characters.
+Cohomology, direct sums and tensor products of complexes with the usual sign,
+totalization of modules placed on a grid, and minimalization by Gaussian
+elimination on differential blocks between indecomposable summands.
 """
 
 from __future__ import annotations
 
+from tiltlab.cyclotomic import CertificationError
 from tiltlab.linalg import ExactMatrix
 from tiltlab.modules import (
     UModule,
     UMorphism,
+    _first_bad_column,
+    direct_sum,
     kernel_module,
     quotient_module,
     submodule_generated,
@@ -23,15 +24,8 @@ from tiltlab.standard import Part, decompose_indecomposables
 
 def labeled_direct_sum(field, labeled_modules):
     """Direct sum with coordinate inclusion/projection witnesses per part."""
-    dims = [m.dim for _, m in labeled_modules]
-    total = sum(dims)
-    weights = tuple(w for _, m in labeled_modules for w in m.weights)
-    mats = {}
-    for name in ("K", "E", "F", "El", "Fl"):
-        mats[name] = ExactMatrix.block_diagonal(
-            field, [getattr(m, name) for _, m in labeled_modules]
-        )
-    S = UModule(field, weights, mats["K"], mats["E"], mats["F"], mats["El"], mats["Fl"])
+    S = direct_sum(*(m for _, m in labeled_modules))
+    total = S.dim
     parts = []
     offset = 0
     for label, m in labeled_modules:
@@ -154,13 +148,6 @@ class ChainComplex:
                 acc = acc + ch
         return acc
 
-    def shift(self, k: int) -> "ChainComplex":
-        """Shift degrees by k (differentials keep their matrices)."""
-        terms = {i + k: t for i, t in self.terms.items()}
-        diffs = {i + k: d for i, d in self.differentials.items()}
-        parts = {i + k: ps for i, ps in self.parts.items()}
-        return ChainComplex(self.field, terms, diffs, parts)
-
     def cohomology(self) -> dict:
         """degree -> cohomology UModule (nonzero ones only)."""
         out = {}
@@ -184,7 +171,7 @@ class ChainComplex:
         # express the image inside the kernel and quotient
         sol = kincl.matrix.solve(din.matrix)
         if sol is None:
-            raise ArithmeticError("image does not land in the kernel; not a complex")
+            raise CertificationError("image does not land in the kernel; not a complex")
         img, iincl = submodule_generated(ker, [sol.column(j) for j in range(sol.cols)], close=False)
         if img.dim == 0:
             return ker
@@ -197,145 +184,106 @@ class ChainComplex:
 
 
 def complex_direct_sum(X: ChainComplex, Y: ChainComplex) -> ChainComplex:
-    field = X.field
-    terms = {}
-    parts = {}
-    diffs = {}
-    for i in set(X.terms) | set(Y.terms):
-        xt, yt = X.term(i), Y.term(i)
-        total, ps = labeled_direct_sum(field, [(("X",), xt), (("Y",), yt)])
-        terms[i] = total
-        if (i in X.parts or xt.dim == 0) and (i in Y.parts or yt.dim == 0):
-            newparts = []
-            for p, sub in ((ps[0], X.parts.get(i, [])), (ps[1], Y.parts.get(i, []))):
-                for q in sub:
-                    newparts.append(
-                        Part(q.label, q.module, p.inclusion.compose(q.inclusion),
-                             q.projection.compose(p.projection))
-                    )
-            parts[i] = newparts
-    for i in set(X.differentials) | set(Y.differentials):
-        dx, dy = X.differential(i), Y.differential(i)
-        mat = ExactMatrix.block_diagonal(field, [dx.matrix, dy.matrix])
-        diffs[i] = UMorphism(terms[i], terms[i + 1], mat)
-    return ChainComplex(field, terms, diffs, parts)
+    """X + Y, with X's summand first in every degree.
+
+    As a grid, X^i sits at (i, 0) and Y^i at (i + 1, -1).
+    """
+    grid, components, parts = {}, {}, {}
+    for Z, row in ((X, 0), (Y, -1)):
+        for i, t in Z.terms.items():
+            grid[(i - row, row)] = t
+            if i in Z.parts:
+                parts[(i - row, row)] = Z.parts[i]
+        for i, d in Z.differentials.items():
+            components[((i - row, row), (i + 1 - row, row))] = d.matrix
+    return total_complex(X.field, grid, components, parts)
 
 
 def tensor_complexes(X: ChainComplex, Y: ChainComplex) -> ChainComplex:
     """Tensor product complex: (X (x) Y)_i = sum over j+k=i of X_j (x) Y_k,
     with differential d_j (x) id + (-1)^j id (x) d'_k on the (j, k) block."""
     field = X.field
-    pieces = {}  # i -> list of (j, k, module)
+    grid = {}
     for j, xt in X.terms.items():
         for k, yt in Y.terms.items():
-            pieces.setdefault(j + k, []).append((j, k, tensor_module(xt, yt)))
-    for i in pieces:
-        pieces[i].sort(key=lambda t: t[0])
-    terms = {}
-    slots = {}  # (j, k) -> (degree, part index)
-    partrec = {}
-    for i, blocks in pieces.items():
-        total, ps = labeled_direct_sum(field, [(("blk", j, k), m) for j, k, m in blocks])
-        terms[i] = total
-        partrec[i] = ps
-        for idx, (j, k, _) in enumerate(blocks):
-            slots[(j, k)] = (i, idx)
-    diffs = {}
-    for i in sorted(terms):
-        if (i + 1) not in terms:
-            continue
-        mat = ExactMatrix(field, terms[i + 1].dim, terms[i].dim)
-        acc = UMorphism(terms[i], terms[i + 1], mat)
-        built = False
-        for j, k, m in pieces[i]:
-            src_part = partrec[i][slots[(j, k)][1]]
-            dX = X.differentials.get(j)
-            if dX is not None and (j + 1, k) in slots:
-                tgt_part = partrec[i + 1][slots[(j + 1, k)][1]]
-                idY = ExactMatrix.identity(field, Y.terms[k].dim)
-                block = dX.matrix.kron(idY)
-                lift = tgt_part.inclusion.matrix @ block @ src_part.projection.matrix
-                acc = UMorphism(terms[i], terms[i + 1], acc.matrix + lift)
-                built = True
-            dY = Y.differentials.get(k)
-            if dY is not None and (j, k + 1) in slots:
-                tgt_part = partrec[i + 1][slots[(j, k + 1)][1]]
-                idX = ExactMatrix.identity(field, X.terms[j].dim)
-                block = idX.kron(dY.matrix)
-                if j % 2:
-                    block = -block
-                lift = tgt_part.inclusion.matrix @ block @ src_part.projection.matrix
-                acc = UMorphism(terms[i], terms[i + 1], acc.matrix + lift)
-                built = True
-        if built:
-            diffs[i] = acc
-    out = ChainComplex(field, terms, diffs)
-    # block structure is remembered; indecomposable parts are computed on demand
-    out._tensor_blocks = partrec  # noqa: SLF001 - internal bookkeeping
-    return out
+            grid[(j, k)] = tensor_module(xt, yt)
+    components = {}
+    for j, k in grid:
+        dX = X.differentials.get(j)
+        if dX is not None and (j + 1, k) in grid:
+            idY = ExactMatrix.identity(field, Y.terms[k].dim)
+            components[((j, k), (j + 1, k))] = dX.matrix.kron(idY)
+        dY = Y.differentials.get(k)
+        if dY is not None and (j, k + 1) in grid:
+            idX = ExactMatrix.identity(field, X.terms[j].dim)
+            block = idX.kron(dY.matrix)
+            components[((j, k), (j, k + 1))] = -block if j % 2 else block
+    return total_complex(field, grid, components)
 
 
-def total_complex(grid: dict, horiz: dict, vert: dict) -> ChainComplex:
-    """Totalize a finite double complex with commuting squares.
+def _place(out: ExactMatrix, block: ExactMatrix, row: int, col: int):
+    """Write block into out with its top left corner at (row, col)."""
+    for i, brow in enumerate(block.data):
+        out.data[row + i][col : col + block.cols] = brow
 
-    grid[(s, t)] are the modules, horiz[(s, t)]: (s,t) -> (s,t+1) and
-    vert[(s, t)]: (s,t) -> (s+1,t); the standard sign (-1)^s is applied to the
-    horizontal differential.  Raises naming the square if d^2 fails.
+
+def total_complex(field, grid: dict, components: dict, parts: dict | None = None) -> ChainComplex:
+    """Totalize modules placed at grid positions (a, b) of degree a + b.
+
+    components[(src, tgt)] is the matrix of the component grid[src] ->
+    grid[tgt] of the differential, signs included; tgt has degree one above
+    src.  In each degree the positions are summed in increasing order of a.
+    parts[pos] optionally lists the indecomposable summands of grid[pos]; a
+    degree gets parts when all of its positions have them.  Raises
+    ValueError naming the grid position from which d^2 is not zero.
     """
-    if not grid:
-        raise ValueError("empty grid")
-    field = next(iter(grid.values())).field
-    # verify commutation square by square before totalizing
-    for (s, t), m in grid.items():
-        tgt = grid.get((s + 1, t + 1))
-        if tgt is None or tgt.dim == 0 or m.dim == 0:
-            continue
-        h = horiz.get((s, t))
-        v = vert.get((s, t))
-        a = ExactMatrix(field, tgt.dim, m.dim)
-        if h is not None and vert.get((s, t + 1)) is not None:
-            a = vert[(s, t + 1)].matrix @ h.matrix
-        b = ExactMatrix(field, tgt.dim, m.dim)
-        if v is not None and horiz.get((s + 1, t)) is not None:
-            b = horiz[(s + 1, t)].matrix @ v.matrix
-        if not (a - b).is_zero():
-            raise ValueError(f"square at (s={s}, t={t}) does not commute")
-    degsum = {}
-    for (s, t), m in grid.items():
-        if m.dim:
-            degsum.setdefault(s + t, []).append((s, t, m))
-    for n in degsum:
-        degsum[n].sort(key=lambda x: x[0])
-    terms = {}
-    slot = {}
-    partrec = {}
-    for n, blocks in degsum.items():
-        total, ps = labeled_direct_sum(field, [(("grid", s, t), m) for s, t, m in blocks])
-        terms[n] = total
-        partrec[n] = ps
-        for idx, (s, t, _) in enumerate(blocks):
-            slot[(s, t)] = (n, idx)
+    layout = {}  # degree -> its nonzero positions in increasing order
+    for pos in sorted(grid):
+        if grid[pos].dim:
+            layout.setdefault(sum(pos), []).append(pos)
+    offset = {}
+    for row in layout.values():
+        o = 0
+        for pos in row:
+            offset[pos] = o
+            o += grid[pos].dim
+    terms = {n: direct_sum(*(grid[p] for p in row)) for n, row in layout.items()}
     diffs = {}
-    for n in sorted(terms):
-        if (n + 1) not in terms:
+    for (src, tgt), mat in components.items():
+        if src not in offset or tgt not in offset:
             continue
-        acc = ExactMatrix(field, terms[n + 1].dim, terms[n].dim)
-        for s, t, m in degsum[n]:
-            src = partrec[n][slot[(s, t)][1]]
-            h = horiz.get((s, t))
-            if h is not None and (s, t + 1) in slot:
-                tgt = partrec[n + 1][slot[(s, t + 1)][1]]
-                mat = h.matrix if s % 2 == 0 else -h.matrix
-                acc = acc + tgt.inclusion.matrix @ mat @ src.projection.matrix
-            v = vert.get((s, t))
-            if v is not None and (s + 1, t) in slot:
-                tgt = partrec[n + 1][slot[(s + 1, t)][1]]
-                acc = acc + tgt.inclusion.matrix @ v.matrix @ src.projection.matrix
-        if not acc.is_zero():
-            diffs[n] = UMorphism(terms[n], terms[n + 1], acc)
-    out = ChainComplex(field, terms, diffs)
-    out.check()
-    return out
+        n = sum(src)
+        if sum(tgt) != n + 1:
+            raise ValueError(f"component {src} -> {tgt} does not raise the degree by one")
+        if mat.shape != (grid[tgt].dim, grid[src].dim):
+            raise ValueError(f"component {src} -> {tgt} has shape {mat.shape}")
+        if n not in diffs:
+            diffs[n] = ExactMatrix(field, terms[n + 1].dim, terms[n].dim)
+        _place(diffs[n], mat, offset[tgt], offset[src])
+    for n in sorted(diffs):
+        if n + 1 in diffs:
+            bad = _first_bad_column(diffs[n + 1] @ diffs[n])
+            if bad is not None:
+                pos = max(p for p in layout[n] if offset[p] <= bad)
+                raise ValueError(f"d^2 != 0 on the component from grid position {pos}")
+    total_parts = {}
+    for n, row in layout.items():
+        if parts is None or any(p not in parts for p in row):
+            continue
+        total = terms[n]
+        total_parts[n] = []
+        for p in row:
+            for q in parts[p]:
+                incl = ExactMatrix(field, total.dim, q.module.dim)
+                _place(incl, q.inclusion.matrix, offset[p], 0)
+                proj = ExactMatrix(field, q.module.dim, total.dim)
+                _place(proj, q.projection.matrix, 0, offset[p])
+                total_parts[n].append(
+                    Part(q.label, q.module, UMorphism(q.module, total, incl),
+                         UMorphism(total, q.module, proj))
+                )
+    morphisms = {n: UMorphism(terms[n], terms[n + 1], d) for n, d in diffs.items()}
+    return ChainComplex(field, terms, morphisms, total_parts)
 
 
 def cone(f_map: UMorphism, src_degree: int = 0) -> ChainComplex:
@@ -353,172 +301,65 @@ def cone(f_map: UMorphism, src_degree: int = 0) -> ChainComplex:
 
 
 class MinimalizationResult:
-    """Minimal complex plus homotopy-equivalence witnesses to the original."""
+    """The minimal complex produced by minimalize."""
 
-    def __init__(self, complex_, to_min, from_min):
+    def __init__(self, complex_):
         self.complex = complex_
-        self.to_min = to_min  # degree -> matrix: original term -> minimal term
-        self.from_min = from_min  # degree -> matrix: minimal term -> original term
 
 
-def minimalize(X: ChainComplex, tilting_only: bool = True) -> MinimalizationResult:
+def minimalize(X: ChainComplex) -> MinimalizationResult:
     """Cancel invertible differential blocks until none remain.
 
+    Terms without a stored decomposition are split into tilting summands.
     Scans lowest degree first, then lexicographic block order; a block
     A -> B between summands with equal labels is cancelled when its
     determinant is nonzero (the endomorphism rings are local).
     """
     field = X.field
-    X.ensure_parts(tilting_only=tilting_only)
+    X.ensure_parts()
     degs = X.degrees()
     parts = {i: [(p.label, p.module) for p in X.parts[i]] for i in degs}
-    blocks = {}
-    for i in degs:
-        if i not in X.differentials:
-            continue
-        d = X.differentials[i]
-        rows = []
-        for pb in X.parts[i + 1]:
-            row = []
-            for pa in X.parts[i]:
-                row.append(pb.projection.matrix @ d.matrix @ pa.inclusion.matrix)
-            rows.append(row)
-        blocks[i] = rows
-    # witnesses start as identities in part coordinates
-    to_min = {i: ExactMatrix.identity(field, X.term(i).dim) for i in degs}
-    from_min = {i: ExactMatrix.identity(field, X.term(i).dim) for i in degs}
-    # initial change of basis: original term -> concatenated part coordinates
-    for i in degs:
-        cols = []
-        inc_rows = []
-        for p in X.parts[i]:
-            inc_rows.append(p.projection.matrix)
-            cols.append(p.inclusion.matrix)
-        if cols:
-            basis_to = _vstack(field, inc_rows)
-            basis_from = _hstack_all(field, cols)
-            to_min[i] = basis_to
-            from_min[i] = basis_from
-
-    def part_offsets(i):
-        offs = []
-        o = 0
-        for _, m in parts[i]:
-            offs.append(o)
-            o += m.dim
-        return offs, o
-
+    blocks = _part_blocks(X)
     while True:
         hit = _find_cancellable(parts, blocks)
         if hit is None:
             break
         i, a, b = hit
-        phi = blocks[i][b][a]
-        phi_inv = phi.inverse()
-        la, ma = parts[i][a]
-        lb, mb = parts[i + 1][b]
-        src_parts = parts[i]
-        tgt_parts = parts[i + 1]
-        # update level-i blocks: for x != a, y != b: d[y][x] -= d[y][a] phi^-1 d[b][x]
-        new_level = []
-        for y in range(len(tgt_parts)):
-            if y == b:
-                continue
-            row = []
-            for x in range(len(src_parts)):
-                if x == a:
-                    continue
-                upd = blocks[i][y][x] - blocks[i][y][a] @ phi_inv @ blocks[i][b][x]
-                row.append(upd)
-            new_level.append(row)
-        # witnesses for this elimination step, in current part coordinates
-        offs_i, dim_i = part_offsets(i)
-        offs_i1, dim_i1 = part_offsets(i + 1)
-        keep_i = [x for x in range(len(src_parts)) if x != a]
-        keep_i1 = [y for y in range(len(tgt_parts)) if y != b]
-        new_dim_i = dim_i - ma.dim
-        new_dim_i1 = dim_i1 - mb.dim
-        p_i = ExactMatrix(field, new_dim_i, dim_i)
-        s_i = ExactMatrix(field, dim_i, new_dim_i)
-        o = 0
-        for x in keep_i:
-            w = src_parts[x][1].dim
-            for r in range(w):
-                p_i.data[o + r][offs_i[x] + r] = field.one
-                s_i.data[offs_i[x] + r][o + r] = field.one
-            # s_i correction: -phi^-1 d[b][x] into the a-slot
-            corr = phi_inv @ blocks[i][b][x]
-            for r in range(ma.dim):
-                for c in range(w):
-                    v = corr.data[r][c]
-                    if not v.is_zero():
-                        s_i.data[offs_i[a] + r][o + c] = -v
-            o += w
-        p_i1 = ExactMatrix(field, new_dim_i1, dim_i1)
-        s_i1 = ExactMatrix(field, dim_i1, new_dim_i1)
-        o = 0
-        for y in keep_i1:
-            w = tgt_parts[y][1].dim
-            for r in range(w):
-                p_i1.data[o + r][offs_i1[y] + r] = field.one
-                s_i1.data[offs_i1[y] + r][o + r] = field.one
-            # p_i1 correction: v - gamma phi^-1 b-component
-            corr = blocks[i][y][a] @ phi_inv
-            for r in range(w):
-                for c in range(mb.dim):
-                    v = corr.data[r][c]
-                    if not v.is_zero():
-                        p_i1.data[o + r][offs_i1[b] + c] = -v
-            o += w
-        # apply step to witnesses
-        to_min[i] = p_i @ to_min[i]
-        from_min[i] = from_min[i] @ s_i
-        to_min[i + 1] = p_i1 @ to_min[i + 1]
-        from_min[i + 1] = from_min[i + 1] @ s_i1
-        # shrink bookkeeping
-        parts[i] = [src_parts[x] for x in keep_i]
-        parts[i + 1] = [tgt_parts[y] for y in keep_i1]
-        blocks[i] = new_level
+        phi_inv = blocks[i][b][a].inverse()
+        # for x != a, y != b: d[y][x] -= d[y][a] phi^-1 d[b][x]
+        blocks[i] = [
+            [
+                blocks[i][y][x] - blocks[i][y][a] @ phi_inv @ blocks[i][b][x]
+                for x in range(len(parts[i]))
+                if x != a
+            ]
+            for y in range(len(parts[i + 1]))
+            if y != b
+        ]
+        parts[i] = [p for x, p in enumerate(parts[i]) if x != a]
+        parts[i + 1] = [p for y, p in enumerate(parts[i + 1]) if y != b]
         if (i - 1) in blocks:
-            blocks[i - 1] = [
-                [blocks[i - 1][y][x] for x in range(len(blocks[i - 1][0]))]
-                for y in range(len(blocks[i - 1]))
-            ]
-            blocks[i - 1] = [blocks[i - 1][y] for y in range(len(blocks[i - 1])) if y != a]
+            blocks[i - 1] = [row for y, row in enumerate(blocks[i - 1]) if y != a]
         if (i + 1) in blocks:
-            blocks[i + 1] = [
-                [row[x] for x in range(len(row)) if x != b] for row in blocks[i + 1]
-            ]
+            blocks[i + 1] = [[blk for x, blk in enumerate(row) if x != b] for row in blocks[i + 1]]
 
-    # rebuild complex from surviving parts
+    # rebuild the complex from the surviving parts
     terms = {}
     partrecs = {}
     for i in degs:
         if parts[i]:
-            total, ps = labeled_direct_sum(field, parts[i])
-            terms[i] = total
-            partrecs[i] = ps
+            terms[i], partrecs[i] = labeled_direct_sum(field, parts[i])
     diffs = {}
     for i in degs:
         if i in blocks and parts.get(i) and parts.get(i + 1):
             mat = ExactMatrix(field, terms[i + 1].dim, terms[i].dim)
-            offs_i, _ = _offsets(parts[i])
-            offs_i1, _ = _offsets(parts[i + 1])
-            for y in range(len(parts[i + 1])):
-                for x in range(len(parts[i])):
-                    blk = blocks[i][y][x]
-                    for r in range(blk.rows):
-                        row = mat.data[offs_i1[y] + r]
-                        for c in range(blk.cols):
-                            v = blk.data[r][c]
-                            if not v.is_zero():
-                                row[offs_i[x] + c] = v
-            if not mat.is_zero():
-                diffs[i] = UMorphism(terms[i], terms[i + 1], mat)
-    result = ChainComplex(field, terms, diffs, partrecs)
-    tm = {i: to_min[i] for i in degs}
-    fm = {i: from_min[i] for i in degs}
-    return MinimalizationResult(result, tm, fm)
+            offs_i = _offsets(parts[i])
+            offs_i1 = _offsets(parts[i + 1])
+            for y, row in enumerate(blocks[i]):
+                for x, blk in enumerate(row):
+                    _place(mat, blk, offs_i1[y], offs_i[x])
+            diffs[i] = UMorphism(terms[i], terms[i + 1], mat)
+    return MinimalizationResult(ChainComplex(field, terms, diffs, partrecs))
 
 
 def _offsets(partlist):
@@ -527,7 +368,18 @@ def _offsets(partlist):
     for _, m in partlist:
         offs.append(o)
         o += m.dim
-    return offs, o
+    return offs
+
+
+def _part_blocks(X: ChainComplex):
+    """degree -> [target part][source part] blocks of the differential."""
+    blocks = {}
+    for i, d in X.differentials.items():
+        blocks[i] = [
+            [pb.projection.matrix @ d.matrix @ pa.inclusion.matrix for pa in X.parts[i]]
+            for pb in X.parts[i + 1]
+        ]
+    return blocks
 
 
 def _find_cancellable(parts, blocks):
@@ -546,35 +398,7 @@ def _find_cancellable(parts, blocks):
     return None
 
 
-def _vstack(field, mats):
-    rows = sum(m.rows for m in mats)
-    cols = mats[0].cols
-    out = ExactMatrix(field, rows, cols)
-    r = 0
-    for m in mats:
-        for i in range(m.rows):
-            out.data[r + i] = list(m.data[i])
-        r += m.rows
-    return out
-
-
-def _hstack_all(field, mats):
-    out = mats[0]
-    for m in mats[1:]:
-        out = out.hstack(m)
-    return out
-
-
 def is_minimal(X: ChainComplex) -> bool:
     X.ensure_parts(tilting_only=False)
     parts = {i: [(p.label, p.module) for p in X.parts[i]] for i in X.degrees()}
-    blocks = {}
-    for i in X.degrees():
-        if i not in X.differentials:
-            continue
-        d = X.differentials[i]
-        blocks[i] = [
-            [pb.projection.matrix @ d.matrix @ pa.inclusion.matrix for pa in X.parts[i]]
-            for pb in X.parts[i + 1]
-        ]
-    return _find_cancellable(parts, blocks) is None
+    return _find_cancellable(parts, _part_blocks(X)) is None

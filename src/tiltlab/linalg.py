@@ -180,9 +180,6 @@ class ExactMatrix:
     def column(self, j):
         return [self.data[i][j] for i in range(self.rows)]
 
-    def columns(self):
-        return [self.column(j) for j in range(self.cols)]
-
     @classmethod
     def from_columns(cls, field, cols, nrows):
         m = cls(field, nrows, len(cols))
@@ -323,21 +320,6 @@ class ExactMatrix:
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols} over ell={self.field.ell})"
-
-
-def solve_linear(A: ExactMatrix, mode: str, b: ExactMatrix | None = None):
-    """One-stop solver: mode in {'kernel', 'image', 'rank', 'solve'}."""
-    if mode == "kernel":
-        return A.kernel()
-    if mode == "image":
-        return A.image_basis()
-    if mode == "rank":
-        return A.rank()
-    if mode == "solve":
-        if b is None:
-            raise ValueError("solve mode needs a right-hand side")
-        return A.solve(b)
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 class SparseSystem:

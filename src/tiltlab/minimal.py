@@ -10,16 +10,20 @@ recomputing cohomology: the source module in degree zero and nothing else.
 
 from __future__ import annotations
 
-from tiltlab.complexes import ChainComplex, labeled_direct_sum, minimalize
+from tiltlab.complexes import ChainComplex, labeled_direct_sum, minimalize, total_complex
 from tiltlab.cyclotomic import CertificationError
-from tiltlab.linalg import ExactMatrix, SparseSystem
+from tiltlab.linalg import ExactMatrix
 from tiltlab.modules import (
     UModule,
     UMorphism,
+    _homogeneous_components,
+    _WeightEchelon,
     find_isomorphism,
     hom_space,
     image_module,
+    intertwiner_equations,
     kernel_module,
+    morphism_rank,
     quotient_module,
 )
 from tiltlab.standard import (
@@ -38,24 +42,6 @@ class WindowError(RuntimeError):
 
 
 _cmin_cache: dict = {}
-
-
-def _morphism_rank(phi: UMorphism) -> int:
-    """Rank of an intertwiner, computed one weight block at a time."""
-    mb = phi.source.weight_blocks()
-    nb = phi.target.weight_blocks()
-    field = phi.source.field
-    total = 0
-    for m, cols in mb.items():
-        rows = nb.get(m, [])
-        if not rows:
-            continue
-        block = ExactMatrix(field, len(rows), len(cols))
-        for a, r in enumerate(rows):
-            for b, c in enumerate(cols):
-                block.data[a][b] = phi.matrix.data[r][c]
-        total += block.rank()
-    return total
 
 
 def _stack_into_sum(field, component_homs, source):
@@ -87,62 +73,29 @@ def _stack_from_sum(field, component_homs, target):
     return P, UMorphism(P, target, mat), parts
 
 
-class _RankTracker:
-    """Incremental rank of a growing set of vectors over Q(zeta)."""
+def _greedy_embedding(components, M):
+    """Select maps h: M -> T (small targets first) until the stacked map is
+    injective; returns the selection or None.
 
-    def __init__(self, field, n):
-        self.field = field
-        self.n = n
-        self.rows = []  # reduced echelon rows (dense lists)
-        self.pivots = []
-
-    def rank(self):
-        return len(self.rows)
-
-    def add(self, vec) -> bool:
-        vec = list(vec)
-        for p, row in zip(self.pivots, self.rows):
-            c = vec[p]
-            if not c.is_zero():
-                for k in range(p, self.n):
-                    if not row[k].is_zero():
-                        vec[k] = vec[k] - c * row[k]
-        pivot = next((k for k, v in enumerate(vec) if not v.is_zero()), None)
-        if pivot is None:
-            return False
-        inv = vec[pivot].inverse()
-        vec = [inv * v for v in vec]
-        self.rows.append(vec)
-        self.pivots.append(pivot)
-        return True
-
-
-def _greedy_full_rank(field, components, M, into: bool):
-    """Select components (small targets first) until the stacked map has
-    rank dim M; returns the selection or None."""
+    Each row of h is a functional on a single weight space of M, so the rank
+    of the stacked rows is tracked one weight at a time.
+    """
     order = sorted(
         range(len(components)),
-        key=lambda i: (
-            (components[i][1].target.dim if into else components[i][1].source.dim),
-            components[i][0],
-            i,
-        ),
+        key=lambda i: (components[i][1].target.dim, components[i][0], i),
     )
-    tracker = _RankTracker(field, M.dim)
+    ech = _WeightEchelon(M)
     chosen = []
     for i in order:
         mu, h = components[i]
         grew = False
-        if into:
-            vectors = h.matrix.data  # rows are functionals on M
-        else:
-            vectors = [h.matrix.column(j) for j in range(h.matrix.cols)]
-        for v in vectors:
-            if tracker.add(v):
-                grew = True
+        for row in h.matrix.data:
+            for m, comp in _homogeneous_components(M, row):
+                if ech.insert(m, comp):
+                    grew = True
         if grew:
             chosen.append((mu, h))
-        if tracker.rank() == M.dim:
+        if ech.total_dim() == M.dim:
             return sorted(chosen, key=lambda c: -c[0])
     return None
 
@@ -166,7 +119,7 @@ def embed_into_tilting(M: UModule):
         for mu in range(bound, -1, -1):
             for h in hom_space(M, tilting_module(field, mu)):
                 components.append((mu, h))
-        chosen = _greedy_full_rank(field, components, M, into=True)
+        chosen = _greedy_embedding(components, M)
         if chosen is not None:
             return _stack_into_sum(field, chosen, M)
         attempt *= 2
@@ -176,14 +129,14 @@ def embed_into_tilting(M: UModule):
     )
 
 
-def cover_by_tilting(M: UModule, approximating: bool = True):
+def cover_by_tilting(M: UModule):
     """Surjection onto M from a labeled direct sum of T(mu).
 
-    With approximating=True the cover starts from the full Hom basis over the
-    window, so that every morphism from a tilting module factors through it
-    (then kernels of covers of costandard-filtered modules stay costandard
-    filtered); components are only dropped when they factor through the rest,
-    which preserves that property exactly.
+    The cover starts from the full Hom basis over the window, so that every
+    morphism from a tilting module factors through it (then kernels of covers
+    of costandard-filtered modules stay costandard filtered); components are
+    only dropped when they factor through the rest, which preserves that
+    property exactly.
     """
     field = M.field
     ell = field.ell
@@ -198,15 +151,10 @@ def cover_by_tilting(M: UModule, approximating: bool = True):
         for mu in range(bound, -1, -1):
             for h in hom_space(tilting_module(field, mu), M):
                 components.append((mu, h))
-        if approximating:
-            _, surj, _ = _stack_from_sum(field, components, M)
-            if _morphism_rank(surj) == M.dim:
-                components = _prune_factoring(field, components, M)
-                return _stack_from_sum(field, components, M)
-        else:
-            chosen = _greedy_full_rank(field, components, M, into=False)
-            if chosen is not None:
-                return _stack_from_sum(field, chosen, M)
+        _, surj, _ = _stack_from_sum(field, components, M)
+        if morphism_rank(surj) == M.dim:
+            components = _prune_factoring(field, components, M)
+            return _stack_from_sum(field, components, M)
         attempt *= 2
     raise WindowError(
         f"no tilting cover of a dim-{M.dim} module with highest weight "
@@ -309,59 +257,23 @@ def _left_resolution(X: UModule, parts):
     return terms, partl, inner, aug
 
 
-def _solve_chain_map(src, tgt, left: ExactMatrix | None, rhs: ExactMatrix):
-    """Particular intertwiner f: src -> tgt with left @ f = rhs (left=None: f = rhs fit).
+def _solve_chain_map(src, tgt, left: ExactMatrix, rhs: ExactMatrix):
+    """Particular intertwiner f: src -> tgt with left @ f = rhs.
 
+    The constraint rows join the intertwiner equations of Hom(src, tgt).
     Returns the matrix of f, or None when inconsistent.
     """
     field = src.field
-    mb = src.weight_blocks()
-    nb = tgt.weight_blocks()
-    shared = sorted(set(mb) & set(nb), reverse=True)
-    var_ids = {}
-    for m in shared:
-        for r in nb[m]:
-            for c in mb[m]:
-                var_ids[(r, c)] = len(var_ids)
-    sys = SparseSystem(field, max(1, len(var_ids)))
-    # intertwiner equations
-    from tiltlab.modules import _shifts
-
-    for name, shift in _shifts(field.ell):
-        gM = getattr(src, name)
-        gN = getattr(tgt, name)
-        for m in mb:
-            m2 = m + shift
-            for rp in nb.get(m2, []):
-                for c in mb[m]:
-                    entries = {}
-                    for cp in mb.get(m2, []):
-                        v = gM.data[cp][c]
-                        key = var_ids.get((rp, cp))
-                        if key is not None and not v.is_zero():
-                            entries[key] = entries.get(key, field.zero) + v
-                    for r in nb.get(m, []):
-                        v = gN.data[rp][r]
-                        key = var_ids.get((r, c))
-                        if key is not None and not v.is_zero():
-                            entries[key] = entries.get(key, field.zero) - v
-                    if entries:
-                        sys.add_row(entries)
+    sys, var_ids = intertwiner_equations(src, tgt)
     # constraint rows: (left @ f)[i, c] = rhs[i, c]
-    nrows = left.rows if left is not None else tgt.dim
-    for i in range(nrows):
+    for i in range(left.rows):
         for c in range(src.dim):
             entries = {}
-            if left is not None:
-                for r in range(tgt.dim):
-                    v = left.data[i][r]
-                    key = var_ids.get((r, c))
-                    if key is not None and not v.is_zero():
-                        entries[key] = entries.get(key, field.zero) + v
-            else:
-                key = var_ids.get((i, c))
-                if key is not None:
-                    entries[key] = field.one
+            for r in range(tgt.dim):
+                v = left.data[i][r]
+                key = var_ids.get((r, c))
+                if key is not None and not v.is_zero():
+                    entries[key] = entries.get(key, field.zero) + v
             target_val = rhs.data[i][c]
             if entries or not target_val.is_zero():
                 sys.add_row(entries, target_val)
@@ -376,7 +288,7 @@ def _solve_chain_map(src, tgt, left: ExactMatrix | None, rhs: ExactMatrix):
     return mat
 
 
-def tilting_complex_of(M: UModule, _certify: bool = True) -> ChainComplex:
+def tilting_complex_of(M: UModule) -> ChainComplex:
     """A bounded complex of tiltings quasi-isomorphic to M (degree-0 cohomology)."""
     field = M.field
     if M.dim == 0:
@@ -468,51 +380,8 @@ def tilting_complex_of(M: UModule, _certify: bool = True) -> ChainComplex:
                 layer[(s, t)] = sol
         for (s, t), mat in layer.items():
             comps[(k, s, t)] = mat
-    # assemble the total complex
-    degsum = {}
-    for (s, t), m in grid.items():
-        if m.dim:
-            degsum.setdefault(s + t, []).append((s, t, m))
-    for n in degsum:
-        degsum[n].sort(key=lambda x: x[0])
-    tterms = {}
-    tparts = {}
-    slot = {}
-    for n, blocks in degsum.items():
-        total, ps = labeled_direct_sum(
-            m.field if False else M.field, [(("grid", s, t), m) for s, t, m in blocks]
-        )
-        tterms[n] = total
-        newparts = []
-        for idx, (s, t, m) in enumerate(blocks):
-            slot[(s, t)] = (n, idx)
-            for q in gparts[(s, t)]:
-                newparts.append(
-                    type(q)(q.label, q.module,
-                            ps[idx].inclusion.compose(q.inclusion),
-                            q.projection.compose(ps[idx].projection))
-                )
-        tparts[n] = (ps, newparts)
-    diffs = {}
-    for n in sorted(tterms):
-        if (n + 1) not in tterms:
-            continue
-        acc = ExactMatrix(M.field, tterms[n + 1].dim, tterms[n].dim)
-        for s, t, m in degsum[n]:
-            src = tparts[n][0][slot[(s, t)][1]]
-            for k in range(ncols + 1):
-                tgt_pos = (s + k, t + 1 - k)
-                mat = comps.get((k, s, t))
-                if mat is None or tgt_pos not in slot:
-                    continue
-                tgt = tparts[n + 1][0][slot[tgt_pos][1]]
-                acc = acc + tgt.inclusion.matrix @ mat @ src.projection.matrix
-        if not acc.is_zero():
-            diffs[n] = UMorphism(tterms[n], tterms[n + 1], acc)
-    fine_parts = {n: tparts[n][1] for n in tterms}
-    out = ChainComplex(M.field, tterms, diffs, fine_parts)
-    out.check()
-    return out
+    components = {((s, t), (s + k, t + 1 - k)): mat for (k, s, t), mat in comps.items()}
+    return total_complex(field, grid, components, gparts)
 
 
 class MinimalTiltingComplex:
@@ -532,7 +401,7 @@ class MinimalTiltingComplex:
         return f"MinimalTiltingComplex({self.label_table()})"
 
 
-def minimal_tilting_complex(M: UModule, certify: bool = True) -> MinimalTiltingComplex:
+def minimal_tilting_complex(M: UModule) -> MinimalTiltingComplex:
     """C_min of M: constructed, minimalized, certified and cached."""
     key = (M.field.ell, M.fingerprint())
     if key in _cmin_cache:
@@ -551,11 +420,8 @@ def minimal_tilting_complex(M: UModule, certify: bool = True) -> MinimalTiltingC
         result = MinimalTiltingComplex(M, single)
         _cmin_cache[key] = result
         return result
-    big = tilting_complex_of(M)
-    res = minimalize(big, tilting_only=True)
-    cmin = res.complex
-    if certify:
-        _certify_cmin(M, cmin)
+    cmin = minimalize(tilting_complex_of(M)).complex
+    _certify_cmin(M, cmin)
     result = MinimalTiltingComplex(M, cmin)
     _cmin_cache[key] = result
     return result

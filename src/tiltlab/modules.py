@@ -45,9 +45,6 @@ class UModule:
         z = ExactMatrix(field, 1, 1)
         return cls(field, (0,), one, z, z.copy(), z.copy(), z.copy())
 
-    def generators(self):
-        return {"K": self.K, "E": self.E, "F": self.F, "El": self.El, "Fl": self.Fl}
-
     @property
     def character(self) -> Character:
         if self._char is None:
@@ -63,32 +60,11 @@ class UModule:
             self._blocks = blocks
         return self._blocks
 
-    def k_inverse(self) -> ExactMatrix:
-        field = self.field
-        out = ExactMatrix(field, self.dim, self.dim)
-        for i, w in enumerate(self.weights):
-            out.data[i][i] = field.zeta_power(-w)
-        return out
-
     def k_power(self, n: int) -> ExactMatrix:
         field = self.field
         out = ExactMatrix(field, self.dim, self.dim)
         for i, w in enumerate(self.weights):
             out.data[i][i] = field.zeta_power(n * w)
-        return out
-
-    def block(self, gen_name: str, m: int) -> ExactMatrix:
-        """Restriction of a generator to the map (weight m) -> (weight m+shift)."""
-        shift = dict(_shifts(self.field.ell))[gen_name]
-        g = getattr(self, gen_name)
-        blocks = self.weight_blocks()
-        src = blocks.get(m, [])
-        tgt = blocks.get(m + shift, [])
-        out = ExactMatrix(self.field, len(tgt), len(src))
-        for a, r in enumerate(tgt):
-            grow = g.data[r]
-            for b, c in enumerate(src):
-                out.data[a][b] = grow[c]
         return out
 
     def assert_weight_graded(self):
@@ -588,19 +564,29 @@ def image_module(phi: UMorphism):
     return submodule_generated(phi.target, cols, close=False)
 
 
+def weight_block_matrices(phi: UMorphism):
+    """(source indices, block) per source weight: the restriction of an
+    intertwiner to one weight space, which it maps into the same weight."""
+    nb = phi.target.weight_blocks()
+    data = phi.matrix.data
+    out = []
+    for m, idx in phi.source.weight_blocks().items():
+        rows = [[data[r][c] for c in idx] for r in nb.get(m, [])]
+        out.append((idx, ExactMatrix(phi.source.field, len(rows), len(idx), rows)))
+    return out
+
+
+def morphism_rank(phi: UMorphism) -> int:
+    """Rank of an intertwiner, computed one weight block at a time."""
+    return sum(block.rank() for _, block in weight_block_matrices(phi) if block.rows)
+
+
 def kernel_module(phi: UMorphism):
     """Kernel of an intertwiner as a submodule of the source."""
-    M, N = phi.source, phi.target
+    M = phi.source
     field = M.field
-    mb = M.weight_blocks()
-    nb = N.weight_blocks()
     vectors = []
-    for m, idx in mb.items():
-        tgt = nb.get(m, [])
-        block = ExactMatrix(field, len(tgt), len(idx))
-        for a, r in enumerate(tgt):
-            for b, c in enumerate(idx):
-                block.data[a][b] = phi.matrix.data[r][c]
+    for idx, block in weight_block_matrices(phi):
         ker = block.kernel()
         for j in range(ker.cols):
             dense = [field.zero] * M.dim
@@ -614,11 +600,13 @@ def kernel_module(phi: UMorphism):
 # Hom spaces
 
 
-def hom_space(M: UModule, N: UModule):
-    """Basis of Hom_U(M, N) as a list of UMorphism.
+def intertwiner_equations(M: UModule, N: UModule):
+    """The sparse system X gM = gN X over the four ladder generators g.
 
-    An intertwiner preserves weights, so the unknowns are the per-weight
-    blocks; the four ladder generators give a banded sparse system.
+    An intertwiner preserves weights, so the unknowns are the entries (r, c)
+    of the per-weight blocks, numbered from the highest shared weight down;
+    the equations form a banded sparse system.  Returns (system, var_ids)
+    with var_ids mapping (row of N, column of M) to the unknown's index.
     """
     if M.field is not N.field:
         raise MismatchedFieldError("hom between modules over different ell")
@@ -631,11 +619,8 @@ def hom_space(M: UModule, N: UModule):
         for r in nb[m]:
             for c in mb[m]:
                 var_ids[(r, c)] = len(var_ids)
-    if not var_ids:
-        return []
     sys = SparseSystem(field, len(var_ids))
-    gens = _shifts(field.ell)
-    for name, shift in gens:
+    for name, shift in _shifts(field.ell):
         gM = getattr(M, name)
         gN = getattr(N, name)
         for m in mb:
@@ -659,6 +644,16 @@ def hom_space(M: UModule, N: UModule):
                             entries[key] = entries.get(key, field.zero) - v
                     if entries:
                         sys.add_row(entries)
+    return sys, var_ids
+
+
+def hom_space(M: UModule, N: UModule):
+    """Basis of Hom_U(M, N) as a list of UMorphism: the kernel of the
+    intertwiner equations."""
+    sys, var_ids = intertwiner_equations(M, N)
+    if not var_ids:
+        return []
+    field = M.field
     basis = sys.kernel_basis()
     id_items = sorted(var_ids.items(), key=lambda kv: kv[1])
     out = []

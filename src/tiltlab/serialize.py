@@ -67,14 +67,6 @@ def module_from_json(data):
     )
 
 
-def morphism_to_json(phi):
-    return {
-        "source_dim": phi.source.dim,
-        "target_dim": phi.target.dim,
-        "matrix": matrix_to_json(phi.matrix),
-    }
-
-
 def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 

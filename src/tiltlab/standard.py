@@ -9,7 +9,7 @@ candidates with local endomorphism ring is detected by a nonzero trace.
 from __future__ import annotations
 
 from tiltlab.characters import Character, is_nonneg_weyl_sum, weyl_character
-from tiltlab.cyclotomic import CycloField
+from tiltlab.cyclotomic import CertificationError, CycloField
 from tiltlab.linalg import ExactMatrix
 from tiltlab.modules import (
     UModule,
@@ -76,7 +76,7 @@ def simple_module(field: CycloField, n: int) -> UModule:
     nabla = dual_weyl_module(field, n)
     homs = hom_space(delta, nabla)
     if len(homs) != 1:
-        raise ArithmeticError(f"Hom(Delta({n}), Nabla({n})) has dimension {len(homs)}")
+        raise CertificationError(f"Hom(Delta({n}), Nabla({n})) has dimension {len(homs)}")
     L, _ = image_module(homs[0])
     _simple_cache[key] = L
     return L
@@ -224,7 +224,7 @@ def _complement_of_idempotent(R: UModule, e_mat: ExactMatrix):
     one_minus = ExactMatrix.identity(field, R.dim) - e_mat
     sol = incl.matrix.solve(one_minus)
     if sol is None:
-        raise ArithmeticError("idempotent complement failed to solve")
+        raise CertificationError("idempotent complement failed to solve")
     retr = UMorphism(R, K, sol)
     return K, incl, retr
 
@@ -297,7 +297,7 @@ def decompose_indecomposables(M: UModule, tilting_only: bool = False) -> Decompo
             stack.append((sub, incl.compose(sincl), sretr.compose(proj)))
     total = sum(p.module.dim for p in parts)
     if total != M.dim:
-        raise ArithmeticError("decomposition lost dimensions")
+        raise CertificationError("decomposition lost dimensions")
     return DecompositionResult(M, parts)
 
 
@@ -390,10 +390,10 @@ def _extract_top_summand(M: UModule, n: int) -> UModule:
                 changed = True
                 break
     if R.character.max_weight() != n:
-        raise ArithmeticError(f"tilting extraction lost the top weight {n}")
+        raise CertificationError(f"tilting extraction lost the top weight {n}")
     ends = end_algebra(R)
     if len(ends) - radical_dimension(ends) != 1:
-        raise ArithmeticError(f"remainder for T({n}) is not indecomposable")
+        raise CertificationError(f"remainder for T({n}) is not indecomposable")
     return R
 
 

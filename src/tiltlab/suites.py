@@ -188,9 +188,7 @@ def _tensor_case(args):
     cN = minimal_tilting_complex(N)
     big_table = tensor_label_table(field, cM.label_table(), cN.label_table(), limit)
     contained = multiset_contained(cP, big_table)
-    XY = tensor_complexes(cM.complex, cN.complex)
-    XY.check()
-    coh = XY.cohomology()
+    coh = tensor_complexes(cM.complex, cN.complex).cohomology()
     concentrated = set(coh) <= {0}
     h0 = coh.get(0)
     if P.dim == 0:
@@ -317,8 +315,9 @@ def suite_bijection(ell, window, budget, seed):
 # alcove suites
 
 
-def suite_alcove_cross(ell, window, lam_max=12):
-    """gfd(L(lam)) against the hyperplane count d(lam) for type A1, p = ell.
+def suite_alcove_cross(ell, window):
+    """gfd(L(lam)) against the hyperplane count d(lam) for type A1, p = ell,
+    for lam = 0..window.
 
     Equality is asserted only below ell (where L = T forces both to vanish);
     elsewhere a mismatch is an observation, not a failure.  Degree-bound and
@@ -330,7 +329,7 @@ def suite_alcove_cross(ell, window, lam_max=12):
     cases = []
     observations = []
     table = []
-    for lam in range(lam_max + 1):
+    for lam in range(window + 1):
         if not is_p_regular(rs, (lam,), ell):
             continue
         gfd, wfd = filtration_dimensions(simple_module(field, lam))

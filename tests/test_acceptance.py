@@ -187,7 +187,7 @@ def test_criterion_09_gfd_cross_check():
     ok = True
     details = []
     for ell in (3, 5):
-        rep = suite_alcove_cross(ell, 12, lam_max=12)
+        rep = suite_alcove_cross(ell, 12)
         hard_ok = not rep["failures"]
         mismatches = [o for o in rep["observations"] if o.get("match") is False]
         ok = ok and hard_ok

@@ -219,3 +219,65 @@ def test_failed_certification_exits_internal(monkeypatch, capsys):
     assert code == 3
     assert captured.out == ""
     assert "degree-zero cohomology" in captured.err
+
+
+def test_cache_from_environment(tmp_path, monkeypatch, capsys):
+    import tiltlab.cache
+
+    monkeypatch.setattr(tiltlab.cache, "_active_cache", None)
+    env_cache = tmp_path / "env"
+    monkeypatch.setenv("TILTLAB_CACHE", str(env_cache))
+    code, out = run_cli(capsys, "cmin", "--ell", "3", "--module", "L:3")
+    assert code == 0 and json.loads(out)["degrees"] == {"-1": [1], "0": [3], "1": [1]}
+    names = os.listdir(env_cache)
+    assert "module_3_L_3.json" in names
+    assert any(name.startswith("cmin_") for name in names)
+    code, _ = run_cli(capsys, "verify", "--suite", "alcove-cross", "--ell", "3", "--window", "4")
+    assert code == 0
+    assert len(os.listdir(env_cache)) > len(names)
+    # an explicit --cache wins over the variable
+    flag_cache = tmp_path / "flag"
+    before = sorted(os.listdir(env_cache))
+    run_cli(capsys, "cmin", "--ell", "3", "--module", "L:4", "--cache", str(flag_cache))
+    assert os.listdir(flag_cache)
+    assert sorted(os.listdir(env_cache)) == before
+
+
+def test_alcove_cross_window_is_the_largest_lambda(capsys):
+    code, out = run_cli(capsys, "verify", "--suite", "alcove-cross", "--ell", "3", "--window", "5")
+    assert code == 0
+    report = json.loads(out)
+    # lambda = 2 and 5 are p-singular at ell 3
+    assert [row["lambda"] for row in report["table"]] == [0, 1, 3, 4]
+    assert report["config"]["window"] == 5
+
+
+@pytest.mark.parametrize("suite", ["alcove-cross", "bijection"])
+def test_sample_free_suites_reject_budget_and_seed(suite, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 4\n")
+    for extra, key in (
+        (["--budget", "3"], "budget"),
+        (["--seed", "1"], "seed"),
+        (["--config", str(cfg)], "seed"),
+    ):
+        code = main(["verify", "--suite", suite, "--ell", "3", *extra])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"{key} is not used" in captured.err
+
+
+def test_internal_invariant_failure_exits_internal(monkeypatch, capsys):
+    import tiltlab.cache
+    import tiltlab.standard
+
+    monkeypatch.setattr(tiltlab.cache, "_active_cache", None)
+    monkeypatch.delenv("TILTLAB_CACHE", raising=False)
+    monkeypatch.setattr(tiltlab.standard, "_simple_cache", {})
+    monkeypatch.setattr(tiltlab.standard, "hom_space", lambda M, N: [])
+    code = main(["cmin", "--ell", "3", "--module", "L:5"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "Hom(Delta(5), Nabla(5)) has dimension 0" in captured.err

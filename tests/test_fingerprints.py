@@ -1,23 +1,41 @@
-"""Pinned module fingerprints.
+"""Pinned module, complex and report fingerprints.
 
 The disk cache is keyed by module_fingerprint, the SHA-256 of a module's
 canonical JSON, in which every scalar coefficient is printed as 'a/b' or 'a'.
 Any drift in how a coefficient prints, or in the constructions behind these
 modules, would silently orphan every cached entry; these digests make it fail.
+
+The C_min pipeline is pinned the same way: the SHA-256 of complex_to_json for
+the totalized complex and for its minimalization, of the differentials of a
+tensor product of complexes, and of the stdout of a few CLI reports.  A
+refactor of the pipeline must keep every one of these bytes.
 """
+
+import hashlib
 
 import pytest
 
+from tiltlab.cli import main
+from tiltlab.complexes import tensor_complexes
 from tiltlab.cyclotomic import CycloField
 from tiltlab.linalg import ExactMatrix
+from tiltlab.minimal import minimal_tilting_complex, tilting_complex_of
 from tiltlab.modules import (
     UModule,
     check_relations,
+    direct_sum,
     quotient_module,
     submodule_generated,
     tensor_module,
 )
-from tiltlab.serialize import canonical_dumps, module_fingerprint, module_to_json
+from tiltlab.serialize import (
+    canonical_dumps,
+    complex_to_json,
+    content_hash,
+    matrix_to_json,
+    module_fingerprint,
+    module_to_json,
+)
 from tiltlab.standard import simple_module, tilting_module, weyl_module
 
 
@@ -102,3 +120,69 @@ def test_rescaled_modules_print_fractions():
         M = _rescaled_tilting(ell, n)
         assert check_relations(M).ok
         assert "/" in canonical_dumps(module_to_json(M))
+
+
+# module -> (digest of the totalized complex, digest of C_min)
+COMPLEX_CASES = {
+    "L(4), ell 3": (
+        lambda: simple_module(CycloField(3), 4),
+        "80b3d7743550429872d2c0114177cd52382dd94c9eac6f9e0aa4a769c642dea0",
+        "e7e387bdb04fd8a4fe5d8ef105c99391768e706ec9073a90e0973f543fca2687",
+    ),
+    "Delta(6), ell 3": (
+        lambda: weyl_module(CycloField(3), 6),
+        "f08f6d36f81af1c6efead4d327a6c7ee5f25bfac6f26e21a1a5e42904743feaa",
+        "f08f6d36f81af1c6efead4d327a6c7ee5f25bfac6f26e21a1a5e42904743feaa",
+    ),
+    "L(7), ell 5": (
+        lambda: simple_module(CycloField(5), 7),
+        "fdfd0215ebaa00138a2b08c0357754e46d831dd316d0506b2f945cdfc5b61590",
+        "edd5786f43dfe7c91ff036d0eb72264994b6f23cace9254cd14c5b2f599d2dc9",
+    ),
+    "Delta(3) + L(3), ell 3": (
+        lambda: direct_sum(weyl_module(CycloField(3), 3), simple_module(CycloField(3), 3)),
+        "7ced8973c557d677e60427ebf37a4a7b7bd526412c4d7c6c5750abd0d40abe0b",
+        "ab8efa2678329fd768f8165c68633c558542aad264b01e056b34861c7b0554fc",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPLEX_CASES))
+def test_complex_fingerprints_are_pinned(name):
+    build, total_digest, min_digest = COMPLEX_CASES[name]
+    M = build()
+    assert content_hash(complex_to_json(tilting_complex_of(M))) == total_digest
+    assert content_hash(complex_to_json(minimal_tilting_complex(M).complex)) == min_digest
+
+
+def test_tensor_complex_differentials_are_pinned():
+    F = CycloField(3)
+    X = minimal_tilting_complex(simple_module(F, 3)).complex
+    Y = minimal_tilting_complex(weyl_module(F, 3)).complex
+    XY = tensor_complexes(X, Y)
+    data = {
+        "weights": {str(i): list(XY.terms[i].weights) for i in XY.degrees()},
+        "differentials": {
+            str(i): matrix_to_json(d.matrix) for i, d in sorted(XY.differentials.items())
+        },
+    }
+    assert content_hash(data) == "c3ec7ce900584b5d6cdcf1214ee2c5e192405c3ed45fcd0b964756b65b2d4d44"
+
+
+CLI_CASES = {
+    "cmin L:4 ell 3": (["cmin", "--ell", "3", "--module", "L:4"], "e0ba0ee1e79cf9084e7fac35de04161e16cc04d76e438c17d82bbfbea5015434"),
+    "cmin L:7 ell 5": (["cmin", "--ell", "5", "--module", "L:7"], "a87e79ad57beabe2aa7b72a6819b08b2314b0d02198101972686b66468fca544"),
+    "ideals enumerate ell 3 window 6": (
+        ["ideals", "enumerate", "--ell", "3", "--window", "6"],
+        "1fc63bb177106417b93b91f7f29e0e061b4ec74f6f5f9c193a7727775502766b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_stdout_is_pinned(name, monkeypatch, capsys):
+    monkeypatch.delenv("TILTLAB_CACHE", raising=False)
+    argv, digest = CLI_CASES[name]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

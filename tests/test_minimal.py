@@ -91,7 +91,7 @@ def test_tensor_lemma_small():
     direct = minimal_tilting_complex(tensor_module(L3, L1)).label_table()
     X = minimal_tilting_complex(L3).complex
     Y = minimal_tilting_complex(L1).complex
-    res = minimalize(tensor_complexes(X, Y), tilting_only=True)
+    res = minimalize(tensor_complexes(X, Y))
     assert res.complex.tilting_label_table() == direct
 
 
@@ -140,8 +140,7 @@ def test_total_complex_route_for_delta3():
     terms, partlists, maps = _coresolution(D3)
     assert len(terms) == 2 and len(maps) == 1
     grid = {(0, 0): terms[0], (1, 0): terms[1]}
-    vert = {(0, 0): maps[0]}
-    tot = total_complex(grid, {}, vert)
+    tot = total_complex(F3, grid, {((0, 0), (1, 0)): maps[0].matrix})
     coh = tot.cohomology()
     assert set(coh) == {0}
     assert find_isomorphism(coh[0], D3) is not None
@@ -178,3 +177,39 @@ def test_random_sum_pairs_direct_sum_property():
             for deg, labels in t.items():
                 merged.setdefault(deg, []).extend(labels)
         assert left == {k: sorted(v) for k, v in merged.items()}
+
+
+def test_solve_chain_map_with_identity_returns_each_intertwiner():
+    from tiltlab.linalg import ExactMatrix
+    from tiltlab.minimal import _solve_chain_map
+    from tiltlab.modules import hom_space
+
+    for M, N in (
+        (tilting_module(F3, 4), tilting_module(F3, 4)),
+        (weyl_module(F3, 3), tilting_module(F3, 3)),
+        (tilting_module(F5, 6), dual_weyl_module(F5, 6)),
+    ):
+        basis = hom_space(M, N)
+        assert basis
+        left = ExactMatrix.identity(M.field, N.dim)
+        for h in basis:
+            assert _solve_chain_map(M, N, left, h.matrix) == h.matrix
+
+
+def test_solve_chain_map_rejects_a_non_intertwiner():
+    from tiltlab.linalg import ExactMatrix
+    from tiltlab.minimal import _solve_chain_map
+
+    T = tilting_module(F3, 3)
+    left = ExactMatrix.identity(F3, T.dim)
+    # projection onto the highest weight vector: weight-preserving, but it
+    # does not commute with F
+    top = ExactMatrix(F3, T.dim, T.dim)
+    top.data[0][0] = F3.one
+    assert T.weights[0] == 3
+    assert _solve_chain_map(T, T, left, top) is None
+    # a map that moves weights is not an intertwiner either
+    shift = ExactMatrix(F3, T.dim, T.dim)
+    shift.data[1][0] = F3.one
+    assert T.weights[1] != T.weights[0]
+    assert _solve_chain_map(T, T, left, shift) is None

@@ -309,3 +309,18 @@ def test_hom_space_matches_dense_bruteforce():
     ]
     for M, N in pairs:
         assert len(hom_space(M, N)) == _dense_hom_dimension(M, N)
+
+
+@pytest.mark.parametrize("field, top", [(F3, 8), (F5, 6)])
+def test_hom_dimension_between_tiltings(field, top):
+    # dim Hom(T(a), T(b)) = sum_c (T(a):Delta(c)) (T(b):Nabla(c)); the
+    # multiplicities come from characters, since ch Delta(c) = ch Nabla(c)
+    from tiltlab.characters import decompose_into_weyl
+    from tiltlab.standard import tilting_module
+
+    mult = {a: decompose_into_weyl(tilting_module(field, a).character) for a in range(top + 1)}
+    for a in range(top + 1):
+        for b in range(top + 1):
+            expected = sum(m * mult[b].get(c, 0) for c, m in mult[a].items())
+            got = len(hom_space(tilting_module(field, a), tilting_module(field, b)))
+            assert got == expected, (a, b)
