@@ -13,19 +13,10 @@ import sys
 
 from tiltlab.serialize import canonical_dumps, module_from_json, module_to_json
 
-ENV_VAR = "TILTLAB_CACHE"
-DEFAULT_DIR = ".tiltlab_cache"
-
-
-def resolve_cache_dir(explicit: str | None = None) -> str:
-    if explicit:
-        return explicit
-    return os.environ.get(ENV_VAR, DEFAULT_DIR)
-
 
 class CacheDir:
-    def __init__(self, path: str | None = None):
-        self.path = resolve_cache_dir(path)
+    def __init__(self, path: str):
+        self.path = path
 
     def _ensure(self):
         os.makedirs(self.path, exist_ok=True)

@@ -3,8 +3,9 @@
 Subcommands: cmin, ideals, verify, alcove.  All output is single-object JSON
 on stdout (canonical key order, no timestamps), so identical configuration
 and seed give byte-identical reports.  Exit codes: 0 pass, 1 suite failure,
-2 resource, window or input errors, 3 an internal result that failed its exact
-check (a program fault; nothing is printed on stdout).
+2 resource, window or input errors (a stdout closed by its reader included),
+3 an internal result that failed its exact check (a program fault; nothing is
+printed on stdout).
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from tiltlab.alcove import (
     steinberg_twist_example,
 )
 from tiltlab.cache import (
-    ENV_VAR,
     CacheDir,
     active_cmin_labels,
     cached_standard_module,
@@ -44,6 +44,8 @@ EXIT_PASS = 0
 EXIT_FAILURE = 1
 EXIT_RESOURCE = 2
 EXIT_INTERNAL = 3
+
+CACHE_ENV_VAR = "TILTLAB_CACHE"
 
 DEFAULTS = {
     "ell": 3,
@@ -99,7 +101,7 @@ def resolve_config(args, unused=()):
 def open_cache(cfg):
     """The disk cache from --cache or the config file, else from TILTLAB_CACHE,
     else none."""
-    path = cfg["cache"] or os.environ.get(ENV_VAR)
+    path = cfg["cache"] or os.environ.get(CACHE_ENV_VAR)
     return CacheDir(path) if path else None
 
 
@@ -129,7 +131,8 @@ def emit(obj, output=None):
         with open(output, "w") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        # flushed here, so that a closed pipe is reported by main
+        print(text, flush=True)
 
 
 def cmd_cmin(args):
@@ -173,13 +176,18 @@ def cmd_ideals(args):
     return EXIT_PASS
 
 
-# suites that draw no samples: a budget or seed for them would be ignored
-SAMPLE_FREE_SUITES = ("alcove-cross", "bijection")
+# settings each suite would ignore: alcove-cross and bijection draw no
+# samples, and only lemmas dispatches its cases to worker processes
+UNUSED_BY_SUITE = {
+    "lemmas": (),
+    "two-out-of-three": ("workers",),
+    "bijection": ("budget", "seed", "workers"),
+    "alcove-cross": ("budget", "seed", "workers"),
+}
 
 
 def cmd_verify(args):
-    unused = ("budget", "seed") if args.suite in SAMPLE_FREE_SUITES else ()
-    cfg = resolve_config(args, unused)
+    cfg = resolve_config(args, UNUSED_BY_SUITE[args.suite])
     set_active_cache(open_cache(cfg))
     report = run_suite(
         args.suite, cfg["ell"], cfg["window"], cfg["budget"], cfg["seed"],
@@ -255,7 +263,7 @@ def build_parser():
     p_verify.add_argument("--suite", required=True, choices=SUITE_NAMES)
     p_verify.add_argument("--budget", type=int, default=None, help="sample budget")
     p_verify.add_argument("--seed", type=int, default=None, help="RNG seed (recorded in the report)")
-    p_verify.add_argument("--workers", type=int, default=None, help="worker processes for case dispatch")
+    p_verify.add_argument("--workers", type=int, default=None, help="worker processes for case dispatch (lemmas suite only)")
     p_verify.set_defaults(func=cmd_verify)
 
     p_alcove = sub.add_parser("alcove", help="root-system combinatorics")
@@ -274,6 +282,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered to devnull,
+        # so that the interpreter's final flush stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout was closed before the report was written", file=sys.stderr)
+        return EXIT_RESOURCE
     except (WindowError, WindowOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

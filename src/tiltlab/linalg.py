@@ -1,9 +1,11 @@
 """Exact dense and sparse linear algebra over Q(zeta_ell).
 
-Dense matrices are plain row-major lists of CyclotomicScalar; everything is
-done by pivoted Gaussian elimination over the exact field.  The sparse solver
-keeps rows as column->scalar dicts and is used for the large structured
-systems coming from intertwiner equations.
+Dense matrices are plain row-major lists of CyclotomicScalar.  One eliminator,
+`RowEchelon`, keeps the reduced row echelon form of sparse rows (column ->
+scalar dicts) over the exact field; rank, kernels, images, solutions,
+inverses and determinants of dense matrices, the sparse systems coming from
+intertwiner equations, and the per-weight bases of submodules are all read
+from it.
 """
 
 from __future__ import annotations
@@ -203,56 +205,42 @@ class ExactMatrix:
 
     # -- elimination -----------------------------------------------------
 
-    def _echelon(self):
-        """Row echelon form; returns (matrix copy, pivot column list)."""
-        m = [list(row) for row in self.data]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pr = None
-            for i in range(r, self.rows):
-                if not m[i][c].is_zero():
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            inv = m[r][c].inverse()
-            m[r] = [inv * x for x in m[r]]
-            for i in range(self.rows):
-                if i != r and not m[i][c].is_zero():
-                    f = m[i][c]
-                    mi, mr = m[i], m[r]
-                    for j in range(c, self.cols):
-                        if not mr[j].is_zero():
-                            mi[j] = mi[j] - f * mr[j]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return m, pivots
+    def _sparse_rows(self, right=None):
+        """Rows of [self | right] as column -> nonzero scalar dicts."""
+        for i in range(self.rows):
+            row = self.data[i] if right is None else self.data[i] + right.data[i]
+            yield {j: v for j, v in enumerate(row) if not v.is_zero()}
+
+    def _row_echelon(self, right=None) -> "RowEchelon":
+        ech = RowEchelon(self.field)
+        for row in self._sparse_rows(right):
+            ech.insert(row)
+        return ech
+
+    def _solve_augmented(self, right: "ExactMatrix"):
+        """X with self @ X = right, free unknowns zero, read from the reduced
+        echelon form of [self | right]; None if a pivot lies in the right block."""
+        ech = self._row_echelon(right)
+        if any(pc >= self.cols for pc in ech.rows):
+            return None
+        out = ExactMatrix(self.field, self.cols, right.cols)
+        for pc, row in ech.rows.items():
+            for c, v in row.items():
+                if c >= self.cols:
+                    out.data[pc][c - self.cols] = v
+        return out
 
     def rank(self) -> int:
-        return len(self._echelon()[1])
+        return len(self._row_echelon().rows)
 
     def kernel(self) -> "ExactMatrix":
         """Columns form a basis of the right kernel: self @ K = 0."""
-        m, pivots = self._echelon()
-        pivset = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivset]
-        field = self.field
-        cols = []
-        for fc in free:
-            vec = [field.zero] * self.cols
-            vec[fc] = field.one
-            for r_i, pc in enumerate(pivots):
-                vec[pc] = -m[r_i][fc]
-            cols.append(vec)
-        return ExactMatrix.from_columns(field, cols, self.cols)
+        basis = self._row_echelon().kernel_basis(self.cols)
+        return ExactMatrix.from_columns(self.field, basis, self.cols)
 
     def image_basis(self) -> "ExactMatrix":
         """Columns form a basis of the column space (original pivot columns)."""
-        _, piv = self._echelon()
+        piv = sorted(self._row_echelon().rows)
         return ExactMatrix.from_columns(self.field, [self.column(c) for c in piv], self.rows)
 
     def solve(self, b_cols: "ExactMatrix"):
@@ -263,156 +251,156 @@ class ExactMatrix:
         """
         if b_cols.rows != self.rows:
             raise ValueError("rhs row mismatch")
-        aug = self.hstack(b_cols)
-        m, pivots = aug._echelon()
-        for r_i, pc in enumerate(pivots):
-            if pc >= self.cols:
-                return None  # pivot in rhs block: inconsistent
-        field = self.field
-        out = ExactMatrix(field, self.cols, b_cols.cols)
-        for r_i, pc in enumerate(pivots):
-            for j in range(b_cols.cols):
-                out.data[pc][j] = m[r_i][self.cols + j]
-        if self @ out != b_cols:
+        out = self._solve_augmented(b_cols)
+        if out is not None and self @ out != b_cols:
             raise CertificationError("solve returned X with self @ X != b")
         return out
 
     def determinant(self) -> CyclotomicScalar:
+        """sign(sigma) times the product of the leading scalars of the rows
+        inserted in order, sigma taking row i to its pivot.  Each residual is
+        zero at the earlier pivots, so the residuals form a triangular matrix
+        once columns are ordered by pivot, and they differ from self by a unit
+        lower-triangular row operation."""
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
-        field = self.field
-        m = [list(row) for row in self.data]
-        det = field.one
-        n = self.rows
-        for c in range(n):
-            pr = None
-            for i in range(c, n):
-                if not m[i][c].is_zero():
-                    pr = i
-                    break
-            if pr is None:
-                return field.zero
-            if pr != c:
-                m[c], m[pr] = m[pr], m[c]
-                det = -det
-            det = det * m[c][c]
-            inv = m[c][c].inverse()
-            for i in range(c + 1, n):
-                if not m[i][c].is_zero():
-                    f = m[i][c] * inv
-                    mi, mc = m[i], m[c]
-                    for j in range(c, n):
-                        if not mc[j].is_zero():
-                            mi[j] = mi[j] - f * mc[j]
-        return det
+        ech = RowEchelon(self.field)
+        det = self.field.one
+        for row in self._sparse_rows():
+            lead = ech.insert(row)
+            if lead is None:
+                return self.field.zero
+            det = det * lead
+        sigma = list(ech.rows)  # dicts keep insertion order: pivot of row i
+        inversions = sum(a > b for i, a in enumerate(sigma) for b in sigma[i + 1 :])
+        return -det if inversions % 2 else det
 
     def inverse(self) -> "ExactMatrix":
         if self.rows != self.cols:
             raise ValueError("inverse of non-square matrix")
-        aug = self.hstack(ExactMatrix.identity(self.field, self.rows))
-        m, pivots = aug._echelon()
-        if pivots != list(range(self.rows)):
+        out = self._solve_augmented(ExactMatrix.identity(self.field, self.rows))
+        if out is None:
             raise ZeroDivisionError("matrix is singular")
-        out = ExactMatrix(self.field, self.rows, self.cols)
-        for i in range(self.rows):
-            out.data[i] = m[i][self.cols :]
         return out
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols} over ell={self.field.ell})"
 
 
+class RowEchelon:
+    """Reduced row echelon form of a growing set of sparse rows.
+
+    Rows are dicts column -> nonzero scalar.  `rows` maps each pivot column to
+    its stored row, whose leading entry is one at the pivot and which is zero
+    at every other pivot.  The reduced echelon form of a row space is unique,
+    so what is read from it does not depend on the order of insertion.
+    """
+
+    __slots__ = ("field", "rows")
+
+    def __init__(self, field: CycloField):
+        self.field = field
+        self.rows = {}
+
+    def reduce(self, row: dict):
+        """(residual, coefficients by pivot) with row = residual + the sum of
+        coefficient * stored row; the residual is zero at every pivot."""
+        residual = dict(row)
+        coeffs = {}
+        for p, c in row.items():
+            prow = self.rows.get(p)
+            if prow is None:
+                continue
+            coeffs[p] = c
+            # prow is zero at the other pivots, so their coefficients stay put
+            self._subtract(residual, c, prow)
+        return residual, coeffs
+
+    def insert(self, row: dict):
+        """Add a row; returns its residual's leading scalar, or None when the
+        row already lies in the span."""
+        residual, _ = self.reduce(row)
+        if not residual:
+            return None
+        p = min(residual)
+        lead = residual[p]
+        inv = lead.inverse()
+        new = {k: inv * v for k, v in residual.items()}
+        for qrow in self.rows.values():
+            c = qrow.get(p)
+            if c is not None:
+                self._subtract(qrow, c, new)
+        self.rows[p] = new
+        return lead
+
+    def _subtract(self, target: dict, c, row: dict):
+        """target -= c * row in place, dropping the entries that cancel."""
+        zero = self.field.zero
+        for k, v in row.items():
+            nv = target.get(k, zero) - c * v
+            if nv.is_zero():
+                target.pop(k, None)
+            else:
+                target[k] = nv
+
+    def kernel_basis(self, ncols: int):
+        """Basis, as dense lists, of the x in columns 0..ncols-1 that every
+        stored row annihilates when read on those columns: one vector per free
+        column below ncols."""
+        field = self.field
+        basis = []
+        for fc in range(ncols):
+            if fc in self.rows:
+                continue
+            vec = [field.zero] * ncols
+            vec[fc] = field.one
+            for pc, row in self.rows.items():
+                v = row.get(fc)
+                if v is not None:
+                    vec[pc] = -v
+            basis.append(vec)
+        return basis
+
+
 class SparseSystem:
     """Homogeneous or inhomogeneous sparse exact linear system.
 
-    Rows are dicts column -> scalar.  Designed for the banded systems coming
-    from weight-graded intertwiner equations: unknowns should be pre-ordered
-    so that fill-in stays local.
+    Rows are dicts column -> scalar; the right-hand side is stored as column
+    `ncols`, so the system is inconsistent exactly when that column becomes a
+    pivot.  Designed for the banded systems coming from weight-graded
+    intertwiner equations: unknowns should be pre-ordered so that fill-in
+    stays local.
     """
 
     def __init__(self, field: CycloField, ncols: int):
         self.field = field
         self.ncols = ncols
         self.rows = []
-        self.rhs = []
 
     def add_row(self, entries: dict, rhs: CyclotomicScalar | None = None):
-        entries = {c: v for c, v in entries.items() if not v.is_zero()}
-        self.rows.append(entries)
-        self.rhs.append(rhs if rhs is not None else self.field.zero)
+        row = {c: v for c, v in entries.items() if not v.is_zero()}
+        if rhs is not None and not rhs.is_zero():
+            row[self.ncols] = rhs
+        self.rows.append(row)
 
-    def _eliminate(self):
-        """Returns (pivot dict col->(row entries, rhs), inconsistent flag)."""
-        pivots = {}
-        order = sorted(range(len(self.rows)), key=lambda i: min(self.rows[i], default=self.ncols))
-        work = [(dict(self.rows[i]), self.rhs[i]) for i in order]
-        for entries, rhs in work:
-            while entries:
-                c = min(entries)
-                if c in pivots:
-                    pe, prhs = pivots[c]
-                    f = entries[c]
-                    for cc, v in pe.items():
-                        nv = entries.get(cc, self.field.zero) - f * v
-                        if nv.is_zero():
-                            entries.pop(cc, None)
-                        else:
-                            entries[cc] = nv
-                    rhs = rhs - f * prhs
-                else:
-                    inv = entries[c].inverse()
-                    entries = {cc: inv * v for cc, v in entries.items()}
-                    rhs = inv * rhs
-                    pivots[c] = (entries, rhs)
-                    break
-            else:
-                if not rhs.is_zero():
-                    return pivots, True
-        # back-substitute: normalize pivot rows against later pivots
-        for c in sorted(pivots, reverse=True):
-            entries, rhs = pivots[c]
-            changed = False
-            for cc in [k for k in entries if k != c and k in pivots]:
-                pe, prhs = pivots[cc]
-                f = entries[cc]
-                for k, v in pe.items():
-                    if k == cc:
-                        continue
-                    nv = entries.get(k, self.field.zero) - f * v
-                    if nv.is_zero():
-                        entries.pop(k, None)
-                    else:
-                        entries[k] = nv
-                rhs = rhs - f * prhs
-                entries.pop(cc)
-                changed = True
-            if changed:
-                pivots[c] = (entries, rhs)
-        return pivots, False
+    def echelon(self) -> RowEchelon:
+        ech = RowEchelon(self.field)
+        for row in sorted(self.rows, key=lambda r: min(r, default=self.ncols)):
+            ech.insert(row)
+        return ech
 
     def kernel_basis(self):
         """Basis of the homogeneous solution space as list of dense scalar lists."""
-        pivots, _ = self._eliminate()
-        field = self.field
-        free = [c for c in range(self.ncols) if c not in pivots]
-        basis = []
-        for fc in free:
-            vec = [field.zero] * self.ncols
-            vec[fc] = field.one
-            for pc, (entries, _) in pivots.items():
-                v = entries.get(fc)
-                if v is not None and not v.is_zero():
-                    vec[pc] = -v
-            basis.append(vec)
-        return basis
+        return self.echelon().kernel_basis(self.ncols)
 
     def particular_solution(self):
-        """One solution of the inhomogeneous system, or None if inconsistent."""
-        pivots, bad = self._eliminate()
-        if bad:
+        """One solution of the inhomogeneous system (free unknowns zero), or
+        None if inconsistent."""
+        ech = self.echelon()
+        if self.ncols in ech.rows:
             return None
-        field = self.field
-        vec = [field.zero] * self.ncols
-        for pc, (entries, rhs) in pivots.items():
-            vec[pc] = rhs
+        zero = self.field.zero
+        vec = [zero] * self.ncols
+        for pc, row in ech.rows.items():
+            vec[pc] = row.get(self.ncols, zero)
         return vec

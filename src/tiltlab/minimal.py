@@ -17,7 +17,6 @@ from tiltlab.modules import (
     UModule,
     UMorphism,
     _homogeneous_components,
-    _WeightEchelon,
     find_isomorphism,
     hom_space,
     image_module,
@@ -25,6 +24,7 @@ from tiltlab.modules import (
     kernel_module,
     morphism_rank,
     quotient_module,
+    weight_echelons,
 )
 from tiltlab.standard import (
     decompose_indecomposables,
@@ -84,18 +84,20 @@ def _greedy_embedding(components, M):
         range(len(components)),
         key=lambda i: (components[i][1].target.dim, components[i][0], i),
     )
-    ech = _WeightEchelon(M)
+    echs = weight_echelons(M)
+    rank = 0
     chosen = []
     for i in order:
         mu, h = components[i]
         grew = False
         for row in h.matrix.data:
             for m, comp in _homogeneous_components(M, row):
-                if ech.insert(m, comp):
+                if echs[m].insert(comp) is not None:
+                    rank += 1
                     grew = True
         if grew:
             chosen.append((mu, h))
-        if ech.total_dim() == M.dim:
+        if rank == M.dim:
             return sorted(chosen, key=lambda c: -c[0])
     return None
 
@@ -446,7 +448,3 @@ def filtration_dimensions(M: UModule):
     if c.is_zero():
         return (0, 0)
     return (max(0, c.max_degree), max(0, -c.min_degree))
-
-
-def clear_cmin_cache():
-    _cmin_cache.clear()

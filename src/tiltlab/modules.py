@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from tiltlab.characters import Character
 from tiltlab.cyclotomic import CycloField, MismatchedFieldError
-from tiltlab.linalg import ExactMatrix, SparseSystem
+from tiltlab.linalg import ExactMatrix, RowEchelon, SparseSystem
 
 
 def _shifts(ell):
@@ -331,101 +331,43 @@ def direct_sum(*summands: UModule) -> UModule:
 
 
 # ---------------------------------------------------------------------------
-# weight-block echelon machinery for submodules / quotients
+# weight blocks of submodules and quotients: one RowEchelon per weight, over
+# block vectors stored as dicts position-in-block -> nonzero scalar
 
 
-class _WeightEchelon:
-    """Per-weight echelon basis of a subspace spanned by homogeneous vectors."""
-
-    def __init__(self, module: UModule):
-        self.module = module
-        self.blocks = module.weight_blocks()
-        self.ech = {m: [] for m in self.blocks}  # m -> list of (pivot, compressed vec)
-
-    def reduce(self, m, vec):
-        """Reduce a compressed weight-m vector; returns residual (mutates copy)."""
-        vec = list(vec)
-        for pivot, basis_vec in self.ech.get(m, []):
-            c = vec[pivot]
-            if not c.is_zero():
-                for k in range(pivot, len(vec)):
-                    if not basis_vec[k].is_zero():
-                        vec[k] = vec[k] - c * basis_vec[k]
-        return vec
-
-    def insert(self, m, vec):
-        """Insert if independent; returns True if the span grew (RREF kept)."""
-        vec = self.reduce(m, vec)
-        pivot = None
-        for k, v in enumerate(vec):
-            if not v.is_zero():
-                pivot = k
-                break
-        if pivot is None:
-            return False
-        inv = vec[pivot].inverse()
-        vec = [inv * v for v in vec]
-        row = self.ech.setdefault(m, [])
-        for i, (p, bv) in enumerate(row):
-            c = bv[pivot]
-            if not c.is_zero():
-                row[i] = (p, [bv[k] - c * vec[k] for k in range(len(bv))])
-        row.append((pivot, vec))
-        row.sort(key=lambda t: t[0])
-        return True
-
-    def coefficients(self, m, vec):
-        """Express a compressed weight-m vector in the echelon basis.
-
-        Returns (coeffs list aligned with self.ech[m], residual-is-zero flag).
-        """
-        vec = list(vec)
-        coeffs = []
-        for pivot, basis_vec in self.ech.get(m, []):
-            c = vec[pivot]
-            coeffs.append(c)
-            if not c.is_zero():
-                for k in range(pivot, len(vec)):
-                    if not basis_vec[k].is_zero():
-                        vec[k] = vec[k] - c * basis_vec[k]
-        return coeffs, all(v.is_zero() for v in vec)
-
-    def total_dim(self):
-        return sum(len(v) for v in self.ech.values())
+def weight_echelons(M: UModule):
+    """An empty RowEchelon for each weight space of M."""
+    return {m: RowEchelon(M.field) for m in M.weight_blocks()}
 
 
 def _homogeneous_components(M: UModule, dense_vec):
-    """Split a dense coordinate vector into (weight, compressed coords) parts."""
-    blocks = M.weight_blocks()
+    """Split a dense coordinate vector into (weight, block vector) parts."""
     out = []
-    for m, idx in blocks.items():
-        comp = [dense_vec[i] for i in idx]
-        if any(not c.is_zero() for c in comp):
+    for m, idx in M.weight_blocks().items():
+        comp = {b: dense_vec[i] for b, i in enumerate(idx) if not dense_vec[i].is_zero()}
+        if comp:
             out.append((m, comp))
     return out
 
 
 def _apply_block(M: UModule, gen_name, m, comp):
-    """Apply a generator to a compressed weight-m vector; returns (m', comp')."""
+    """Apply a generator to a weight-m block vector; returns (m', comp') or None."""
     shift = dict(_shifts(M.field.ell))[gen_name]
     blocks = M.weight_blocks()
-    src = blocks.get(m, [])
+    src = blocks[m]
     tgt = blocks.get(m + shift, [])
-    if not tgt:
-        return None
     g = getattr(M, gen_name)
-    out = [M.field.zero] * len(tgt)
-    for b, c in enumerate(src):
-        v = comp[b]
-        if v.is_zero():
-            continue
-        for a, r in enumerate(tgt):
-            gv = g.data[r][c]
+    out = {}
+    for a, r in enumerate(tgt):
+        grow = g.data[r]
+        acc = M.field.zero
+        for b, v in comp.items():
+            gv = grow[src[b]]
             if not gv.is_zero():
-                out[a] = out[a] + gv * v
-    if all(x.is_zero() for x in out):
-        return None
-    return (m + shift, out)
+                acc = acc + gv * v
+        if not acc.is_zero():
+            out[a] = acc
+    return (m + shift, out) if out else None
 
 
 def submodule_generated(M: UModule, dense_vectors, close: bool = True):
@@ -435,13 +377,13 @@ def submodule_generated(M: UModule, dense_vectors, close: bool = True):
     (images and kernels of intertwiners); stability is still verified when the
     induced action is computed.
     """
-    ech = _WeightEchelon(M)
+    echs = weight_echelons(M)
     work = []
     for vec in dense_vectors:
         if len(vec) != M.dim:
             raise ValueError(f"vector of length {len(vec)} does not lie in dim-{M.dim} module")
         for m, comp in _homogeneous_components(M, vec):
-            if ech.insert(m, list(comp)):
+            if echs[m].insert(comp) is not None:
                 work.append((m, comp))
     if close:
         # worklist closure under the four ladder generators
@@ -453,40 +395,39 @@ def submodule_generated(M: UModule, dense_vectors, close: bool = True):
                 if res is None:
                     continue
                 m2, comp2 = res
-                if ech.insert(m2, comp2):
+                if echs[m2].insert(comp2) is not None:
                     queue.append((m2, comp2))
-    return _subspace_to_module(M, ech)
+    return _subspace_to_module(M, echs)
 
 
-def _subspace_to_module(M: UModule, ech: _WeightEchelon):
+def _subspace_to_module(M: UModule, echs):
     field = M.field
     blocks = M.weight_blocks()
-    basis = []  # (weight, compressed vec) in deterministic order
-    for m in sorted(ech.ech, reverse=True):
-        for pivot, vec in ech.ech[m]:
-            basis.append((m, vec))
+    basis = []  # (weight, pivot, block vector) in deterministic order
+    for m in sorted(echs, reverse=True):
+        rows = echs[m].rows
+        for pivot in sorted(rows):
+            basis.append((m, pivot, rows[pivot]))
     sdim = len(basis)
-    weights = tuple(m for m, _ in basis)
+    weights = tuple(m for m, _, _ in basis)
     incl = ExactMatrix(field, M.dim, sdim)
-    for j, (m, vec) in enumerate(basis):
-        for b, i in enumerate(blocks[m]):
-            incl.data[i][j] = vec[b]
-    # induced action: solve within each weight block using the echelon
+    for j, (m, _, vec) in enumerate(basis):
+        for b, v in vec.items():
+            incl.data[blocks[m][b]][j] = v
+    # induced action: the coefficients of each image in the echelon basis
     mats = {name: ExactMatrix(field, sdim, sdim) for name in ("E", "F", "El", "Fl")}
-    pos_by_weight = {}
-    for j, (m, _) in enumerate(basis):
-        pos_by_weight.setdefault(m, []).append(j)
-    for j, (m, vec) in enumerate(basis):
+    position = {(m, pivot): j for j, (m, pivot, _) in enumerate(basis)}
+    for j, (m, _, vec) in enumerate(basis):
         for name, shift in _shifts(field.ell):
             res = _apply_block(M, name, m, vec)
             if res is None:
                 continue
             m2, comp2 = res
-            coeffs, ok = ech.coefficients(m2, comp2)
-            if not ok:
+            residual, coeffs = echs[m2].reduce(comp2)
+            if residual:
                 raise ValueError("subspace is not stable under the generators")
-            for t, c in zip(pos_by_weight.get(m2, []), coeffs):
-                mats[name].data[t][j] = c
+            for pivot, c in coeffs.items():
+                mats[name].data[position[(m2, pivot)]][j] = c
     K = ExactMatrix(field, sdim, sdim)
     for j, w in enumerate(weights):
         K.data[j][j] = field.zeta_power(w)
@@ -504,7 +445,7 @@ def quotient_module(M: UModule, inclusion: UMorphism):
     field = M.field
     blocks = M.weight_blocks()
     S = inclusion.source
-    ech = _WeightEchelon(M)
+    echs = weight_echelons(M)
     count = 0
     for j in range(S.dim):
         vec = inclusion.matrix.column(j)
@@ -512,16 +453,15 @@ def quotient_module(M: UModule, inclusion: UMorphism):
         if len(parts) > 1:
             raise ValueError("inclusion columns must be weight-homogeneous")
         for m, comp in parts:
-            if ech.insert(m, comp):
+            if echs[m].insert(comp) is not None:
                 count += 1
     if count != S.dim:
         raise ValueError("inclusion is not injective")
     # complement positions per weight: coordinates that are not pivots
     basis = []  # (weight, position within block)
     for m in sorted(blocks, reverse=True):
-        pivots = {p for p, _ in ech.ech.get(m, [])}
         for b in range(len(blocks[m])):
-            if b not in pivots:
+            if b not in echs[m].rows:
                 basis.append((m, b))
     qdim = len(basis)
     weights = tuple(m for m, _ in basis)
@@ -529,15 +469,10 @@ def quotient_module(M: UModule, inclusion: UMorphism):
     proj = ExactMatrix(field, qdim, M.dim)
     pos = {(m, b): r for r, (m, b) in enumerate(basis)}
     for m, idx in blocks.items():
-        n = len(idx)
         for b, i in enumerate(idx):
-            unit = [field.zero] * n
-            unit[b] = field.one
-            red = ech.reduce(m, unit)
-            for bb in range(n):
-                r = pos.get((m, bb))
-                if r is not None and not red[bb].is_zero():
-                    proj.data[r][i] = red[bb]
+            residual, _ = echs[m].reduce({b: field.one})
+            for bb, v in residual.items():
+                proj.data[pos[(m, bb)]][i] = v
     # section: complement unit vectors as ambient columns
     sect = ExactMatrix(field, M.dim, qdim)
     for r, (m, b) in enumerate(basis):

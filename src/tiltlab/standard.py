@@ -96,14 +96,6 @@ def end_algebra(M: UModule):
     return hom_space(M, M)
 
 
-def _trace(mat: ExactMatrix):
-    field = mat.field
-    acc = field.zero
-    for i in range(mat.rows):
-        acc = acc + mat.data[i][i]
-    return acc
-
-
 def _trace_of_product(a: ExactMatrix, b: ExactMatrix):
     field = a.field
     acc = field.zero
@@ -175,15 +167,6 @@ class DecompositionResult:
 
     def summary(self):
         return sorted(self.label_multiset().items(), key=lambda kv: str(kv[0]))
-
-    def tilting_weights(self):
-        """Sorted list of n over all parts labelled ('T', n); raises otherwise."""
-        out = []
-        for p in self.parts:
-            if not (isinstance(p.label, tuple) and p.label[0] == "T"):
-                raise ValueError(f"non-tilting part {p.label} in decomposition")
-            out.append(p.label[1])
-        return sorted(out, reverse=True)
 
     def __repr__(self):
         return f"DecompositionResult({self.summary()})"

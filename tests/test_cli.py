@@ -268,6 +268,57 @@ def test_sample_free_suites_reject_budget_and_seed(suite, tmp_path, capsys):
         assert f"{key} is not used" in captured.err
 
 
+@pytest.mark.parametrize("suite", ["two-out-of-three", "bijection", "alcove-cross"])
+def test_serial_suites_reject_workers(suite, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("workers = 2\n")
+    for extra in (["--workers", "2"], ["--config", str(cfg)]):
+        code = main(["verify", "--suite", suite, "--ell", "3", "--window", "3", *extra])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "workers is not used" in captured.err
+
+
+def test_closed_stdout_exits_resource(tmp_path, monkeypatch, capsys):
+    class ClosedPipe:
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return self.fd
+
+    with open(tmp_path / "stdout", "w") as fh:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fh.fileno()))
+        code = main(["alcove", "d", "--type", "A1", "--p", "3", "--lambda", "6"])
+        # the stream's descriptor now points at the null device
+        assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "stdout was closed" in err and "Traceback" not in err
+
+
+def test_closed_stdout_pipe_subprocess():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tiltlab.cli", "alcove", "orbit", "--type", "A2",
+             "--p", "2", "--lambda", "0,0", "--bound", "60"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=300,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: stdout was closed before the report was written\n"
+
+
 def test_internal_invariant_failure_exits_internal(monkeypatch, capsys):
     import tiltlab.cache
     import tiltlab.standard
