@@ -2,7 +2,8 @@
 
 Standard modules are keyed by (ell, kind, n); minimal-complex label tables
 are content-addressed by the SHA-256 of the module's canonical serialization.
-Corrupt entries are rebuilt with a warning, never trusted.
+Corrupt entries, and label tables whose Euler character is not ch M, are
+rebuilt with a warning, never trusted.
 """
 
 from __future__ import annotations
@@ -88,15 +89,25 @@ class CacheDir:
 
 
 def cmin_label_table_cached(cache: CacheDir | None, M):
-    """Label table of C_min(M), consulting the disk cache when available."""
+    """Label table of C_min(M), consulting the disk cache when available.
+
+    A cached table is used only when its Euler character equals ch M;
+    otherwise it is rebuilt and overwritten with a warning.
+    """
     from tiltlab.minimal import minimal_tilting_complex
+    from tiltlab.standard import label_table_character
 
     if cache is None:
         return minimal_tilting_complex(M).label_table()
     fp = M.fingerprint()
     hit = cache.load_cmin_labels(fp)
     if hit is not None:
-        return hit
+        if label_table_character(M.field, hit) == M.character:
+            return hit
+        print(
+            f"warning: cache entry {cache.cmin_key(fp)} does not add up to ch M; rebuilding",
+            file=sys.stderr,
+        )
     table = minimal_tilting_complex(M).label_table()
     cache.store_cmin_labels(fp, table)
     return table

@@ -76,13 +76,6 @@ class Character:
         parts = [f"{m}*x^{w}" for w, m in sorted(self.coeffs.items())]
         return "Character(" + " + ".join(parts) + ")"
 
-    def weight_list(self):
-        """All weights with multiplicity, descending."""
-        out = []
-        for w in sorted(self.coeffs, reverse=True):
-            out.extend([w] * self.coeffs[w])
-        return out
-
 
 def weyl_character(n: int) -> Character:
     """chi(n) = x^n + x^(n-2) + ... + x^-n, with the reflection rule below -1."""

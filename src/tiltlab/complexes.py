@@ -396,9 +396,3 @@ def _find_cancellable(parts, blocks):
                 if not blk.determinant().is_zero():
                     return (i, a, b)
     return None
-
-
-def is_minimal(X: ChainComplex) -> bool:
-    X.ensure_parts(tilting_only=False)
-    parts = {i: [(p.label, p.module) for p in X.parts[i]] for i in X.degrees()}
-    return _find_cancellable(parts, _part_blocks(X)) is None

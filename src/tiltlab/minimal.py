@@ -5,7 +5,9 @@ indecomposable tiltings until the cokernel acquires a costandard filtration,
 (2) resolve every term on the left by tiltings until kernels become tilting,
 (3) assemble the columns into a twisted total complex whose square is
 verified to vanish exactly, then (4) minimalize.  The result is certified by
-recomputing cohomology: the source module in degree zero and nothing else.
+its Euler character, of the terms and of the closed-form tilting characters
+of its labels, both equal to ch M, and by recomputing cohomology: the source
+module in degree zero and nothing else.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from tiltlab.modules import (
 )
 from tiltlab.standard import (
     decompose_indecomposables,
+    label_table_character,
     peel_standard_filtration,
     tilting_module,
 )
@@ -430,6 +433,13 @@ def minimal_tilting_complex(M: UModule) -> MinimalTiltingComplex:
 
 
 def _certify_cmin(M: UModule, cmin: ChainComplex):
+    """Exact checks on C_min(M): the Euler character of its terms and of its
+    tilting labels equals ch M, and its cohomology is M in degree zero."""
+    ch = M.character
+    if cmin.euler_character() != ch:
+        raise CertificationError("Euler character of the minimal complex is not ch M")
+    if label_table_character(M.field, cmin.tilting_label_table()) != ch:
+        raise CertificationError("tilting labels of the minimal complex do not add up to ch M")
     coh = cmin.cohomology()
     if set(coh) - {0}:
         raise CertificationError(f"minimal complex has cohomology in degrees {sorted(coh)}")

@@ -147,12 +147,6 @@ class UMorphism:
                 return False
         return True
 
-    def is_injective(self):
-        return self.matrix.rank() == self.source.dim
-
-    def is_surjective(self):
-        return self.matrix.rank() == self.target.dim
-
     def __repr__(self):
         return f"UMorphism({self.source.dim} -> {self.target.dim})"
 
@@ -630,56 +624,3 @@ def find_isomorphism(M: UModule, N: UModule, attempts: int = 40):
         if not mat.determinant().is_zero():
             return UMorphism(M, N, mat)
     return None
-
-
-def infer_weights(field: CycloField, K, E, F, El, Fl):
-    """Recover the integer weight of each basis vector from the matrices alone.
-
-    Works for weight-homogeneous bases: the residue mod ell comes from K and
-    the classical part from the torus binomial of depth ell, expressed through
-    the stored generators.  Serves as an independent cross-check of the
-    weights carried by constructors.
-    """
-    ell = field.ell
-    dim = K.rows
-    # residues from the diagonal of K
-    residues = []
-    for i in range(dim):
-        entry = K.data[i][i]
-        r = next((k for k in range(ell) if field.zeta_power(k) == entry), None)
-        if r is None:
-            raise ValueError(f"K[{i},{i}] is not a power of zeta")
-        residues.append(r)
-    # depth-ell torus binomial through the commutator of the divided powers
-    comm = (El @ Fl) - (Fl @ El)
-    fact_cache = {}
-
-    def dp(g, a):
-        key = (id(g), a)
-        if key not in fact_cache:
-            fact_cache[key] = g.power(a).scale(field.quantum_factorial(a).inverse())
-        return fact_cache[key]
-
-    correction = ExactMatrix(field, dim, dim)
-    for t in range(1, ell):
-        # middle factor is a Laurent polynomial in K, valued via residues
-        mid = ExactMatrix(field, dim, dim)
-        for i in range(dim):
-            mid.data[i][i] = field.binomial_k_operator_value(residues[i], 2 * t - 2 * ell, t)
-        term = dp(F, ell - t) @ mid @ dp(E, ell - t)
-        correction = correction + term
-    h_mat = comm - correction
-    weights = []
-    for i in range(dim):
-        val = h_mat.data[i][i].rational_value()
-        if val is None or val.denominator != 1:
-            raise ValueError("torus operator is not integer-diagonal; basis not homogeneous")
-        weights.append(residues[i] + ell * int(val))
-    # in a homogeneous basis the operator must be diagonal
-    for i in range(dim):
-        for j in range(dim):
-            if i != j and not h_mat.data[i][j].is_zero():
-                # off-diagonal entries may only connect equal weights
-                if weights[i] != weights[j]:
-                    raise ValueError("torus operator mixes distinct weights")
-    return tuple(weights)

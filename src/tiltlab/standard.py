@@ -1,6 +1,9 @@
 """Standard, costandard, simple and indecomposable tilting modules.
 
-Constructors are memoized per (ell, kind, n).  Decomposition into
+Constructors are memoized per (ell, kind, n).  Tilting characters are
+closed-form (Donkin's tensor product theorem) and never build a module, so
+character arithmetic on tiltings, such as tensor ideals and Euler-character
+checks, costs only dictionary operations.  Decomposition into
 indecomposables is done by the split-pair test: a candidate C splits off M as
 soon as some composite M -> C -> M ... C -> M -> C is invertible, which for
 candidates with local endomorphism ring is detected by a nonzero trace.
@@ -27,6 +30,7 @@ _weyl_cache: dict = {}
 _nabla_cache: dict = {}
 _simple_cache: dict = {}
 _tilting_cache: dict = {}
+_tilting_character_cache: dict = {}
 
 
 def weyl_module(field: CycloField, n: int) -> UModule:
@@ -80,12 +84,6 @@ def simple_module(field: CycloField, n: int) -> UModule:
     L, _ = image_module(homs[0])
     _simple_cache[key] = L
     return L
-
-
-def steinberg_dimension(field: CycloField, n: int) -> int:
-    """dim L(a*ell+b) = (a+1)(b+1): independent cross-check oracle."""
-    a, b = divmod(n, field.ell)
-    return (a + 1) * (b + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +379,47 @@ def _extract_top_summand(M: UModule, n: int) -> UModule:
 
 
 def tilting_character(field: CycloField, n: int) -> Character:
-    return tilting_module(field, n).character
+    """ch T(n) in closed form, without building the module.
+
+    Donkin's tensor product theorem for sl2 at an ell-th root of unity:
+    T(ell-1+b+ell*a) = T(ell-1+b) (x) L(a)^[1] for 0 <= b < ell, where
+    ch T(ell-1+b) = chi(ell-1+b) + chi(ell-1-b) for b > 0 and the Frobenius
+    twist L(a)^[1] has character chi(a) with every weight scaled by ell.
+    Below ell-1 the Weyl module is simple and tilting, so ch T(n) = chi(n).
+    """
+    if n < 0:
+        raise ValueError("highest weight must be nonnegative")
+    ell = field.ell
+    key = (ell, n)
+    ch = _tilting_character_cache.get(key)
+    if ch is not None:
+        return ch
+    if n < ell - 1:
+        ch = weyl_character(n)
+    else:
+        a, b = divmod(n - (ell - 1), ell)
+        head = weyl_character(ell - 1 + b)
+        if b:
+            head = head + weyl_character(ell - 1 - b)
+        twist = Character({ell * w: m for w, m in weyl_character(a).coeffs.items()})
+        ch = head * twist
+    _tilting_character_cache[key] = ch
+    return ch
+
+
+def label_table_character(field: CycloField, table) -> Character:
+    """sum_i (-1)^i sum of ch T(n) over the labels n in degree i.
+
+    For the label table of C_min(M) this is the Euler character, so it must
+    equal ch M.
+    """
+    acc = {}
+    for i, labels in table.items():
+        sign = -1 if i % 2 else 1
+        for n in labels:
+            for w, m in tilting_character(field, n).coeffs.items():
+                acc[w] = acc.get(w, 0) + sign * m
+    return Character(acc)
 
 
 def decompose_tilting_character(field: CycloField, ch: Character):
@@ -444,10 +482,3 @@ def peel_standard_filtration(M: UModule, side: str):
         if not found:
             return None
     return peels
-
-
-def is_tilting(M: UModule) -> bool:
-    return (
-        peel_standard_filtration(M, "delta") is not None
-        and peel_standard_filtration(M, "nabla") is not None
-    )

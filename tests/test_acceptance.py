@@ -6,7 +6,6 @@ tests/test_acceptance.py -v` to see the per-criterion lines.
 import random
 import time
 
-from tiltlab.complexes import is_minimal
 from tiltlab.cyclotomic import CycloField
 from tiltlab.ideals import (
     RepIdealHandle,
@@ -27,6 +26,8 @@ from tiltlab.suites import (
     suite_alcove_box,
     suite_alcove_cross,
 )
+
+from oracles import is_minimal
 
 F3 = CycloField(3)
 F5 = CycloField(5)

