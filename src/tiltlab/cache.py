@@ -2,8 +2,10 @@
 
 Standard modules are keyed by (ell, kind, n); minimal-complex label tables
 are content-addressed by the SHA-256 of the module's canonical serialization.
-Corrupt entries, and label tables whose Euler character is not ch M, are
-rebuilt with a warning, never trusted.
+Every key carries CACHE_VERSION, so entries written under another basis or
+format are never read.  Corrupt entries, modules that fail their defining
+relations or their closed-form character, and label tables whose Euler
+character is not ch M are rebuilt with a warning, never trusted.
 """
 
 from __future__ import annotations
@@ -13,6 +15,10 @@ import os
 import sys
 
 from tiltlab.serialize import canonical_dumps, module_from_json, module_to_json
+
+# Bump whenever a cached module basis or entry format changes.  Version 2:
+# T(n) above 2ell-2 is T(ell-1+b) (x) L(a)^[1] instead of tensor-and-peel.
+CACHE_VERSION = 2
 
 
 class CacheDir:
@@ -44,17 +50,34 @@ class CacheDir:
     # -- standard modules -------------------------------------------------
 
     def module_key(self, ell, kind, n):
-        return f"module_{ell}_{kind}_{n}.json"
+        return f"module_v{CACHE_VERSION}_{ell}_{kind}_{n}.json"
 
     def load_module(self, ell, kind, n):
+        """The cached module, or None when it is absent or fails validation.
+
+        A loaded module must be weight graded and satisfy the defining
+        relations; a cached T(n) must also have the character of T(n).
+        """
+        from tiltlab.modules import check_relations
+        from tiltlab.standard import tilting_character
+
         data = self._read(self.module_key(ell, kind, n))
         if data is None:
             return None
         try:
-            return module_from_json(data["module"])
-        except (KeyError, ValueError) as exc:
+            module = module_from_json(data["module"])
+            if module.field.ell != ell:
+                raise ValueError(f"stored for ell {module.field.ell}")
+            module.assert_weight_graded()
+            failures = check_relations(module).failures
+            if failures:
+                raise ValueError(f"relation {failures[0][0]} fails")
+            if kind == "T" and module.character != tilting_character(module.field, n):
+                raise ValueError(f"not the character of T({n})")
+        except (KeyError, TypeError, ValueError) as exc:
             print(f"warning: cache module {kind}({n}) invalid ({exc}); rebuilding", file=sys.stderr)
             return None
+        return module
 
     def store_module(self, ell, kind, n, module, extra=None):
         obj = {"ell": ell, "kind": kind, "n": n, "module": module_to_json(module)}
@@ -65,7 +88,7 @@ class CacheDir:
     # -- minimal complex label tables -------------------------------------
 
     def cmin_key(self, fingerprint):
-        return f"cmin_{fingerprint}.json"
+        return f"cmin_v{CACHE_VERSION}_{fingerprint}.json"
 
     def load_cmin_labels(self, fingerprint):
         data = self._read(self.cmin_key(fingerprint))

@@ -270,15 +270,19 @@ def _solve_chain_map(src, tgt, left: ExactMatrix, rhs: ExactMatrix):
     """
     field = src.field
     sys, var_ids = intertwiner_equations(src, tgt)
+    # the unknowns f[r, c] of each column c, r ascending
+    by_column = [[] for _ in range(src.dim)]
+    for (r, c), k in sorted(var_ids.items()):
+        by_column[c].append((r, k))
     # constraint rows: (left @ f)[i, c] = rhs[i, c]
     for i in range(left.rows):
+        lrow = left.data[i]
         for c in range(src.dim):
             entries = {}
-            for r in range(tgt.dim):
-                v = left.data[i][r]
-                key = var_ids.get((r, c))
-                if key is not None and not v.is_zero():
-                    entries[key] = entries.get(key, field.zero) + v
+            for r, key in by_column[c]:
+                v = lrow[r]
+                if not v.is_zero():
+                    entries[key] = v
             target_val = rhs.data[i][c]
             if entries or not target_val.is_zero():
                 sys.add_row(entries, target_val)

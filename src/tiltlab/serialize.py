@@ -31,6 +31,8 @@ def matrix_from_json(field, data):
     from tiltlab.linalg import ExactMatrix
 
     m = ExactMatrix(field, data["rows"], data["cols"])
+    if len(data["entries"]) != m.rows * m.cols:
+        raise ValueError(f"{len(data['entries'])} entries for a {m.rows} x {m.cols} matrix")
     it = iter(data["entries"])
     for i in range(data["rows"]):
         for j in range(data["cols"]):

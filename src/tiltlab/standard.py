@@ -1,7 +1,9 @@
 """Standard, costandard, simple and indecomposable tilting modules.
 
-Constructors are memoized per (ell, kind, n).  Tilting characters are
-closed-form (Donkin's tensor product theorem) and never build a module, so
+Constructors are memoized per (ell, kind, n).  Tilting modules and their
+characters are closed-form above 2ell-2 (Donkin's tensor product theorem,
+T(ell-1+b+ell*a) = T(ell-1+b) (x) L(a)^[1]); only T(n) for n <= 2ell-2 is
+built by tensor-and-peel.  Tilting characters never build a module, so
 character arithmetic on tiltings, such as tensor ideals and Euler-character
 checks, costs only dictionary operations.  Decomposition into
 indecomposables is done by the split-pair test: a candidate C splits off M as
@@ -18,6 +20,7 @@ from tiltlab.modules import (
     UModule,
     UMorphism,
     dual_module,
+    frobenius_twist,
     hom_space,
     image_module,
     kernel_module,
@@ -335,19 +338,32 @@ def _next_pow2(n):
 
 
 def tilting_module(field: CycloField, n: int) -> UModule:
-    """T(n) by tensor-and-peel: the summand of T(n-1) (x) T(1) at weight n."""
+    """T(n), closed-form above 2ell-2.
+
+    For n = ell-1+b+ell*a with 0 <= b < ell and a >= 1, Donkin's tensor
+    product theorem gives T(n) = T(ell-1+b) (x) L(a)^[1], built as one tensor
+    product with the Frobenius twist; its character is certified against
+    tilting_character.  For n <= 2ell-2, T(n) is the summand of
+    T(n-1) (x) Delta(1) at weight n (tensor-and-peel).
+    """
     if n < 0:
         raise ValueError("highest weight must be nonnegative")
-    key = (field.ell, n)
+    ell = field.ell
+    key = (ell, n)
     if key in _tilting_cache:
         return _tilting_cache[key]
     if n == 0:
         T = UModule.trivial(field)
     elif n == 1:
         T = weyl_module(field, 1)
-    else:
+    elif n <= 2 * ell - 2:
         big = tensor_module(tilting_module(field, n - 1), weyl_module(field, 1))
         T = _extract_top_summand(big, n)
+    else:
+        a, b = divmod(n - (ell - 1), ell)
+        T = tensor_module(tilting_module(field, ell - 1 + b), frobenius_twist(field, a))
+        if T.character != tilting_character(field, n):
+            raise CertificationError(f"T({n}) = T({ell - 1 + b}) (x) L({a})^[1] has the wrong character")
     _tilting_cache[key] = T
     return T
 

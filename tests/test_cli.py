@@ -5,7 +5,12 @@ import sys
 
 import pytest
 
+from tiltlab.cache import CacheDir
 from tiltlab.cli import main
+from tiltlab.cyclotomic import CycloField
+from tiltlab.modules import UModule
+from tiltlab.serialize import module_to_json
+from tiltlab.standard import tilting_module, weyl_module
 
 
 def run_cli(capsys, *argv):
@@ -137,7 +142,7 @@ def test_cache_cold_warm_identical(tmp_path, capsys):
 def test_cache_stores_module_files_with_filtration(tmp_path, capsys):
     cache = str(tmp_path / "cache")
     run_cli(capsys, "cmin", "--ell", "3", "--module", "T:3", "--cache", cache)
-    path = os.path.join(cache, "module_3_T_3.json")
+    path = os.path.join(cache, CacheDir(cache).module_key(3, "T", 3))
     data = json.loads(open(path).read())
     assert data["delta_filtration"] == [3, 1]
     assert data["module"]["dim"] == 6
@@ -157,12 +162,50 @@ def test_cache_corruption_rebuilds(tmp_path, capsys):
     cache = str(tmp_path / "cache")
     args = ["cmin", "--ell", "3", "--module", "L:3", "--cache", cache]
     _, cold = run_cli(capsys, *args)
-    for name in os.listdir(cache):
+    names = sorted(os.listdir(cache))
+    for name in names:
         with open(os.path.join(cache, name), "w") as fh:
             fh.write("{broken json")
-    code, rebuilt = run_cli(capsys, *args)
-    err = capsys.readouterr().err if False else ""
-    assert code == 0 and rebuilt == cold
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 0 and captured.out.strip() == cold
+    for name in names:
+        assert f"warning: cache entry {name} unreadable" in captured.err
+    assert captured.err.count("; rebuilding") == len(names)
+
+
+def _doubled_e(M):
+    return module_to_json(UModule(M.field, M.weights, M.K, M.E.scale(M.field.scalar(2)), M.F, M.El, M.Fl))
+
+
+def _truncated_e(M):
+    data = module_to_json(M)
+    data["E"]["entries"] = data["E"]["entries"][:3]
+    return data
+
+
+@pytest.mark.parametrize("stored, reason", [
+    (lambda F: module_to_json(weyl_module(F, 3)), "not the character of T(3)"),
+    (lambda F: _doubled_e(tilting_module(F, 3)), "relation [E,F] = (K - K^-1)/(z - z^-1) fails"),
+    (lambda F: _truncated_e(tilting_module(F, 3)), "3 entries for a 6 x 6 matrix"),
+], ids=["Delta(3) as T(3)", "T(3) with E doubled", "T(3) with E truncated"])
+def test_wrong_cached_module_is_rebuilt(stored, reason, tmp_path, capsys):
+    cache = str(tmp_path / "cache")
+    args = ["cmin", "--ell", "3", "--module", "T:3", "--cache", cache]
+    _, cold = run_cli(capsys, *args)
+    path = os.path.join(cache, CacheDir(cache).module_key(3, "T", 3))
+    right = open(path).read()
+    # well-formed JSON, but not the module T(3)
+    with open(path, "w") as fh:
+        json.dump({"ell": 3, "kind": "T", "n": 3, "module": stored(CycloField(3))}, fh)
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 0 and captured.out.strip() == cold
+    assert f"warning: cache module T(3) invalid ({reason}); rebuilding" in captured.err
+    assert open(path).read() == right
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 0 and captured.out.strip() == cold and captured.err == ""
 
 
 def test_output_file(tmp_path, capsys):
@@ -273,7 +316,7 @@ def test_cache_from_environment(tmp_path, monkeypatch, capsys):
     code, out = run_cli(capsys, "cmin", "--ell", "3", "--module", "L:3")
     assert code == 0 and json.loads(out)["degrees"] == {"-1": [1], "0": [3], "1": [1]}
     names = os.listdir(env_cache)
-    assert "module_3_L_3.json" in names
+    assert CacheDir(str(env_cache)).module_key(3, "L", 3) in names
     assert any(name.startswith("cmin_") for name in names)
     code, _ = run_cli(capsys, "verify", "--suite", "alcove-cross", "--ell", "3", "--window", "4")
     assert code == 0

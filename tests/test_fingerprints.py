@@ -8,7 +8,10 @@ modules, would silently orphan every cached entry; these digests make it fail.
 The C_min pipeline is pinned the same way: the SHA-256 of complex_to_json for
 the totalized complex and for its minimalization, of the differentials of a
 tensor product of complexes, and of the stdout of a few CLI reports.  A
-refactor of the pipeline must keep every one of these bytes.
+refactor of the pipeline must keep every one of these bytes.  The basis of
+T(n) is part of what the module and complex digests pin: they were last
+re-pinned when T(n) above 2ell-2 became T(ell-1+b) (x) L(a)^[1], a change that
+left every CLI-report digest unchanged.
 """
 
 import hashlib
@@ -72,7 +75,7 @@ CASES = {
     ),
     "T(7), ell 3": (
         lambda: tilting_module(CycloField(3), 7),
-        "f03baa717b214b6fa3cd36f25b8bd224aa32f7b0f67370526ce4cd247f349711",
+        "2fa8c9cee63e812f99b6229b956ae57f474d8be9f539247895a74e168ba3f8a3",
     ),
     "T(6), ell 5": (
         lambda: tilting_module(CycloField(5), 6),
@@ -126,23 +129,23 @@ def test_rescaled_modules_print_fractions():
 COMPLEX_CASES = {
     "L(4), ell 3": (
         lambda: simple_module(CycloField(3), 4),
-        "80b3d7743550429872d2c0114177cd52382dd94c9eac6f9e0aa4a769c642dea0",
-        "e7e387bdb04fd8a4fe5d8ef105c99391768e706ec9073a90e0973f543fca2687",
+        "0f564b172d5ecfeff12817cb25147497d6e12b26e9c5b845813235aa080bb6be",
+        "e9eb13407208e4ffa3738a54fa4a7f5c56b30f8493470e83c8c0a44f1d5512bc",
     ),
     "Delta(6), ell 3": (
         lambda: weyl_module(CycloField(3), 6),
-        "f08f6d36f81af1c6efead4d327a6c7ee5f25bfac6f26e21a1a5e42904743feaa",
-        "f08f6d36f81af1c6efead4d327a6c7ee5f25bfac6f26e21a1a5e42904743feaa",
+        "8a8639eb5a9374bd39db176224371796f8d2708fa314e6b3cd100b82dea7828d",
+        "8a8639eb5a9374bd39db176224371796f8d2708fa314e6b3cd100b82dea7828d",
     ),
     "L(7), ell 5": (
         lambda: simple_module(CycloField(5), 7),
-        "fdfd0215ebaa00138a2b08c0357754e46d831dd316d0506b2f945cdfc5b61590",
-        "edd5786f43dfe7c91ff036d0eb72264994b6f23cace9254cd14c5b2f599d2dc9",
+        "d5514d1f5d51c0a5b0e4982552fd5b1c500124250d994832d3b8d7bd7d271449",
+        "77044b50d56c0a4a517105e46da4d68d53289b57f61a4a225cea8f12e913e31a",
     ),
     "Delta(3) + L(3), ell 3": (
         lambda: direct_sum(weyl_module(CycloField(3), 3), simple_module(CycloField(3), 3)),
-        "7ced8973c557d677e60427ebf37a4a7b7bd526412c4d7c6c5750abd0d40abe0b",
-        "ab8efa2678329fd768f8165c68633c558542aad264b01e056b34861c7b0554fc",
+        "c5942923ac11f83312c8928c6c3883b608bdba91b3ed36886ffb6fb2f98166e0",
+        "f2cae228415fc6e692e648deeaac0f438998a3c99183d0a71c322a6e836e5a90",
     ),
 }
 
@@ -166,7 +169,7 @@ def test_tensor_complex_differentials_are_pinned():
             str(i): matrix_to_json(d.matrix) for i, d in sorted(XY.differentials.items())
         },
     }
-    assert content_hash(data) == "c3ec7ce900584b5d6cdcf1214ee2c5e192405c3ed45fcd0b964756b65b2d4d44"
+    assert content_hash(data) == "9798540f0d8464543abfe95f215e996796d9c8130dd4fd03ccbafe1e69e75041"
 
 
 CLI_CASES = {
@@ -188,6 +191,8 @@ CLI_CASES = {
         ["ideals", "enumerate", "--ell", "9", "--window", "10"],
         "84977432cb21e42e1d22fc88b8e596a99b91399599352365bfb4d70f5be949d6",
     ),
+    "cmin L:12 ell 5": (["cmin", "--ell", "5", "--module", "L:12"], "393aa77192c2deb7fa3e36e565123b0a0139d2408db78bc038603bf2789efe38"),
+    "cmin L:10 ell 7": (["cmin", "--ell", "7", "--module", "L:10"], "1664c72d2db2b6f6cae6f4d6979496586f6d479cd150e755dd1156e8ef6b2089"),
     "verify bijection": (
         ["verify", "--suite", "bijection"],
         "a346dcbb44885946c8ee5d2534e1b8bf1ce8de3c78646db4617035c52bbff51d",

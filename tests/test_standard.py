@@ -3,8 +3,8 @@ import random
 import pytest
 
 from tiltlab.characters import Character, weyl_character
-from tiltlab.cyclotomic import CycloField
-from tiltlab.modules import direct_sum, find_isomorphism, hom_space, tensor_module
+from tiltlab.cyclotomic import CertificationError, CycloField
+from tiltlab.modules import check_relations, direct_sum, find_isomorphism, hom_space, tensor_module
 from tiltlab.standard import (
     NonSplitError,
     decompose_indecomposables,
@@ -19,6 +19,8 @@ from tiltlab.standard import (
     tilting_module,
     weyl_module,
 )
+
+from oracles import peeled_tilting_module
 
 F3 = CycloField(3)
 F5 = CycloField(5)
@@ -180,6 +182,8 @@ def test_tilting_characters_in_first_wall_region():
 
 @pytest.mark.parametrize("ell, top", [(3, 16), (5, 18), (7, 16), (9, 18)])
 def test_closed_form_tilting_character_matches_module(ell, top):
+    # above 2ell-2 the module is closed-form too; the tensor-and-peel oracle
+    # below checks that range
     F = CycloField(ell)
     for n in range(top + 1):
         assert tilting_character(F, n) == tilting_module(F, n).character, (ell, n)
@@ -223,3 +227,32 @@ def test_steinberg_tensor_structure_of_tiltings():
             n = a * ell + ell - 1
             cand = tensor_module(st, frobenius_twist(F, a))
             assert find_isomorphism(tilting_module(F, n), cand) is not None, (ell, n)
+
+
+@pytest.mark.parametrize("ell, top", [(3, 14), (5, 16), (7, 16)])
+def test_closed_form_tilting_module_matches_tensor_and_peel(ell, top):
+    F = CycloField(ell)
+    for n in range(2 * ell - 1, top + 1):
+        T = tilting_module(F, n)
+        assert check_relations(T).ok, (ell, n)
+        assert T.character == tilting_character(F, n), (ell, n)
+        assert find_isomorphism(T, peeled_tilting_module(F, n)) is not None, (ell, n)
+
+
+@pytest.mark.parametrize("mutation", ["wrong b", "unscaled twist"])
+@pytest.mark.parametrize("ell, n", [(3, 7), (5, 12)])
+def test_closed_form_tilting_module_certifies_its_character(mutation, ell, n, monkeypatch):
+    import tiltlab.standard
+
+    F = CycloField(ell)
+    b = (n - (ell - 1)) % ell
+    memo = {k: v for k, v in tiltlab.standard._tilting_cache.items() if k != (ell, n)}
+    if mutation == "wrong b":
+        # the head factor is T(ell-1+b') with b' != b
+        memo[(ell, ell - 1 + b)] = tilting_module(F, ell - 1 + (b + 1) % ell)
+    else:
+        # L(a) in place of L(a)^[1]: the twist's weights are not scaled by ell
+        monkeypatch.setattr(tiltlab.standard, "frobenius_twist", lambda field, a: simple_module(field, a))
+    monkeypatch.setattr(tiltlab.standard, "_tilting_cache", memo)
+    with pytest.raises(CertificationError, match=rf"T\({n}\) = .* has the wrong character"):
+        tilting_module(F, n)
