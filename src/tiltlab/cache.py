@@ -167,9 +167,5 @@ def set_active_cache(cache: CacheDir | None):
     _active_cache = cache
 
 
-def active_cache() -> CacheDir | None:
-    return _active_cache
-
-
 def active_cmin_labels(M):
     return cmin_label_table_cached(_active_cache, M)

@@ -56,6 +56,9 @@ DEFAULTS = {
     "cache": None,
 }
 
+# smallest accepted value of each numeric setting
+MINIMUM = {"window": 0, "budget": 1, "workers": 1}
+
 
 def load_config_file(path):
     """Flat key=value configuration; '#' starts a comment."""
@@ -95,6 +98,9 @@ def resolve_config(args, unused=()):
     for key in unused:
         if key in given:
             raise ValueError(f"{key} is not used by this command; remove --{key} or its config entry")
+    for key, least in MINIMUM.items():
+        if cfg[key] < least:
+            raise ValueError(f"{key} must be at least {least}, got {cfg[key]}")
     return cfg
 
 
@@ -136,7 +142,7 @@ def emit(obj, output=None):
 
 
 def cmd_cmin(args):
-    cfg = resolve_config(args)
+    cfg = resolve_config(args, ("window", "budget", "seed", "workers"))
     field = CycloField(cfg["ell"])
     kind, n = parse_module_spec(args.module)
     cache = open_cache(cfg)
@@ -156,7 +162,7 @@ def cmd_cmin(args):
 
 
 def cmd_ideals(args):
-    cfg = resolve_config(args)
+    cfg = resolve_config(args, ("budget", "seed", "workers"))
     field = CycloField(cfg["ell"])
     window = cfg["window"]
     if args.action == "enumerate":

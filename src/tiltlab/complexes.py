@@ -114,9 +114,6 @@ class ChainComplex:
             raise ValueError(f"no decomposition stored for degree {i}")
         return sorted(p.label for p in self.parts[i])
 
-    def label_table(self):
-        return {i: self.labels(i) for i in self.degrees()}
-
     def tilting_label_table(self):
         """degree -> ascending list of n for terms that are sums of T(n)."""
         out = {}
@@ -129,11 +126,10 @@ class ChainComplex:
             out[i] = sorted(row)
         return out
 
-    def ensure_parts(self, tilting_only: bool = True):
+    def ensure_parts(self):
         for i, t in self.terms.items():
             if i not in self.parts:
-                dec = decompose_indecomposables(t, tilting_only=tilting_only)
-                self.parts[i] = dec.parts
+                self.parts[i] = decompose_indecomposables(t)
         return self
 
     def euler_character(self):

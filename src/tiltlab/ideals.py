@@ -54,6 +54,8 @@ class TiltIdeal:
     """Downward tensor-closed label set within [0, W]."""
 
     def __init__(self, field: CycloField, window: int, members, certificate=None):
+        if window < 0:
+            raise ValueError("window must be nonnegative")
         self.field = field
         self.window = window
         self.members = frozenset(members)

@@ -228,8 +228,7 @@ def _left_resolution(X: UModule, parts):
         return [X], [parts], {}, UMorphism.identity(X)
     if peel_standard_filtration(X, "delta") is not None:
         # already tilting (it is costandard-filtered by construction)
-        dec = decompose_indecomposables(X, tilting_only=True)
-        return [X], [dec.parts], {}, UMorphism.identity(X)
+        return [X], [decompose_indecomposables(X)], {}, UMorphism.identity(X)
     terms = []
     partl = []
     inner = {}
@@ -248,9 +247,8 @@ def _left_resolution(X: UModule, parts):
                 "cover kernel lost its costandard filtration; approximation failed"
             )
         if peel_standard_filtration(K, "delta") is not None:
-            dec = decompose_indecomposables(K, tilting_only=True)
             terms.append(K)
-            partl.append(dec.parts)
+            partl.append(decompose_indecomposables(K))
             inner[t] = kincl
             break
         P, surj_k, pparts = cover_by_tilting(K)
@@ -424,8 +422,7 @@ def minimal_tilting_complex(M: UModule) -> MinimalTiltingComplex:
         peel_standard_filtration(M, "delta") is not None
         and peel_standard_filtration(M, "nabla") is not None
     ):
-        dec = decompose_indecomposables(M, tilting_only=True)
-        single = ChainComplex(field, {0: M}, {}, {0: dec.parts})
+        single = ChainComplex(field, {0: M}, {}, {0: decompose_indecomposables(M)})
         result = MinimalTiltingComplex(M, single)
         _cmin_cache[key] = result
         return result

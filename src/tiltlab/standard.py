@@ -5,10 +5,13 @@ characters are closed-form above 2ell-2 (Donkin's tensor product theorem,
 T(ell-1+b+ell*a) = T(ell-1+b) (x) L(a)^[1]); only T(n) for n <= 2ell-2 is
 built by tensor-and-peel.  Tilting characters never build a module, so
 character arithmetic on tiltings, such as tensor ideals and Euler-character
-checks, costs only dictionary operations.  Decomposition into
-indecomposables is done by the split-pair test: a candidate C splits off M as
-soon as some composite M -> C -> M ... C -> M -> C is invertible, which for
-candidates with local endomorphism ring is detected by a nonzero trace.
+checks, costs only dictionary operations.  Krull-Schmidt decomposition of a
+tilting module reads its summand labels off the closed-form character
+(tilting characters are unitriangular) and splits each predicted T(n) off by
+the split-pair test: C splits off M as soon as some composite M -> C -> M ...
+C -> M -> C is invertible, which for C with local endomorphism ring is
+detected by a nonzero trace.  A predicted summand that does not split is
+reported, never guessed.
 """
 
 from __future__ import annotations
@@ -126,11 +129,11 @@ def radical_dimension(end_basis) -> int:
     return gram.kernel().cols
 
 
-def is_local_end(M: UModule, end_basis=None) -> bool:
+def is_local_end(M: UModule) -> bool:
     """End(M)/rad is one-dimensional (M indecomposable, split case)."""
     if M.dim == 0:
         return False
-    basis = end_basis if end_basis is not None else end_algebra(M)
+    basis = end_algebra(M)
     return len(basis) - radical_dimension(basis) == 1
 
 
@@ -139,7 +142,11 @@ def is_local_end(M: UModule, end_basis=None) -> bool:
 
 
 class NonSplitError(ArithmeticError):
-    """End(M)/rad could not be split over Q(zeta); reported, never guessed."""
+    """A tilting summand that the character predicts does not split off.
+
+    Raised when ch M is a sum of tilting characters but M is not the
+    matching sum of T(n), so M is not tilting; reported, never guessed.
+    """
 
 
 class Part:
@@ -153,24 +160,6 @@ class Part:
 
     def __repr__(self):
         return f"Part({self.label}, dim={self.module.dim})"
-
-
-class DecompositionResult:
-    def __init__(self, module, parts):
-        self.module = module
-        self.parts = parts
-
-    def label_multiset(self):
-        out = {}
-        for p in self.parts:
-            out[p.label] = out.get(p.label, 0) + 1
-        return out
-
-    def summary(self):
-        return sorted(self.label_multiset().items(), key=lambda kv: str(kv[0]))
-
-    def __repr__(self):
-        return f"DecompositionResult({self.summary()})"
 
 
 def _split_pair(R: UModule, C: UModule):
@@ -213,124 +202,46 @@ def _complement_of_idempotent(R: UModule, e_mat: ExactMatrix):
     return K, incl, retr
 
 
-def _identify_label(M: UModule):
-    """Label an indecomposable by matching against the standard families."""
-    from tiltlab.modules import find_isomorphism
+def _split_tilting_labels(M: UModule, keep=None):
+    """Split T(mu) off M for every label mu of ch M, top down with
+    multiplicity, except one copy of `keep`.
 
-    field = M.field
-    top = M.character.max_weight()
-    if top is None:
-        return None
-    candidates = []
-    if top >= 0:
-        candidates = [
-            ("T", tilting_module(field, top)),
-            ("Delta", weyl_module(field, top)),
-            ("Nabla", dual_weyl_module(field, top)),
-            ("L", simple_module(field, top)),
-        ]
-    for kind, C in candidates:
-        if C.dim == M.dim and find_isomorphism(M, C) is not None:
-            return (kind, top)
-    return ("X", M.fingerprint()[:12])
-
-
-def decompose_indecomposables(M: UModule, tilting_only: bool = False) -> DecompositionResult:
-    """Krull-Schmidt decomposition with witness inclusions and projections.
-
-    Tilting summands are peeled greedily from the largest weight down; for
-    whatever remains, the endomorphism ring decides: local means
-    indecomposable, otherwise Fitting splittings are tried and an explicit
-    NonSplitError is raised rather than guessing.
+    The labels come from the closed-form character; each one is split against
+    the canonical tilting_module(mu).  Returns the parts and the remainder.
     """
     field = M.field
+    labels = decompose_tilting_character(field, M.character)
+    if keep is not None:
+        if labels.get(keep) != 1:
+            raise CertificationError(f"T({keep}) has multiplicity {labels.get(keep, 0)}, not 1")
+        del labels[keep]
+    R, incl, proj = M, UMorphism.identity(M), UMorphism.identity(M)
     parts = []
-    stack = [(M, UMorphism.identity(M), UMorphism.identity(M))]
-    while stack:
-        R, incl, proj = stack.pop()
-        if R.dim == 0:
-            continue
-        split = None
-        for label, C in _candidate_stream(field, R, tilting_only):
+    for mu in sorted(labels, reverse=True):
+        C = tilting_module(field, mu)
+        for _ in range(labels[mu]):
             split = _split_pair(R, C)
-            if split is not None:
-                phi, psi = split
-                parts.append(
-                    Part(label, C, incl.compose(phi), psi.compose(proj))
-                )
-                e = phi.matrix @ psi.matrix
-                K, kincl, kretr = _complement_of_idempotent(R, e)
-                stack.append((K, incl.compose(kincl), kretr.compose(proj)))
-                break
-        if split is not None:
-            continue
-        if tilting_only:
-            raise NonSplitError(
-                f"module of dim {R.dim} has no tilting summand left but is nonzero"
-            )
-        ends = end_algebra(R)
-        if len(ends) - radical_dimension(ends) == 1:
-            parts.append(Part(_identify_label(R), R, incl, proj))
-            continue
-        fits = _fitting_split(R, ends)
-        if fits is None:
-            raise NonSplitError(
-                f"End(M)/rad has dimension > 1 but no splitting was found (dim {R.dim})"
-            )
-        for sub, sincl, sretr in fits:
-            stack.append((sub, incl.compose(sincl), sretr.compose(proj)))
-    total = sum(p.module.dim for p in parts)
-    if total != M.dim:
+            if split is None:
+                raise NonSplitError(f"T({mu}) is predicted by the character but does not split off (dim {R.dim})")
+            phi, psi = split
+            parts.append(Part(("T", mu), C, incl.compose(phi), psi.compose(proj)))
+            R, kincl, kretr = _complement_of_idempotent(R, phi.matrix @ psi.matrix)
+            incl, proj = incl.compose(kincl), kretr.compose(proj)
+    return parts, R
+
+
+def decompose_indecomposables(M: UModule):
+    """Krull-Schmidt decomposition of a tilting module into parts T(n), with
+    witness inclusions and projections.
+
+    The labels are read off ch M (decompose_tilting_character); a character
+    that is not a sum of tilting characters raises ValueError, a module whose
+    predicted summands do not split raises NonSplitError.
+    """
+    parts, R = _split_tilting_labels(M)
+    if R.dim:
         raise CertificationError("decomposition lost dimensions")
-    return DecompositionResult(M, parts)
-
-
-def _candidate_stream(field, R: UModule, tilting_only: bool):
-    ch = R.character
-    tops = sorted({w for w in ch.coeffs if w >= 0}, reverse=True)
-    for mu in tops:
-        yield ("T", mu), tilting_module(field, mu)
-    if not tilting_only:
-        for mu in tops:
-            yield ("Delta", mu), weyl_module(field, mu)
-            yield ("Nabla", mu), dual_weyl_module(field, mu)
-            yield ("L", mu), simple_module(field, mu)
-
-
-def _fitting_split(R: UModule, ends):
-    """Split R = ker(phi^N) + im(phi^N) for some endomorphism, or None."""
-    import random
-
-    field = R.field
-    candidates = [e.matrix for e in ends]
-    rng = random.Random(911 + R.dim)
-    for _ in range(12):
-        mat = ExactMatrix(field, R.dim, R.dim)
-        for e in ends:
-            mat = mat + e.matrix.scale(field.scalar(rng.randint(-2, 2)))
-        candidates.append(mat)
-    n = R.dim
-    for mat in candidates:
-        p = mat.power(_next_pow2(n))
-        K, kincl = kernel_module(UMorphism(R, R, p))
-        if K.dim == 0 or K.dim == R.dim:
-            continue
-        I, iincl = image_module(UMorphism(R, R, p))
-        if K.dim + I.dim != R.dim:
-            continue
-        basis = kincl.matrix.hstack(iincl.matrix)
-        inv = basis.inverse()
-        kretr = UMorphism(R, K, ExactMatrix(field, K.dim, R.dim, inv.data[: K.dim]))
-        iretr = UMorphism(R, I, ExactMatrix(field, I.dim, R.dim, inv.data[K.dim :]))
-        return [(K, kincl, kretr), (I, iincl, iretr)]
-    return None
-
-
-def _next_pow2(n):
-    p = 1
-    while p < n:
-        p *= 2
-    return p
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +255,8 @@ def tilting_module(field: CycloField, n: int) -> UModule:
     product theorem gives T(n) = T(ell-1+b) (x) L(a)^[1], built as one tensor
     product with the Frobenius twist; its character is certified against
     tilting_character.  For n <= 2ell-2, T(n) is the summand of
-    T(n-1) (x) Delta(1) at weight n (tensor-and-peel).
+    T(n-1) (x) Delta(1) at weight n, left after the other labels its
+    character predicts are split off (tensor-and-peel).
     """
     if n < 0:
         raise ValueError("highest weight must be nonnegative")
@@ -369,27 +281,12 @@ def tilting_module(field: CycloField, n: int) -> UModule:
 
 
 def _extract_top_summand(M: UModule, n: int) -> UModule:
-    """Peel all T(mu), mu < n, off M; certify the local remainder."""
-    field = M.field
-    R = M
-    incl = UMorphism.identity(M)
-    changed = True
-    while changed:
-        changed = False
-        tops = sorted({w for w in R.character.coeffs if 0 <= w < n}, reverse=True)
-        for mu in tops:
-            split = _split_pair(R, tilting_module(field, mu))
-            if split is not None:
-                phi, psi = split
-                e = phi.matrix @ psi.matrix
-                R, kincl, _ = _complement_of_idempotent(R, e)
-                incl = incl.compose(kincl)
-                changed = True
-                break
+    """Split every T(mu) but the single T(n) off M; certify the local
+    remainder."""
+    _, R = _split_tilting_labels(M, keep=n)
     if R.character.max_weight() != n:
         raise CertificationError(f"tilting extraction lost the top weight {n}")
-    ends = end_algebra(R)
-    if len(ends) - radical_dimension(ends) != 1:
+    if not is_local_end(R):
         raise CertificationError(f"remainder for T({n}) is not indecomposable")
     return R
 

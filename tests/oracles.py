@@ -6,8 +6,9 @@ surjectivity through its own exact invariants.
 """
 
 from tiltlab.complexes import ChainComplex, _find_cancellable, _part_blocks
-from tiltlab.modules import tensor_module
-from tiltlab.standard import _extract_top_summand, tilting_module, weyl_module
+from tiltlab.cyclotomic import CertificationError
+from tiltlab.modules import UModule, tensor_module
+from tiltlab.standard import _complement_of_idempotent, _split_pair, is_local_end, weyl_module
 
 _peeled_tilting_cache = {}
 
@@ -15,7 +16,7 @@ _peeled_tilting_cache = {}
 def is_minimal(X: ChainComplex) -> bool:
     """No differential block between equal indecomposable summands is
     invertible."""
-    X.ensure_parts(tilting_only=False)
+    X.ensure_parts()
     parts = {i: [(p.label, p.module) for p in X.parts[i]] for i in X.degrees()}
     return _find_cancellable(parts, _part_blocks(X)) is None
 
@@ -28,14 +29,42 @@ def is_surjective(phi) -> bool:
     return phi.matrix.rank() == phi.target.dim
 
 
+def search_peel(M, below):
+    """Split T(mu), mu < below, off M by search: try every weight of what is
+    left from the top down, and start over after each split.
+
+    Candidates are `peeled_tilting_module`s, so no closed form is used.
+    Returns the peeled labels (descending) and the remainder.
+    """
+    field = M.field
+    R = M
+    labels = []
+    while True:
+        tops = sorted({w for w in R.character.coeffs if 0 <= w < below}, reverse=True)
+        for mu in tops:
+            split = _split_pair(R, peeled_tilting_module(field, mu))
+            if split is not None:
+                phi, psi = split
+                R, _, _ = _complement_of_idempotent(R, phi.matrix @ psi.matrix)
+                labels.append(mu)
+                break
+        else:
+            return labels, R
+
+
 def peeled_tilting_module(field, n):
-    """T(n) by tensor-and-peel at every n: the summand of T(n-1) (x) Delta(1)
-    at weight n, independent of Donkin's tensor product theorem above
-    2ell-2 (below it, this is how `tilting_module` builds T(n))."""
-    if n <= 2 * field.ell - 2:
-        return tilting_module(field, n)
+    """T(n) by tensor-and-peel at every n >= 2: the summand of
+    T(n-1) (x) Delta(1) at weight n, found by `search_peel` without
+    tilting_module, tilting_character or Donkin's tensor product theorem."""
+    if n == 0:
+        return UModule.trivial(field)
+    if n == 1:
+        return weyl_module(field, 1)
     key = (field.ell, n)
     if key not in _peeled_tilting_cache:
         big = tensor_module(peeled_tilting_module(field, n - 1), weyl_module(field, 1))
-        _peeled_tilting_cache[key] = _extract_top_summand(big, n)
+        _, R = search_peel(big, n)
+        if R.character.max_weight() != n or not is_local_end(R):
+            raise CertificationError(f"tensor-and-peel left no indecomposable T({n})")
+        _peeled_tilting_cache[key] = R
     return _peeled_tilting_cache[key]

@@ -366,6 +366,31 @@ def test_serial_suites_reject_workers(suite, tmp_path, capsys):
         assert "workers is not used" in captured.err
 
 
+@pytest.mark.parametrize("argv, config, message", [
+    (["cmin", "--ell", "3", "--module", "L:3"], "budget = 4\n", "budget is not used"),
+    (["cmin", "--ell", "3", "--module", "L:3"], "seed = 4\n", "seed is not used"),
+    (["cmin", "--ell", "3", "--module", "L:3"], "workers = 2\n", "workers is not used"),
+    (["cmin", "--ell", "3", "--module", "L:3"], "window = 6\n", "window is not used"),
+    (["ideals", "enumerate", "--ell", "3"], "budget = 4\n", "budget is not used"),
+    (["ideals", "generate", "3", "--ell", "3"], "seed = 4\n", "seed is not used"),
+    (["ideals", "enumerate", "--ell", "3"], "workers = 2\n", "workers is not used"),
+    (["ideals", "enumerate", "--ell", "3", "--window", "-1"], None, "window must be at least 0"),
+    (["verify", "--suite", "two-out-of-three", "--ell", "3", "--budget", "-3"], None, "budget must be at least 1"),
+    (["verify", "--suite", "lemmas", "--ell", "3", "--workers", "-1"], None, "workers must be at least 1"),
+    (["verify", "--suite", "lemmas", "--ell", "3"], "budget = 0\n", "budget must be at least 1"),
+])
+def test_ignored_or_out_of_range_settings_exit_resource(argv, config, message, tmp_path, capsys):
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        argv = [*argv, "--config", str(cfg)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_closed_stdout_exits_resource(tmp_path, monkeypatch, capsys):
     class ClosedPipe:
         def __init__(self, fd):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -19,25 +20,25 @@ from tiltlab.ideals import (
     verify_two_out_of_three,
 )
 from tiltlab.modules import UModule
-from tiltlab.standard import decompose_indecomposables, simple_module, tilting_module, weyl_module
 from tiltlab.modules import tensor_module
+from tiltlab.standard import simple_module, tilting_module, weyl_module
+
+from oracles import peeled_tilting_module, search_peel
 
 F3 = CycloField(3)
 F5 = CycloField(5)
 
 
 def test_tensor_labels_match_witness_decomposition():
-    # character route against the witness-producing decomposition engine
+    # character route against a search that uses no tilting character
     rng = random.Random(4)
     for _ in range(5):
         m, n = rng.randint(0, 5), rng.randint(0, 5)
         by_char = tensor_labels(F3, m, n, 50)
-        M = tensor_module(tilting_module(F3, m), tilting_module(F3, n))
-        dec = decompose_indecomposables(M, tilting_only=True)
-        witness = {}
-        for label, mult in dec.label_multiset().items():
-            witness[label[1]] = mult
-        assert by_char == witness, (m, n)
+        M = tensor_module(peeled_tilting_module(F3, m), peeled_tilting_module(F3, n))
+        labels, rest = search_peel(M, m + n + 1)
+        assert rest.dim == 0, (m, n)
+        assert by_char == dict(Counter(labels)), (m, n)
 
 
 def test_generate_examples():
@@ -89,6 +90,13 @@ def test_primality():
     full = TiltIdeal(F3, 12, frozenset(range(13)))
     with pytest.raises(ValueError):
         is_prime_on_window(full)
+
+
+def test_negative_window_rejected():
+    with pytest.raises(ValueError):
+        TiltIdeal(F3, -1, frozenset())
+    with pytest.raises(ValueError):
+        enumerate_tilt_ideals(F3, -1)
 
 
 def test_membership_examples():

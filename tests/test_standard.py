@@ -1,4 +1,4 @@
-import random
+from collections import Counter
 
 import pytest
 
@@ -9,7 +9,6 @@ from tiltlab.standard import (
     NonSplitError,
     decompose_indecomposables,
     decompose_tilting_character,
-    dual_weyl_module,
     end_algebra,
     is_local_end,
     peel_standard_filtration,
@@ -72,52 +71,60 @@ def test_tilting_small_and_characters():
     assert T4.character == weyl_character(4) + weyl_character(0)
 
 
+def label_multiset(parts):
+    return dict(Counter(p.label for p in parts))
+
+
 def test_decompose_examples():
-    dec = decompose_indecomposables(tilting_module(F3, 2))
-    assert dec.summary() == [(("T", 2), 1)]
-    dec2 = decompose_indecomposables(
+    assert label_multiset(decompose_indecomposables(tilting_module(F3, 2))) == {("T", 2): 1}
+    parts2 = decompose_indecomposables(
         tensor_module(tilting_module(F3, 1), tilting_module(F3, 1))
     )
-    assert dict(dec2.label_multiset()) == {("T", 2): 1, ("T", 0): 1}
-    dec3 = decompose_indecomposables(
+    assert label_multiset(parts2) == {("T", 2): 1, ("T", 0): 1}
+    parts3 = decompose_indecomposables(
         tensor_module(tilting_module(F3, 3), tilting_module(F3, 1))
     )
-    assert dict(dec3.label_multiset()) == {("T", 4): 1, ("T", 2): 2}
+    assert label_multiset(parts3) == {("T", 4): 1, ("T", 2): 2}
 
 
 def test_decomposition_witnesses_are_orthogonal_idempotents():
     M = tensor_module(tilting_module(F3, 3), tilting_module(F3, 1))
-    dec = decompose_indecomposables(M)
+    parts = decompose_indecomposables(M)
     from tiltlab.linalg import ExactMatrix
 
     total = ExactMatrix.zero(F3, M.dim, M.dim)
-    for p in dec.parts:
+    for p in parts:
         e = p.inclusion.matrix @ p.projection.matrix
         assert (e @ e) == e
         total = total + e
-        for q in dec.parts:
+        for q in parts:
             if q is not p:
                 comp = p.projection.matrix @ q.inclusion.matrix
                 assert comp.is_zero()
     assert total == ExactMatrix.identity(F3, M.dim)
-    assert sum(p.module.dim for p in dec.parts) == M.dim
+    assert sum(p.module.dim for p in parts) == M.dim
 
 
 def test_krull_schmidt_doubling():
-    rng = random.Random(17)
-    for _ in range(3):
-        n = rng.randint(0, 5)
-        kind = rng.choice(["T", "Delta", "L"])
-        M = {"T": tilting_module, "Delta": weyl_module, "L": simple_module}[kind](F3, n)
-        single = decompose_indecomposables(M).label_multiset()
-        doubled = decompose_indecomposables(direct_sum(M, M)).label_multiset()
+    for M in (
+        tilting_module(F3, 4),
+        tensor_module(tilting_module(F3, 2), tilting_module(F3, 1)),
+        tensor_module(tilting_module(F3, 3), tilting_module(F3, 1)),
+    ):
+        single = label_multiset(decompose_indecomposables(M))
+        doubled = label_multiset(decompose_indecomposables(direct_sum(M, M)))
         assert doubled == {k: 2 * v for k, v in single.items()}
 
 
 def test_non_tilting_decomposition_labels():
-    M = direct_sum(weyl_module(F3, 3), simple_module(F3, 3))
-    dec = decompose_indecomposables(M)
-    assert dict(dec.label_multiset()) == {("Delta", 3): 1, ("L", 3): 1}
+    # ch(Delta(3) + L(3)) is no sum of tilting characters
+    with pytest.raises(ValueError):
+        decompose_indecomposables(direct_sum(weyl_module(F3, 3), simple_module(F3, 3)))
+    # Delta(3) + Delta(1) has the character of T(3) but T(3) does not split off
+    M = direct_sum(weyl_module(F3, 3), weyl_module(F3, 1))
+    assert M.character == tilting_character(F3, 3)
+    with pytest.raises(NonSplitError):
+        decompose_indecomposables(M)
 
 
 def test_end_local_for_tiltings():
@@ -180,15 +187,6 @@ def test_tilting_characters_in_first_wall_region():
             assert tilting_character(F, n) == expected, (ell, n)
 
 
-@pytest.mark.parametrize("ell, top", [(3, 16), (5, 18), (7, 16), (9, 18)])
-def test_closed_form_tilting_character_matches_module(ell, top):
-    # above 2ell-2 the module is closed-form too; the tensor-and-peel oracle
-    # below checks that range
-    F = CycloField(ell)
-    for n in range(top + 1):
-        assert tilting_character(F, n) == tilting_module(F, n).character, (ell, n)
-
-
 def test_tilting_character_rejects_negative_weight():
     with pytest.raises(ValueError):
         tilting_character(F3, -1)
@@ -216,23 +214,12 @@ def test_ideals_layer_builds_no_module(monkeypatch):
     assert total == tilting_character(F3, 12) * tilting_character(F3, 12)
 
 
-def test_steinberg_tensor_structure_of_tiltings():
-    # T(a*ell + (ell-1)) is the Steinberg module tensored with a twist
-    from tiltlab.modules import find_isomorphism, frobenius_twist, tensor_module
-
-    for F in (F3, F5):
-        ell = F.ell
-        st = tilting_module(F, ell - 1)
-        for a in (1, 2):
-            n = a * ell + ell - 1
-            cand = tensor_module(st, frobenius_twist(F, a))
-            assert find_isomorphism(tilting_module(F, n), cand) is not None, (ell, n)
-
-
-@pytest.mark.parametrize("ell, top", [(3, 14), (5, 16), (7, 16)])
+@pytest.mark.parametrize("ell, top", [(3, 16), (5, 18), (7, 16), (9, 18)])
 def test_closed_form_tilting_module_matches_tensor_and_peel(ell, top):
+    # the oracle peels by search, with no closed form: below 2ell-1 it checks
+    # the peel along predicted labels, above it Donkin's tensor product theorem
     F = CycloField(ell)
-    for n in range(2 * ell - 1, top + 1):
+    for n in range(2, top + 1):
         T = tilting_module(F, n)
         assert check_relations(T).ok, (ell, n)
         assert T.character == tilting_character(F, n), (ell, n)
