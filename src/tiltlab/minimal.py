@@ -8,6 +8,13 @@ verified to vanish exactly, then (4) minimalize.  The result is certified by
 its Euler character, of the terms and of the closed-form tilting characters
 of its labels, both equal to ch M, and by recomputing cohomology: the source
 module in degree zero and nothing else.
+
+A tilting module is its own C_min, in degree zero.  M is recognized as
+tilting by the Krull-Schmidt split (standard.tilting_parts): it is tilting
+exactly when it splits into the T(mu) that its closed-form character
+predicts, so no Delta- or Nabla-flag is peeled for it.  The same test decides
+when the tail of the coresolution, and a kernel of a left resolution, is
+already tilting; those are costandard-filtered, which the Nabla-peel checks.
 """
 
 from __future__ import annotations
@@ -29,10 +36,10 @@ from tiltlab.modules import (
     weight_echelons,
 )
 from tiltlab.standard import (
-    decompose_indecomposables,
     label_table_character,
     peel_standard_filtration,
     tilting_module,
+    tilting_parts,
 )
 
 CORESOLUTION_CAP = 60
@@ -224,11 +231,13 @@ def _left_resolution(X: UModule, parts):
     is indexed by t = 0, -1, ..., inner_maps[t]: term[t] -> term[t+1].
     """
     field = X.field
+    if parts is None:
+        # X is the costandard-filtered tail of the coresolution; it is
+        # already tilting exactly when it splits into the T(mu) that its
+        # character predicts
+        parts = tilting_parts(X)
     if parts is not None:
         return [X], [parts], {}, UMorphism.identity(X)
-    if peel_standard_filtration(X, "delta") is not None:
-        # already tilting (it is costandard-filtered by construction)
-        return [X], [decompose_indecomposables(X)], {}, UMorphism.identity(X)
     terms = []
     partl = []
     inner = {}
@@ -246,9 +255,10 @@ def _left_resolution(X: UModule, parts):
             raise WindowError(
                 "cover kernel lost its costandard filtration; approximation failed"
             )
-        if peel_standard_filtration(K, "delta") is not None:
+        kparts = tilting_parts(K)
+        if kparts is not None:
             terms.append(K)
-            partl.append(decompose_indecomposables(K))
+            partl.append(kparts)
             inner[t] = kincl
             break
         P, surj_k, pparts = cover_by_tilting(K)
@@ -418,11 +428,9 @@ def minimal_tilting_complex(M: UModule) -> MinimalTiltingComplex:
         result = MinimalTiltingComplex(M, ChainComplex.zero(field))
         _cmin_cache[key] = result
         return result
-    if (
-        peel_standard_filtration(M, "delta") is not None
-        and peel_standard_filtration(M, "nabla") is not None
-    ):
-        single = ChainComplex(field, {0: M}, {}, {0: decompose_indecomposables(M)})
+    parts = tilting_parts(M)
+    if parts is not None:
+        single = ChainComplex(field, {0: M}, {}, {0: parts})
         result = MinimalTiltingComplex(M, single)
         _cmin_cache[key] = result
         return result

@@ -12,6 +12,12 @@ the split-pair test: C splits off M as soon as some composite M -> C -> M ...
 C -> M -> C is invertible, which for C with local endomorphism ring is
 detected by a nonzero trace.  A predicted summand that does not split is
 reported, never guessed.
+
+The same split decides whether a module is tilting (tilting_parts): M is
+tilting exactly when it is the direct sum of the T(n) that ch M predicts, so
+the split succeeds exactly when M has both a Delta- and a Nabla-flag, and no
+flag is peeled.  peel_standard_filtration remains for modules that need one
+flag only, such as the costandard-filtered tail of a coresolution.
 """
 
 from __future__ import annotations
@@ -202,19 +208,14 @@ def _complement_of_idempotent(R: UModule, e_mat: ExactMatrix):
     return K, incl, retr
 
 
-def _split_tilting_labels(M: UModule, keep=None):
-    """Split T(mu) off M for every label mu of ch M, top down with
-    multiplicity, except one copy of `keep`.
+def _split_tilting_labels(M: UModule, labels):
+    """Split T(mu) off M for every mu of the multiset `labels` ({mu: mult}),
+    top down with multiplicity.
 
-    The labels come from the closed-form character; each one is split against
-    the canonical tilting_module(mu).  Returns the parts and the remainder.
+    Each label is split against the canonical tilting_module(mu).  Returns
+    the parts and the remainder.
     """
     field = M.field
-    labels = decompose_tilting_character(field, M.character)
-    if keep is not None:
-        if labels.get(keep) != 1:
-            raise CertificationError(f"T({keep}) has multiplicity {labels.get(keep, 0)}, not 1")
-        del labels[keep]
     R, incl, proj = M, UMorphism.identity(M), UMorphism.identity(M)
     parts = []
     for mu in sorted(labels, reverse=True):
@@ -230,18 +231,39 @@ def _split_tilting_labels(M: UModule, keep=None):
     return parts, R
 
 
-def decompose_indecomposables(M: UModule):
+def decompose_indecomposables(M: UModule, labels=None):
     """Krull-Schmidt decomposition of a tilting module into parts T(n), with
     witness inclusions and projections.
 
-    The labels are read off ch M (decompose_tilting_character); a character
-    that is not a sum of tilting characters raises ValueError, a module whose
-    predicted summands do not split raises NonSplitError.
+    The labels are read off ch M (decompose_tilting_character), unless the
+    caller passes that multiset; a character that is not a sum of tilting
+    characters raises ValueError, a module whose predicted summands do not
+    split raises NonSplitError.
     """
-    parts, R = _split_tilting_labels(M)
+    if labels is None:
+        labels = decompose_tilting_character(M.field, M.character)
+    parts, R = _split_tilting_labels(M, labels)
     if R.dim:
         raise CertificationError("decomposition lost dimensions")
     return parts
+
+
+def tilting_parts(M: UModule):
+    """decompose_indecomposables(M) if M is tilting, else None.
+
+    M is tilting exactly when M is a direct sum of T(mu).  The labels mu are
+    forced by ch M (tilting characters are unitriangular) and the split-pair
+    test is exhaustive, so the split succeeds exactly when M has both a
+    Delta- and a Nabla-flag, without peeling either.
+    """
+    try:
+        labels = decompose_tilting_character(M.field, M.character)
+    except ValueError:
+        return None
+    try:
+        return decompose_indecomposables(M, labels)
+    except NonSplitError:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +305,11 @@ def tilting_module(field: CycloField, n: int) -> UModule:
 def _extract_top_summand(M: UModule, n: int) -> UModule:
     """Split every T(mu) but the single T(n) off M; certify the local
     remainder."""
-    _, R = _split_tilting_labels(M, keep=n)
+    labels = decompose_tilting_character(M.field, M.character)
+    if labels.get(n) != 1:
+        raise CertificationError(f"T({n}) has multiplicity {labels.get(n, 0)}, not 1")
+    del labels[n]
+    _, R = _split_tilting_labels(M, labels)
     if R.character.max_weight() != n:
         raise CertificationError(f"tilting extraction lost the top weight {n}")
     if not is_local_end(R):

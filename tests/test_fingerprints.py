@@ -12,6 +12,11 @@ refactor of the pipeline must keep every one of these bytes.  The basis of
 T(n) is part of what the module and complex digests pin: they were last
 re-pinned when T(n) above 2ell-2 became T(ell-1+b) (x) L(a)^[1], a change that
 left every CLI-report digest unchanged.
+
+The witnesses of decompose_indecomposables are pinned too: the labels of the
+Parts, in order, with their inclusion and projection matrices.  minimalize
+cancels through these maps, so a reorder or basis change of the split must
+fail here before it can move a complex or CLI digest.
 """
 
 import hashlib
@@ -39,7 +44,7 @@ from tiltlab.serialize import (
     module_fingerprint,
     module_to_json,
 )
-from tiltlab.standard import simple_module, tilting_module, weyl_module
+from tiltlab.standard import decompose_indecomposables, simple_module, tilting_module, weyl_module
 
 
 def _delta3_submodule_and_quotient():
@@ -123,6 +128,56 @@ def test_rescaled_modules_print_fractions():
         M = _rescaled_tilting(ell, n)
         assert check_relations(M).ok
         assert "/" in canonical_dumps(module_to_json(M))
+
+
+def _tilting(ell, n):
+    return tilting_module(CycloField(ell), n)
+
+
+PART_CASES = {
+    "T(4) + T(2), ell 3": (
+        lambda: direct_sum(_tilting(3, 4), _tilting(3, 2)),
+        "2faa820b060a819b310395919817e34cd991f81708ac5931ae6cc9461515e13d",
+    ),
+    "T(5) + T(3) + T(3), ell 3": (
+        lambda: direct_sum(_tilting(3, 5), _tilting(3, 3), _tilting(3, 3)),
+        "aaa2c57587b6957aafd3c85a7e1b815bd2492adee554d5ab7ec600f78c66bb21",
+    ),
+    "T(2) x T(1), ell 3": (
+        lambda: tensor_module(_tilting(3, 2), _tilting(3, 1)),
+        "390b57ef10b4e06f213dae349c8e16d2bbd87cf2944801fcd0256abd4a38c1fc",
+    ),
+    "T(3) x T(3), ell 3": (
+        lambda: tensor_module(_tilting(3, 3), _tilting(3, 3)),
+        "7b6116306cef1082bc8d5fd0e1a81b0db10a00c26838d96c1decb961348a5b55",
+    ),
+    "T(4) x T(2), ell 5": (
+        lambda: tensor_module(_tilting(5, 4), _tilting(5, 2)),
+        "8a24118f0142287b5441f154b204e0c7da7a971dc4290ca3709d6e9d05ae7b6e",
+    ),
+    "T(6) + T(2), ell 5": (
+        lambda: direct_sum(_tilting(5, 6), _tilting(5, 2)),
+        "6cdf2d95801f50b771b4904fea9186fde186cb382c7f136348952e396baa1642",
+    ),
+    "T(8), ell 7": (
+        lambda: _tilting(7, 8),
+        "45d94dc622b413b3b3dcf5f34f8f084aa7a97c16f58c10d5f18173e69eff575d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PART_CASES))
+def test_decomposition_parts_are_pinned(name):
+    build, digest = PART_CASES[name]
+    data = [
+        {
+            "label": list(p.label),
+            "inclusion": matrix_to_json(p.inclusion.matrix),
+            "projection": matrix_to_json(p.projection.matrix),
+        }
+        for p in decompose_indecomposables(build())
+    ]
+    assert content_hash(data) == digest
 
 
 # module -> (digest of the totalized complex, digest of C_min)

@@ -33,6 +33,20 @@ def test_tilting_inputs_are_one_term_complexes():
         assert c.label_table() == {0: [n]}
 
 
+def test_tilting_inputs_peel_no_flag(monkeypatch):
+    import tiltlab.minimal
+
+    def refuse(*args):
+        raise AssertionError("a tilting input was peeled")
+
+    monkeypatch.setattr(tiltlab.minimal, "_cmin_cache", {})
+    monkeypatch.setattr(tiltlab.minimal, "peel_standard_filtration", refuse)
+    c = minimal_tilting_complex(direct_sum(tilting_module(F3, 4), tilting_module(F3, 2)))
+    assert c.label_table() == {0: [2, 4]}
+    c = minimal_tilting_complex(tensor_module(tilting_module(F3, 2), tilting_module(F3, 1)))
+    assert c.label_table() == {0: [3]}
+
+
 def test_fixed_point_delta3():
     c = minimal_tilting_complex(weyl_module(F3, 3))
     assert c.label_table() == {0: [3], 1: [1]}

@@ -9,6 +9,7 @@ from tiltlab.standard import (
     NonSplitError,
     decompose_indecomposables,
     decompose_tilting_character,
+    dual_weyl_module,
     end_algebra,
     is_local_end,
     peel_standard_filtration,
@@ -16,6 +17,7 @@ from tiltlab.standard import (
     simple_module,
     tilting_character,
     tilting_module,
+    tilting_parts,
     weyl_module,
 )
 
@@ -32,6 +34,7 @@ def steinberg_dimension(field, n):
 
 
 def is_tilting(M):
+    """Oracle for tilting_parts: M is tilting iff it has a Delta- and a Nabla-flag."""
     return (
         peel_standard_filtration(M, "delta") is not None
         and peel_standard_filtration(M, "nabla") is not None
@@ -162,6 +165,38 @@ def test_is_tilting():
     assert is_tilting(tilting_module(F3, 6))
     assert not is_tilting(weyl_module(F3, 3))
     assert not is_tilting(simple_module(F3, 3))
+
+
+def _tilting_candidates():
+    for F, top in ((F3, 8), (F5, 6)):
+        for n in range(top + 1):
+            for build in (tilting_module, weyl_module, dual_weyl_module, simple_module):
+                yield build(F, n)
+    yield direct_sum(tilting_module(F3, 3), simple_module(F3, 3))
+    yield tensor_module(tilting_module(F3, 2), tilting_module(F3, 1))
+    # tilting characters of modules that are not tilting: the split raises
+    # NonSplitError inside tilting_parts
+    yield direct_sum(weyl_module(F3, 3), weyl_module(F3, 1))
+    yield direct_sum(dual_weyl_module(F3, 3), dual_weyl_module(F3, 1))
+
+
+def test_tilting_parts_agrees_with_flag_peels():
+    for M in _tilting_candidates():
+        parts = tilting_parts(M)
+        assert (parts is not None) == is_tilting(M), M.character
+        if parts is not None:
+            assert sum(p.module.dim for p in parts) == M.dim
+
+
+def test_tilting_parts_lets_certification_errors_through(monkeypatch):
+    import tiltlab.standard
+
+    def broken(*args):
+        raise CertificationError("broken split")
+
+    monkeypatch.setattr(tiltlab.standard, "_split_tilting_labels", broken)
+    with pytest.raises(CertificationError):
+        tilting_parts(tilting_module(F3, 3))
 
 
 def test_tilting_character_decomposition():
