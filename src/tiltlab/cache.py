@@ -143,6 +143,7 @@ def cached_standard_module(cache: CacheDir | None, field, kind: str, n: int):
     modules also record their Delta-filtration multiset, read off the
     closed-form character in descending order with multiplicity.
     """
+    from tiltlab.standard import delta_filtration_labels
     from tiltlab.suites import build_module
 
     if cache is None:
@@ -156,19 +157,6 @@ def cached_standard_module(cache: CacheDir | None, field, kind: str, n: int):
         extra = {"delta_filtration": delta_filtration_labels(field, n)}
     cache.store_module(field.ell, kind, n, module, extra)
     return module
-
-
-def delta_filtration_labels(field, n: int):
-    """The Delta-flag weights of T(n), descending with multiplicity.
-
-    (T(n) : Delta(mu)) is the coefficient of chi(mu) in the closed-form
-    tilting character, so this is the list a Delta-peel of T(n) returns.
-    """
-    from tiltlab.characters import decompose_into_weyl
-    from tiltlab.standard import tilting_character
-
-    weyl = decompose_into_weyl(tilting_character(field, n))
-    return [mu for mu in sorted(weyl, reverse=True) for _ in range(weyl[mu])]
 
 
 _active_cache: CacheDir | None = None

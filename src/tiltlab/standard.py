@@ -22,7 +22,7 @@ flag only, such as the costandard-filtered tail of a coresolution.
 
 from __future__ import annotations
 
-from tiltlab.characters import Character, is_nonneg_weyl_sum, weyl_character
+from tiltlab.characters import Character, decompose_into_weyl, is_nonneg_weyl_sum, weyl_character
 from tiltlab.cyclotomic import CertificationError, CycloField
 from tiltlab.linalg import ExactMatrix
 from tiltlab.modules import (
@@ -231,17 +231,15 @@ def _split_tilting_labels(M: UModule, labels):
     return parts, R
 
 
-def decompose_indecomposables(M: UModule, labels=None):
+def decompose_indecomposables(M: UModule):
     """Krull-Schmidt decomposition of a tilting module into parts T(n), with
     witness inclusions and projections.
 
-    The labels are read off ch M (decompose_tilting_character), unless the
-    caller passes that multiset; a character that is not a sum of tilting
-    characters raises ValueError, a module whose predicted summands do not
-    split raises NonSplitError.
+    The labels are read off ch M (decompose_tilting_character); a character
+    that is not a sum of tilting characters raises ValueError, a module whose
+    predicted summands do not split raises NonSplitError.
     """
-    if labels is None:
-        labels = decompose_tilting_character(M.field, M.character)
+    labels = decompose_tilting_character(M.field, M.character)
     parts, R = _split_tilting_labels(M, labels)
     if R.dim:
         raise CertificationError("decomposition lost dimensions")
@@ -257,11 +255,11 @@ def tilting_parts(M: UModule):
     Delta- and a Nabla-flag, without peeling either.
     """
     try:
-        labels = decompose_tilting_character(M.field, M.character)
+        decompose_tilting_character(M.field, M.character)
     except ValueError:
         return None
     try:
-        return decompose_indecomposables(M, labels)
+        return decompose_indecomposables(M)
     except NonSplitError:
         return None
 
@@ -344,6 +342,16 @@ def tilting_character(field: CycloField, n: int) -> Character:
         ch = head * twist
     _tilting_character_cache[key] = ch
     return ch
+
+
+def delta_filtration_labels(field: CycloField, n: int):
+    """The Delta-flag weights of T(n), descending with multiplicity.
+
+    (T(n) : Delta(mu)) is the coefficient of chi(mu) in the closed-form
+    tilting character, so this is the list a Delta-peel of T(n) returns.
+    """
+    weyl = decompose_into_weyl(tilting_character(field, n))
+    return [mu for mu in sorted(weyl, reverse=True) for _ in range(weyl[mu])]
 
 
 def label_table_character(field: CycloField, table) -> Character:

@@ -5,12 +5,12 @@ import sys
 
 import pytest
 
-from tiltlab.cache import CacheDir, delta_filtration_labels
+from tiltlab.cache import CacheDir
 from tiltlab.cli import main
 from tiltlab.cyclotomic import CycloField
 from tiltlab.modules import UModule
 from tiltlab.serialize import module_to_json
-from tiltlab.standard import peel_standard_filtration, tilting_module, weyl_module
+from tiltlab.standard import tilting_module, weyl_module
 
 
 def run_cli(capsys, *argv):
@@ -146,14 +146,6 @@ def test_cache_stores_module_files_with_filtration(tmp_path, capsys):
     data = json.loads(open(path).read())
     assert data["delta_filtration"] == [3, 1]
     assert data["module"]["dim"] == 6
-
-
-def test_cached_delta_filtration_matches_peel():
-    for ell in (3, 5, 7):
-        F = CycloField(ell)
-        for n in range(15):
-            peeled = peel_standard_filtration(tilting_module(F, n), "delta")
-            assert delta_filtration_labels(F, n) == peeled, (ell, n)
 
 
 def test_cache_not_kept_by_later_commands(tmp_path, capsys):

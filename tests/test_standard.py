@@ -9,6 +9,7 @@ from tiltlab.standard import (
     NonSplitError,
     decompose_indecomposables,
     decompose_tilting_character,
+    delta_filtration_labels,
     dual_weyl_module,
     end_algebra,
     is_local_end,
@@ -197,6 +198,14 @@ def test_tilting_parts_lets_certification_errors_through(monkeypatch):
     monkeypatch.setattr(tiltlab.standard, "_split_tilting_labels", broken)
     with pytest.raises(CertificationError):
         tilting_parts(tilting_module(F3, 3))
+
+
+def test_delta_filtration_labels_match_peel():
+    for ell in (3, 5, 7):
+        F = CycloField(ell)
+        for n in range(15):
+            peeled = peel_standard_filtration(tilting_module(F, n), "delta")
+            assert delta_filtration_labels(F, n) == peeled, (ell, n)
 
 
 def test_tilting_character_decomposition():
