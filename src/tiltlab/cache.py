@@ -3,9 +3,10 @@
 Standard modules are keyed by (ell, kind, n); minimal-complex label tables
 are content-addressed by the SHA-256 of the module's canonical serialization.
 Every key carries CACHE_VERSION, so entries written under another basis or
-format are never read.  Corrupt entries, modules that fail their defining
-relations or their closed-form character, and label tables whose Euler
-character is not ch M are rebuilt with a warning, never trusted.
+format are never read.  Corrupt entries, modules whose stored K is not
+zeta^weight or that fail their defining relations or their closed-form
+character, and label tables with a negative label or whose Euler character
+is not ch M are rebuilt with a warning, never trusted.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from tiltlab.serialize import canonical_dumps, module_from_json, module_to_json
 
 # Bump whenever a cached module basis or entry format changes.  Version 2:
 # T(n) above 2ell-2 is T(ell-1+b) (x) L(a)^[1] instead of tensor-and-peel.
-CACHE_VERSION = 2
+# Version 3: T(n) files no longer carry a delta_filtration list.
+CACHE_VERSION = 3
 
 
 class CacheDir:
@@ -55,8 +57,9 @@ class CacheDir:
     def load_module(self, ell, kind, n):
         """The cached module, or None when it is absent or fails validation.
 
-        A loaded module must be weight graded and satisfy the defining
-        relations; a cached T(n) must also have the character of T(n).
+        A loaded module must store K as zeta^weight, be weight graded and
+        satisfy the defining relations; a cached T(n) must also have the
+        character of T(n).
         """
         from tiltlab.modules import check_relations
         from tiltlab.standard import tilting_character
@@ -79,10 +82,8 @@ class CacheDir:
             return None
         return module
 
-    def store_module(self, ell, kind, n, module, extra=None):
+    def store_module(self, ell, kind, n, module):
         obj = {"ell": ell, "kind": kind, "n": n, "module": module_to_json(module)}
-        if extra:
-            obj.update(extra)
         self._write(self.module_key(ell, kind, n), obj)
 
     # -- minimal complex label tables -------------------------------------
@@ -91,18 +92,19 @@ class CacheDir:
         return f"cmin_v{CACHE_VERSION}_{fingerprint}.json"
 
     def load_cmin_labels(self, fingerprint):
+        """The cached label table, or None when it is absent or malformed:
+        not a dict of degrees to lists of nonnegative integer labels."""
         data = self._read(self.cmin_key(fingerprint))
         if data is None:
             return None
-        table = data.get("degrees")
-        if not isinstance(table, dict):
-            print("warning: corrupt cmin cache entry; rebuilding", file=sys.stderr)
-            return None
         try:
-            return {int(k): sorted(int(x) for x in v) for k, v in table.items()}
-        except (TypeError, ValueError):
+            out = {int(k): sorted(int(x) for x in v) for k, v in data["degrees"].items()}
+            if any(x < 0 for labels in out.values() for x in labels):
+                raise ValueError("negative label")
+        except (AttributeError, KeyError, TypeError, ValueError):
             print("warning: corrupt cmin cache entry; rebuilding", file=sys.stderr)
             return None
+        return out
 
     def store_cmin_labels(self, fingerprint, table):
         self._write(
@@ -137,13 +139,8 @@ def cmin_label_table_cached(cache: CacheDir | None, M):
 
 
 def cached_standard_module(cache: CacheDir | None, field, kind: str, n: int):
-    """Standard-family constructor backed by the disk cache.
-
-    Stores the canonical JSON of the module under (ell, kind, n); tilting
-    modules also record their Delta-filtration multiset, read off the
-    closed-form character in descending order with multiplicity.
-    """
-    from tiltlab.standard import delta_filtration_labels
+    """Standard-family constructor backed by the disk cache, which stores
+    the canonical JSON of the module under (ell, kind, n)."""
     from tiltlab.suites import build_module
 
     if cache is None:
@@ -152,10 +149,7 @@ def cached_standard_module(cache: CacheDir | None, field, kind: str, n: int):
     if hit is not None:
         return hit
     module = build_module(field, kind, n)
-    extra = None
-    if kind == "T":
-        extra = {"delta_filtration": delta_filtration_labels(field, n)}
-    cache.store_module(field.ell, kind, n, module, extra)
+    cache.store_module(field.ell, kind, n, module)
     return module
 
 

@@ -1,10 +1,11 @@
 """Finite-dimensional type-one modules for quantum sl2 with divided powers.
 
-A module is given by the five generator matrices K, E, F, E^(l), F^(l) over
-Q(zeta_ell), together with the integer weight of every basis vector.  All
-constructors in this package produce weight-homogeneous bases (K diagonal),
-which lets Hom spaces, submodules and quotients be computed one weight block
-at a time.
+A module is the integer weight of every basis vector together with the four
+ladder generator matrices E, F, E^(l), F^(l) over Q(zeta_ell).  Every module
+here is weight graded, so K acts on a weight-w basis vector by zeta^w and is
+read off the weights (`K`, `k_power`) instead of being stored.  Weight-
+homogeneous bases let Hom spaces, submodules and quotients be computed one
+weight block at a time.
 """
 
 from __future__ import annotations
@@ -19,17 +20,17 @@ def _shifts(ell):
 
 
 class UModule:
-    __slots__ = ("field", "dim", "weights", "K", "E", "F", "El", "Fl",
+    __slots__ = ("field", "dim", "weights", "E", "F", "El", "Fl",
                  "_blocks", "_char", "_fp")
 
-    def __init__(self, field: CycloField, weights, K, E, F, El, Fl):
+    def __init__(self, field: CycloField, weights, E, F, El, Fl):
         self.field = field
         self.weights = tuple(weights)
         self.dim = len(self.weights)
-        for name, m in (("K", K), ("E", E), ("F", F), ("El", El), ("Fl", Fl)):
+        for name, m in (("E", E), ("F", F), ("El", El), ("Fl", Fl)):
             if m.shape != (self.dim, self.dim):
                 raise ValueError(f"{name} has shape {m.shape}, expected square dim {self.dim}")
-        self.K, self.E, self.F, self.El, self.Fl = K, E, F, El, Fl
+        self.E, self.F, self.El, self.Fl = E, F, El, Fl
         self._blocks = None
         self._char = None
         self._fp = None
@@ -37,13 +38,12 @@ class UModule:
     @classmethod
     def zero_module(cls, field):
         z = ExactMatrix(field, 0, 0)
-        return cls(field, (), z, z.copy(), z.copy(), z.copy(), z.copy())
+        return cls(field, (), z, z.copy(), z.copy(), z.copy())
 
     @classmethod
     def trivial(cls, field):
-        one = ExactMatrix.identity(field, 1)
         z = ExactMatrix(field, 1, 1)
-        return cls(field, (0,), one, z, z.copy(), z.copy(), z.copy())
+        return cls(field, (0,), z, z.copy(), z.copy(), z.copy())
 
     @property
     def character(self) -> Character:
@@ -60,6 +60,10 @@ class UModule:
             self._blocks = blocks
         return self._blocks
 
+    @property
+    def K(self) -> ExactMatrix:
+        return self.k_power(1)
+
     def k_power(self, n: int) -> ExactMatrix:
         field = self.field
         out = ExactMatrix(field, self.dim, self.dim)
@@ -68,17 +72,8 @@ class UModule:
         return out
 
     def assert_weight_graded(self):
-        """Cheap structural invariant: K diagonal with zeta^w, generators graded."""
-        field = self.field
-        for i in range(self.dim):
-            for j in range(self.dim):
-                v = self.K.data[i][j]
-                if i == j:
-                    if v != field.zeta_power(self.weights[i]):
-                        raise ValueError(f"K[{i},{i}] is not zeta^{self.weights[i]}")
-                elif not v.is_zero():
-                    raise ValueError("K is not diagonal in the stored basis")
-        for name, shift in _shifts(field.ell):
+        """Cheap structural invariant: each generator shifts weights by its degree."""
+        for name, shift in _shifts(self.field.ell):
             g = getattr(self, name)
             for i in range(self.dim):
                 for j in range(self.dim):
@@ -187,11 +182,7 @@ def check_relations(M: UModule) -> RelationReport:
     rep = RelationReport()
     if M.dim == 0:
         return rep
-    try:
-        Kinv = M.K.inverse()
-    except ZeroDivisionError:
-        rep.record("K invertible", 0)
-        return rep
+    K, Kinv = M.k_power(1), M.k_power(-1)
     z2 = field.zeta_power(2)
     zm2 = field.zeta_power(-2)
 
@@ -200,15 +191,15 @@ def check_relations(M: UModule) -> RelationReport:
         if w is not None:
             rep.record(name, w)
 
-    expect_zero("K E K^-1 = z^2 E", (M.K @ M.E @ Kinv) - M.E.scale(z2))
-    expect_zero("K F K^-1 = z^-2 F", (M.K @ M.F @ Kinv) - M.F.scale(zm2))
+    expect_zero("K E K^-1 = z^2 E", (K @ M.E @ Kinv) - M.E.scale(z2))
+    expect_zero("K F K^-1 = z^-2 F", (K @ M.F @ Kinv) - M.F.scale(zm2))
     qinv = field.qone_minus.inverse()
-    cartan = (M.K - Kinv).scale(qinv)
+    cartan = (K - Kinv).scale(qinv)
     expect_zero("[E,F] = (K - K^-1)/(z - z^-1)", (M.E @ M.F) - (M.F @ M.E) - cartan)
     expect_zero("E^ell = 0", M.E.power(ell))
     expect_zero("F^ell = 0", M.F.power(ell))
-    expect_zero("K E^(l) K^-1 = E^(l)", (M.K @ M.El @ Kinv) - M.El)
-    expect_zero("K F^(l) K^-1 = F^(l)", (M.K @ M.Fl @ Kinv) - M.Fl)
+    expect_zero("K E^(l) K^-1 = E^(l)", (K @ M.El @ Kinv) - M.El)
+    expect_zero("K F^(l) K^-1 = F^(l)", (K @ M.Fl @ Kinv) - M.Fl)
 
     # mixed divided-power commutators; F^(l-1) = F^(l-1)/[l-1]! etc.
     fact_inv = field.quantum_factorial(ell - 1).inverse()
@@ -216,12 +207,12 @@ def check_relations(M: UModule) -> RelationReport:
     E_lm1 = M.E.power(ell - 1).scale(fact_inv)
     zl1 = field.zeta_power(-(ell - 1))
     zl2 = field.zeta_power(ell - 1)
-    mid_f = (M.K.scale(zl1) - Kinv.scale(zl2)).scale(qinv)
+    mid_f = (K.scale(zl1) - Kinv.scale(zl2)).scale(qinv)
     expect_zero(
         "E F^(l) - F^(l) E = F^(l-1) (K z^(1-l) - K^-1 z^(l-1))/(z - z^-1)",
         (M.E @ M.Fl) - (M.Fl @ M.E) - (F_lm1 @ mid_f),
     )
-    mid_e = (Kinv.scale(zl1) - M.K.scale(zl2)).scale(qinv)
+    mid_e = (Kinv.scale(zl1) - K.scale(zl2)).scale(qinv)
     expect_zero(
         "F E^(l) - E^(l) F = E^(l-1) (K^-1 z^(1-l) - K z^(l-1))/(z - z^-1)",
         (M.F @ M.El) - (M.El @ M.F) - (E_lm1 @ mid_e),
@@ -233,58 +224,75 @@ def check_relations(M: UModule) -> RelationReport:
 # tensor, dual, Frobenius twist, direct sum
 
 
-def divided_power(M: UModule, gen: str, a: int) -> ExactMatrix:
-    """E^(a) or F^(a) on M for 0 <= a <= ell, via E^a/[a]! below ell."""
+def _divided_powers(M: UModule, gen: str, r: int):
+    """The nonzero entries (row, column, value) of X^(a) on M for a = 0..r,
+    r <= ell, X = E or F; X^(a) = X^(a-1) X / [a] below ell."""
     field = M.field
     ell = field.ell
-    if a == 0:
-        return ExactMatrix.identity(field, M.dim)
-    if a == ell:
-        return M.El if gen == "E" else M.Fl
-    if a > ell:
-        raise ValueError("divided powers above ell are not stored")
-    g = M.E if gen == "E" else M.F
-    return g.power(a).scale(field.quantum_factorial(a).inverse())
+    g_rows = [[(l, v) for l, v in enumerate(row) if not v.is_zero()]
+              for row in getattr(M, gen).data]
+    out = [[(i, i, field.one) for i in range(M.dim)]]
+    for a in range(1, min(r, ell - 1) + 1):
+        inv = field.quantum_integer(a).inverse()
+        acc = {}
+        for i, k, x in out[-1]:
+            for l, y in g_rows[k]:
+                acc[i, l] = acc.get((i, l), field.zero) + x * y
+        out.append([(i, l, v * inv) for (i, l), v in acc.items() if not v.is_zero()])
+    if r == ell:
+        stored = getattr(M, gen + "l").data
+        out.append([(i, k, v) for i, row in enumerate(stored)
+                    for k, v in enumerate(row) if not v.is_zero()])
+    return out
+
+
+def _coproduct(M: UModule, N: UModule, gen: str, r: int) -> ExactMatrix:
+    """X^(r) on M (x) N for X = E or F and r = 1 or ell:
+
+        Delta(E^(r)) = sum_{a+b=r} zeta^(ab) E^(a) K^b (x) E^(b),
+        Delta(F^(r)) = sum_{a+b=r} zeta^(-ab) F^(a) (x) K^(-a) F^(b).
+
+    K^b and K^(-a) act on a weight-w basis vector by zeta^(bw) and
+    zeta^(-aw), so only products of nonzero divided-power entries are
+    accumulated.
+    """
+    field = M.field
+    zeta = field.zeta_power
+    dn = N.dim
+    out = ExactMatrix(field, M.dim * dn, M.dim * dn)
+    pm, pn = _divided_powers(M, gen, r), _divided_powers(N, gen, r)
+    for a in range(r + 1):
+        b = r - a
+        if gen == "E":
+            left = [(i, k, x * zeta(a * b + b * M.weights[k])) for i, k, x in pm[a]]
+            right = pn[b]
+        else:
+            left = pm[a]
+            right = [(j, l, y * zeta(-a * b - a * N.weights[j])) for j, l, y in pn[b]]
+        for i, k, x in left:
+            for j, l, y in right:
+                row = out.data[i * dn + j]
+                row[k * dn + l] = row[k * dn + l] + x * y
+    return out
 
 
 def tensor_module(M: UModule, N: UModule) -> UModule:
     """M tensor N with the comultiplication action on divided powers."""
     if M.field is not N.field:
         raise MismatchedFieldError("tensor factors over different ell")
-    field = M.field
-    ell = field.ell
+    ell = M.field.ell
     weights = tuple(wm + wn for wm in M.weights for wn in N.weights)
-    idN = ExactMatrix.identity(field, N.dim)
-    idM = ExactMatrix.identity(field, M.dim)
-    K = M.K.kron(N.K)
-    E = M.E.kron(idN) + M.K.kron(N.E)
-    F = M.F.kron(N.k_power(-1)) + idM.kron(N.F)
-    El = ExactMatrix(field, M.dim * N.dim, M.dim * N.dim)
-    Fl = ExactMatrix(field, M.dim * N.dim, M.dim * N.dim)
-    for a in range(ell + 1):
-        b = ell - a
-        ca = field.zeta_power(a * b)
-        left = divided_power(M, "E", a) @ M.k_power(b)
-        El = El + left.kron(divided_power(N, "E", b)).scale(ca)
-        cb = field.zeta_power(-(a * b))
-        right = N.k_power(-a) @ divided_power(N, "F", b)
-        Fl = Fl + divided_power(M, "F", a).kron(right).scale(cb)
-    return UModule(field, weights, K, E, F, El, Fl)
+    return UModule(M.field, weights, _coproduct(M, N, "E", 1), _coproduct(M, N, "F", 1),
+                   _coproduct(M, N, "E", ell), _coproduct(M, N, "F", ell))
 
 
 def dual_module(M: UModule) -> UModule:
     """Dual action through the antipode; K^ell = 1 on type-one modules."""
     field = M.field
     weights = tuple(-w for w in M.weights)
-    Kd = ExactMatrix(field, M.dim, M.dim)
-    for i, w in enumerate(weights):
-        Kd.data[i][i] = field.zeta_power(w)
-    Kinv = M.k_power(-1)
-    Ed = -(Kinv @ M.E).transpose()
-    Fd = -(M.F @ M.K).transpose()
-    Eld = -M.El.transpose()
-    Fld = -M.Fl.transpose()
-    return UModule(field, weights, Kd, Ed, Fd, Eld, Fld)
+    Ed = -(M.k_power(-1) @ M.E).transpose()
+    Fd = -(M.F @ M.k_power(1)).transpose()
+    return UModule(field, weights, Ed, Fd, -M.El.transpose(), -M.Fl.transpose())
 
 
 def frobenius_twist(field: CycloField, a: int) -> UModule:
@@ -294,9 +302,6 @@ def frobenius_twist(field: CycloField, a: int) -> UModule:
     ell = field.ell
     dim = a + 1
     weights = tuple(ell * (a - 2 * i) for i in range(dim))
-    K = ExactMatrix(field, dim, dim)
-    for i, w in enumerate(weights):
-        K.data[i][i] = field.zeta_power(w)
     z = ExactMatrix(field, dim, dim)
     El = ExactMatrix(field, dim, dim)
     Fl = ExactMatrix(field, dim, dim)
@@ -305,7 +310,7 @@ def frobenius_twist(field: CycloField, a: int) -> UModule:
             Fl.data[i + 1][i] = field.scalar(i + 1)
         if i - 1 >= 0:
             El.data[i - 1][i] = field.scalar(a - i + 1)
-    return UModule(field, weights, K, z, z.copy(), El, Fl)
+    return UModule(field, weights, z, z.copy(), El, Fl)
 
 
 def direct_sum(*summands: UModule) -> UModule:
@@ -316,12 +321,9 @@ def direct_sum(*summands: UModule) -> UModule:
         if s.field is not field:
             raise MismatchedFieldError("summands over different ell")
     weights = tuple(w for s in summands for w in s.weights)
-    mats = {}
-    for name in ("K", "E", "F", "El", "Fl"):
-        mats[name] = ExactMatrix.block_diagonal(
-            field, [getattr(s, name) for s in summands]
-        )
-    return UModule(field, weights, mats["K"], mats["E"], mats["F"], mats["El"], mats["Fl"])
+    mats = [ExactMatrix.block_diagonal(field, [getattr(s, name) for s in summands])
+            for name in ("E", "F", "El", "Fl")]
+    return UModule(field, weights, *mats)
 
 
 # ---------------------------------------------------------------------------
@@ -422,10 +424,7 @@ def _subspace_to_module(M: UModule, echs):
                 raise ValueError("subspace is not stable under the generators")
             for pivot, c in coeffs.items():
                 mats[name].data[position[(m2, pivot)]][j] = c
-    K = ExactMatrix(field, sdim, sdim)
-    for j, w in enumerate(weights):
-        K.data[j][j] = field.zeta_power(w)
-    S = UModule(field, weights, K, mats["E"], mats["F"], mats["El"], mats["Fl"])
+    S = UModule(field, weights, mats["E"], mats["F"], mats["El"], mats["Fl"])
     return S, UMorphism(S, M, incl)
 
 
@@ -477,10 +476,7 @@ def quotient_module(M: UModule, inclusion: UMorphism):
         if not (proj @ g @ inclusion.matrix).is_zero():
             raise ValueError(f"subspace is not stable under {name}; quotient undefined")
         mats[name] = proj @ g @ sect
-    K = ExactMatrix(field, qdim, qdim)
-    for r, w in enumerate(weights):
-        K.data[r][r] = field.zeta_power(w)
-    Q = UModule(field, weights, K, mats["E"], mats["F"], mats["El"], mats["Fl"])
+    Q = UModule(field, weights, mats["E"], mats["F"], mats["El"], mats["Fl"])
     pr = UMorphism(M, Q, proj)
     if not (proj @ inclusion.matrix).is_zero():
         raise ValueError("projection does not kill the submodule")

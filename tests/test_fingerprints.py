@@ -69,7 +69,7 @@ def _rescaled_tilting(ell, n):
     for i in range(M.dim):
         P.data[i][i] = F.scalar(2**i) + (F.zeta if i % 2 else F.zero)
     P_inv = P.inverse()
-    mats = [P_inv @ X @ P for X in (M.K, M.E, M.F, M.El, M.Fl)]
+    mats = [P_inv @ X @ P for X in (M.E, M.F, M.El, M.Fl)]
     return UModule(F, M.weights, *mats)
 
 

@@ -21,7 +21,9 @@ from tiltlab.modules import (
     tensor_module,
 )
 from tiltlab.serialize import module_from_json, module_to_json
-from tiltlab.standard import dual_weyl_module, simple_module, weyl_module
+from tiltlab.standard import dual_weyl_module, simple_module, tilting_module, weyl_module
+
+from oracles import kron_tensor_module
 
 F3 = CycloField(3)
 F5 = CycloField(5)
@@ -41,9 +43,7 @@ def test_relations_trivial_and_zero():
 
 def test_corrupted_module_fails_with_named_relation():
     M = weyl_module(F3, 4)
-    bad = UModule(
-        F3, M.weights, M.K, M.E, M.F, ExactMatrix.zero(F3, 5, 5), M.Fl
-    )
+    bad = UModule(F3, M.weights, M.E, M.F, ExactMatrix.zero(F3, 5, 5), M.Fl)
     rep = check_relations(bad)
     assert not rep.ok
     name, witness = rep.failures[0]
@@ -58,6 +58,19 @@ def test_tensor_passes_relations_and_characters():
     assert check_relations(T).ok
     assert T.character == M.character * N.character
     T.assert_weight_graded()
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7])
+def test_tensor_module_matches_kron_oracle(ell):
+    F = CycloField(ell)
+    factors = [weyl_module(F, 2), simple_module(F, ell + 1), tilting_module(F, ell),
+               dual_weyl_module(F, 3), frobenius_twist(F, 1)]
+    for M in factors:
+        for N in factors:
+            got, want = tensor_module(M, N), kron_tensor_module(M, N)
+            assert got.weights == want.weights
+            for name in ("E", "F", "El", "Fl"):
+                assert getattr(got, name) == getattr(want, name), (ell, M.weights, N.weights, name)
 
 
 def test_tensor_with_trivial_is_isomorphic():
@@ -310,11 +323,7 @@ def test_quotient_by_unstable_subspace_raises():
     D = weyl_module(F3, 3)
     line = ExactMatrix(F3, 4, 1)
     line.data[0][0] = F3.one
-    S_line = UModule(
-        F3, (3,), ExactMatrix.from_rational_rows(F3, [[1]]).scale(F3.zeta_power(3)),
-        ExactMatrix.zero(F3, 1, 1), ExactMatrix.zero(F3, 1, 1),
-        ExactMatrix.zero(F3, 1, 1), ExactMatrix.zero(F3, 1, 1),
-    )
+    S_line = UModule(F3, (3,), *(ExactMatrix.zero(F3, 1, 1) for _ in range(4)))
     with pytest.raises(ValueError, match="stable"):
         quotient_module(D, UMorphism(S_line, D, line))
 

@@ -18,11 +18,14 @@ ones, so that a drift of the machine's speed falls on both sides alike.  For
 every end-to-end metric the output records each side's values, median and
 quartiles, and how many pairs each side won (ties count for neither), and
 for each run whether every correctness check passed.  It also records the
-two verdicts a change is judged by: `claim_holds` (the change fails no larger
-share of items than the parent, wins at least nine pairs in ten, and the
-medians lie further apart than the parent's interquartile range) and
+three verdicts a change is judged by: `claim_holds` (the change fails no
+larger share of items than the parent, wins at least nine pairs in ten, and
+the medians lie further apart than the parent's interquartile range),
 `within_bound` (the change's median is no worse than the parent's by more
-than the metric's bound).  The file is rewritten after every workload, so an
+than the metric's bound) and `unresolved` (the parent's interquartile range
+is wider than the bound times its median, so within_bound cannot tell a
+regression from noise, and not every run of the change is better than every
+run of the parent).  The file is rewritten after every workload, so an
 interrupted run keeps what it measured.
 """
 
@@ -94,8 +97,10 @@ def compare(metric, parent, change, fails_more):
     iqr = ps["q3"] - ps["q1"]
     if lower:
         within = cs["median"] <= ps["median"] * (1 + metric["bound"])
+        all_better = max(change) < min(parent)
     else:
         within = cs["median"] >= ps["median"] * (1 - metric["bound"])
+        all_better = min(change) > max(parent)
     return {
         "unit": metric["unit"],
         "better": metric["better"],
@@ -109,6 +114,7 @@ def compare(metric, parent, change, fails_more):
         "parent_iqr": iqr,
         "claim_holds": not fails_more and change_wins >= CLAIM_WIN_SHARE * len(parent) and gap > iqr,
         "within_bound": within,
+        "unresolved": iqr > metric["bound"] * abs(ps["median"]) and not all_better,
     }
 
 
@@ -172,7 +178,8 @@ def main(argv=None):
         for name, v in out["workloads"][workload]["metrics"].items():
             print(f"  {name:<12} parent {v['parent']['median']:.4g} [{v['parent']['q1']:.4g}, {v['parent']['q3']:.4g}]"
                   f"  change {v['change']['median']:.4g}  wins {v['change_wins']}/{PAIRS}"
-                  f"  claim {v['claim_holds']}  within bound {v['within_bound']}", flush=True)
+                  f"  claim {v['claim_holds']}  within bound {v['within_bound']}"
+                  f"  unresolved {v['unresolved']}", flush=True)
     return 0
 
 
