@@ -4,9 +4,10 @@ Standard modules are keyed by (ell, kind, n); minimal-complex label tables
 are content-addressed by the SHA-256 of the module's canonical serialization.
 Every key carries CACHE_VERSION, so entries written under another basis or
 format are never read.  Corrupt entries, modules whose stored K is not
-zeta^weight or that fail their defining relations or their closed-form
-character, and label tables with a negative label or whose Euler character
-is not ch M are rebuilt with a warning, never trusted.
+zeta^weight, that fail their defining relations or that are not the module
+their key names (`_check_named_module`), and label tables with a negative
+label or whose Euler character is not ch M are rebuilt with a warning, never
+trusted.
 """
 
 from __future__ import annotations
@@ -57,12 +58,10 @@ class CacheDir:
     def load_module(self, ell, kind, n):
         """The cached module, or None when it is absent or fails validation.
 
-        A loaded module must store K as zeta^weight, be weight graded and
-        satisfy the defining relations; a cached T(n) must also have the
-        character of T(n).
+        A loaded module must store K as zeta^weight, be weight graded,
+        satisfy the defining relations and be the module kind(n).
         """
         from tiltlab.modules import check_relations
-        from tiltlab.standard import tilting_character
 
         data = self._read(self.module_key(ell, kind, n))
         if data is None:
@@ -75,8 +74,7 @@ class CacheDir:
             failures = check_relations(module).failures
             if failures:
                 raise ValueError(f"relation {failures[0][0]} fails")
-            if kind == "T" and module.character != tilting_character(module.field, n):
-                raise ValueError(f"not the character of T({n})")
+            _check_named_module(module, kind, n)
         except (KeyError, TypeError, ValueError) as exc:
             print(f"warning: cache module {kind}({n}) invalid ({exc}); rebuilding", file=sys.stderr)
             return None
@@ -111,6 +109,39 @@ class CacheDir:
             self.cmin_key(fingerprint),
             {"degrees": {str(k): list(v) for k, v in table.items()}},
         )
+
+
+def _check_named_module(M, kind: str, n: int):
+    """Raise ValueError unless M is kind(n), up to isomorphism.
+
+    Delta(n): ch M = chi(n) and M is generated by a vector of weight n (M is
+    then a quotient of Delta(n) of the same dimension); Nabla(n): the same
+    on the dual of M.  L(n): ch M = ch L(n), since a module with the
+    character of a simple module has that simple module as its only
+    composition factor.  T(n): ch M = ch T(n) and M is tilting, so its
+    Krull-Schmidt labels, read off the character, are the one label n.
+    """
+    from tiltlab.characters import weyl_character
+    from tiltlab.modules import dual_module, submodule_generated
+    from tiltlab.standard import simple_character, tilting_character, tilting_parts
+
+    field = M.field
+    if kind == "L":
+        expected = simple_character(field, n)
+    elif kind == "T":
+        expected = tilting_character(field, n)
+    else:
+        expected = weyl_character(n)
+    if M.character != expected:
+        raise ValueError(f"not the character of {kind}({n})")
+    if kind in ("Delta", "Nabla"):
+        G = M if kind == "Delta" else dual_module(M)
+        (top,) = G.weight_blocks()[n]
+        if submodule_generated(G, [{top: field.one}])[0].dim != G.dim:
+            dual = "" if kind == "Delta" else "dual "
+            raise ValueError(f"{dual}not generated by a vector of weight {n}")
+    elif kind == "T" and tilting_parts(M) is None:
+        raise ValueError("not tilting")
 
 
 def cmin_label_table_cached(cache: CacheDir | None, M):

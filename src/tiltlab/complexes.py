@@ -29,11 +29,8 @@ def labeled_direct_sum(field, labeled_modules):
     parts = []
     offset = 0
     for label, m in labeled_modules:
-        incl = ExactMatrix(field, total, m.dim)
-        proj = ExactMatrix(field, m.dim, total)
-        for i in range(m.dim):
-            incl.data[offset + i][i] = field.one
-            proj.data[i][offset + i] = field.one
+        incl = ExactMatrix.from_columns(field, [{offset + i: field.one} for i in range(m.dim)], total)
+        proj = ExactMatrix(field, m.dim, total, [{offset + i: field.one} for i in range(m.dim)])
         parts.append(Part(label, m, UMorphism(m, S, incl), UMorphism(S, m, proj)))
         offset += m.dim
     return S, parts
@@ -168,7 +165,7 @@ class ChainComplex:
         sol = kincl.matrix.solve(din.matrix)
         if sol is None:
             raise CertificationError("image does not land in the kernel; not a complex")
-        img, iincl = submodule_generated(ker, [sol.column(j) for j in range(sol.cols)], close=False)
+        img, iincl = submodule_generated(ker, sol.transpose().entries, close=False)
         if img.dim == 0:
             return ker
         q, _ = quotient_module(ker, iincl)
@@ -177,22 +174,6 @@ class ChainComplex:
     def __repr__(self):
         rng = ", ".join(f"{i}:{t.dim}" for i, t in sorted(self.terms.items()))
         return f"ChainComplex({{{rng}}})"
-
-
-def complex_direct_sum(X: ChainComplex, Y: ChainComplex) -> ChainComplex:
-    """X + Y, with X's summand first in every degree.
-
-    As a grid, X^i sits at (i, 0) and Y^i at (i + 1, -1).
-    """
-    grid, components, parts = {}, {}, {}
-    for Z, row in ((X, 0), (Y, -1)):
-        for i, t in Z.terms.items():
-            grid[(i - row, row)] = t
-            if i in Z.parts:
-                parts[(i - row, row)] = Z.parts[i]
-        for i, d in Z.differentials.items():
-            components[((i - row, row), (i + 1 - row, row))] = d.matrix
-    return total_complex(X.field, grid, components, parts)
 
 
 def tensor_complexes(X: ChainComplex, Y: ChainComplex) -> ChainComplex:
@@ -218,9 +199,10 @@ def tensor_complexes(X: ChainComplex, Y: ChainComplex) -> ChainComplex:
 
 
 def _place(out: ExactMatrix, block: ExactMatrix, row: int, col: int):
-    """Write block into out with its top left corner at (row, col)."""
-    for i, brow in enumerate(block.data):
-        out.data[row + i][col : col + block.cols] = brow
+    """Write block into a zero region of out with its top left corner at
+    (row, col)."""
+    for orow, brow in zip(out.entries[row:row + block.rows], block.entries):
+        orow.update((col + j, v) for j, v in brow.items())
 
 
 def total_complex(field, grid: dict, components: dict, parts: dict | None = None) -> ChainComplex:
@@ -280,16 +262,6 @@ def total_complex(field, grid: dict, components: dict, parts: dict | None = None
                 )
     morphisms = {n: UMorphism(terms[n], terms[n + 1], d) for n, d in diffs.items()}
     return ChainComplex(field, terms, morphisms, total_parts)
-
-
-def cone(f_map: UMorphism, src_degree: int = 0) -> ChainComplex:
-    """Mapping cone of a module morphism viewed as a two-term complex."""
-    X, Y = f_map.source, f_map.target
-    return ChainComplex(
-        X.field,
-        {src_degree: X, src_degree + 1: Y},
-        {src_degree: f_map},
-    )
 
 
 # ---------------------------------------------------------------------------

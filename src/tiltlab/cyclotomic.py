@@ -206,10 +206,6 @@ class CycloField:
         poly, off = _qfactorial_poly(n)
         return self._eval_laurent(poly, off)
 
-    def quantum_integer_and_binomial(self, n: int, k: int):
-        """([n], [n choose k]) at zeta, for 0 <= k <= n."""
-        return self.quantum_integer(n), self.quantum_binomial(n, k)
-
     def _eval_laurent(self, coeffs, offset) -> "CyclotomicScalar":
         acc = self.zero
         for i, c in enumerate(coeffs):
@@ -217,15 +213,6 @@ class CycloField:
                 acc = acc + self.zeta_power(offset + i) * self.scalar(c)
         return acc
 
-    def binomial_k_operator_value(self, m: int, c: int, t: int) -> "CyclotomicScalar":
-        """Value of the torus binomial with shift c and depth t < ell at weight m."""
-        if t >= self.ell:
-            raise ValueError("depth must stay below ell")
-        acc = self.one
-        for s in range(1, t + 1):
-            acc = acc * self.quantum_integer(m + c - s + 1)
-            acc = acc * self.quantum_integer(s).inverse()
-        return acc
 
 
 @lru_cache(maxsize=None)

@@ -205,10 +205,6 @@ class RepIdealHandle:
         return f"RepIdealHandle({self.ideal!r})"
 
 
-def rep_ideal_membership(handle: RepIdealHandle, M: UModule) -> bool:
-    return handle.membership(M)
-
-
 def intersect_with_tilt(handle: RepIdealHandle, window: int) -> TiltIdeal:
     field = handle.ideal.field
     members = {
@@ -256,9 +252,7 @@ def sample_ses(field: CycloField, rng: random.Random, max_weight: int = 4):
             continue
         support = rng.choice((1, 1, 2, min(3, B.dim)))
         idx = rng.sample(range(B.dim), support)
-        vec = [field.zero] * B.dim
-        for i in idx:
-            vec[i] = field.scalar(rng.choice((-2, -1, 1, 2)))
+        vec = {i: field.scalar(rng.choice((-2, -1, 1, 2))) for i in idx}
         A, incl = submodule_generated(B, [vec])
         if A.dim == 0 or A.dim == B.dim:
             continue

@@ -1,9 +1,11 @@
-"""Exact dense and sparse linear algebra over Q(zeta_ell).
+"""Exact sparse linear algebra over Q(zeta_ell).
 
-Dense matrices are plain row-major lists of CyclotomicScalar.  One eliminator,
-`RowEchelon`, keeps the reduced row echelon form of sparse rows (column ->
-scalar dicts) over the exact field; rank, kernels, images, solutions,
-inverses and determinants of dense matrices, the sparse systems coming from
+There is one matrix type, `ExactMatrix`: each row is a dict from column to
+nonzero scalar, and no entry that is zero is ever stored, so every operation
+visits nonzero entries only.  Sparse vectors have the same form, index ->
+nonzero scalar.  One eliminator, `RowEchelon`, keeps the reduced row echelon
+form of such rows over the exact field; rank, kernels, images, solutions,
+inverses and determinants of matrices, the sparse systems coming from
 intertwiner equations, and the per-weight bases of submodules are all read
 from it.
 """
@@ -19,44 +21,51 @@ from tiltlab.cyclotomic import (
 
 
 class ExactMatrix:
-    __slots__ = ("field", "rows", "cols", "data")
+    """A rows x cols matrix; entries[i] maps each column where row i is
+    nonzero to its scalar.
 
-    def __init__(self, field: CycloField, rows: int, cols: int, data=None):
+    `m[i, j]` reads an absent entry as zero, and `m[i, j] = v` drops the
+    entry when v is zero.  The constructor takes `entries` as given (one dict
+    per row, nonzero values only) and owns them afterwards.
+    """
+
+    __slots__ = ("field", "rows", "cols", "entries")
+
+    def __init__(self, field: CycloField, rows: int, cols: int, entries=None):
         self.field = field
         self.rows = rows
         self.cols = cols
-        if data is None:
-            z = field.zero
-            self.data = [[z] * cols for _ in range(rows)]
+        if entries is None:
+            entries = [{} for _ in range(rows)]
+        elif len(entries) != rows:
+            raise ValueError("entries shape mismatch")
+        self.entries = entries
+
+    def __getitem__(self, ij):
+        i, j = ij
+        return self.entries[i].get(j, self.field.zero)
+
+    def __setitem__(self, ij, value: CyclotomicScalar):
+        i, j = ij
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"entry {ij} outside a {self.rows} x {self.cols} matrix")
+        if value.is_zero():
+            self.entries[i].pop(j, None)
         else:
-            if len(data) != rows or any(len(r) != cols for r in data):
-                raise ValueError("data shape mismatch")
-            self.data = [list(r) for r in data]
+            self.entries[i][j] = value
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def identity(cls, field, n):
-        m = cls(field, n, n)
-        for i in range(n):
-            m.data[i][i] = field.one
-        return m
+        return cls(field, n, n, [{i: field.one} for i in range(n)])
 
     @classmethod
     def zero(cls, field, rows, cols):
         return cls(field, rows, cols)
 
-    @classmethod
-    def from_rational_rows(cls, field, rows_of_rationals):
-        rows = len(rows_of_rationals)
-        cols = len(rows_of_rationals[0]) if rows else 0
-        m = cls(field, rows, cols)
-        for i, row in enumerate(rows_of_rationals):
-            m.data[i] = [field.scalar(x) for x in row]
-        return m
-
     def copy(self):
-        return ExactMatrix(self.field, self.rows, self.cols, self.data)
+        return ExactMatrix(self.field, self.rows, self.cols, [dict(r) for r in self.entries])
 
     # -- basic ops -------------------------------------------------------
 
@@ -67,32 +76,20 @@ class ExactMatrix:
             self.field is other.field
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self.entries == other.entries
         )
 
     def __add__(self, other):
         self._compat(other)
-        out = ExactMatrix(self.field, self.rows, self.cols)
-        for i in range(self.rows):
-            a, b, o = self.data[i], other.data[i], out.data[i]
-            for j in range(self.cols):
-                o[j] = a[j] + b[j]
-        return out
+        return ExactMatrix(self.field, self.rows, self.cols,
+                           [_add_rows(a, b) for a, b in zip(self.entries, other.entries)])
 
     def __sub__(self, other):
-        self._compat(other)
-        out = ExactMatrix(self.field, self.rows, self.cols)
-        for i in range(self.rows):
-            a, b, o = self.data[i], other.data[i], out.data[i]
-            for j in range(self.cols):
-                o[j] = a[j] - b[j]
-        return out
+        return self + (-other)
 
     def __neg__(self):
-        out = ExactMatrix(self.field, self.rows, self.cols)
-        for i in range(self.rows):
-            out.data[i] = [-x for x in self.data[i]]
-        return out
+        return ExactMatrix(self.field, self.rows, self.cols,
+                           [{j: -v for j, v in row.items()} for row in self.entries])
 
     def _compat(self, other):
         if self.field is not other.field:
@@ -101,63 +98,51 @@ class ExactMatrix:
             raise ValueError("shape mismatch")
 
     def scale(self, scalar: CyclotomicScalar):
-        out = ExactMatrix(self.field, self.rows, self.cols)
-        for i in range(self.rows):
-            out.data[i] = [scalar * x for x in self.data[i]]
-        return out
+        if scalar.is_zero():
+            return ExactMatrix(self.field, self.rows, self.cols)
+        return ExactMatrix(self.field, self.rows, self.cols,
+                           [{j: scalar * v for j, v in row.items()} for row in self.entries])
 
     def __matmul__(self, other):
         if self.field is not other.field:
             raise MismatchedFieldError("matrices over different fields")
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        out = ExactMatrix(self.field, self.rows, other.cols)
-        bdata = other.data
-        for i in range(self.rows):
-            arow = self.data[i]
-            orow = out.data[i]
-            for k in range(self.cols):
-                a = arow[k]
-                if a.is_zero():
-                    continue
-                brow = bdata[k]
-                for j in range(other.cols):
-                    b = brow[j]
-                    if not b.is_zero():
-                        orow[j] = orow[j] + a * b
-        return out
+        brows = other.entries
+        out = []
+        for arow in self.entries:
+            acc = {}
+            for k, a in arow.items():
+                for j, b in brows[k].items():
+                    v = acc.get(j)
+                    acc[j] = a * b if v is None else v + a * b
+            out.append({j: v for j, v in acc.items() if not v.is_zero()})
+        return ExactMatrix(self.field, self.rows, other.cols, out)
 
     @property
     def shape(self):
         return (self.rows, self.cols)
 
     def transpose(self):
-        out = ExactMatrix(self.field, self.cols, self.rows)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out.data[j][i] = self.data[i][j]
-        return out
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.entries):
+            for j, v in row.items():
+                out[j][i] = v
+        return ExactMatrix(self.field, self.cols, self.rows, out)
 
     def is_zero(self):
-        return all(x.is_zero() for row in self.data for x in row)
+        return not any(self.entries)
 
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.field is not other.field:
             raise MismatchedFieldError("matrices over different fields")
-        out = ExactMatrix(self.field, self.rows * other.rows, self.cols * other.cols)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                a = self.data[i][j]
-                if a.is_zero():
-                    continue
-                for k in range(other.rows):
-                    orow = out.data[i * other.rows + k]
-                    brow = other.data[k]
-                    for l in range(other.cols):
-                        b = brow[l]
-                        if not b.is_zero():
-                            orow[j * other.cols + l] = a * b
-        return out
+        oc = other.cols
+        out = [
+            {j * oc + l: a * b for j, a in arow.items() for l, b in brow.items()}
+            for arow in self.entries
+            for brow in other.entries
+        ]
+        return ExactMatrix(self.field, self.rows * other.rows, self.cols * oc, out)
 
     def power(self, n: int) -> "ExactMatrix":
         if self.rows != self.cols:
@@ -171,64 +156,53 @@ class ExactMatrix:
             n >>= 1
         return acc
 
-    def hstack(self, other):
-        if self.rows != other.rows:
-            raise ValueError("hstack row mismatch")
-        out = ExactMatrix(self.field, self.rows, self.cols + other.cols)
-        for i in range(self.rows):
-            out.data[i] = list(self.data[i]) + list(other.data[i])
-        return out
-
     def column(self, j):
-        return [self.data[i][j] for i in range(self.rows)]
+        """Column j as a sparse vector, row -> nonzero scalar."""
+        return {i: row[j] for i, row in enumerate(self.entries) if j in row}
 
     @classmethod
     def from_columns(cls, field, cols, nrows):
-        m = cls(field, nrows, len(cols))
+        """The matrix whose columns are the given sparse vectors."""
+        out = [{} for _ in range(nrows)]
         for j, c in enumerate(cols):
-            for i in range(nrows):
-                m.data[i][j] = c[i]
-        return m
+            for i, v in c.items():
+                out[i][j] = v
+        return cls(field, nrows, len(cols), out)
 
     @classmethod
     def block_diagonal(cls, field, blocks):
-        rows = sum(b.rows for b in blocks)
-        cols = sum(b.cols for b in blocks)
-        out = cls(field, rows, cols)
-        r = c = 0
+        out = []
+        c = 0
         for b in blocks:
-            for i in range(b.rows):
-                out.data[r + i][c : c + b.cols] = list(b.data[i])
-            r += b.rows
+            out.extend({c + j: v for j, v in row.items()} for row in b.entries)
             c += b.cols
-        return out
+        return cls(field, len(out), c, out)
 
     # -- elimination -----------------------------------------------------
 
-    def _sparse_rows(self, right=None):
-        """Rows of [self | right] as column -> nonzero scalar dicts."""
-        for i in range(self.rows):
-            row = self.data[i] if right is None else self.data[i] + right.data[i]
-            yield {j: v for j, v in enumerate(row) if not v.is_zero()}
-
     def _row_echelon(self, right=None) -> "RowEchelon":
+        """The reduced echelon form of the rows of [self | right]."""
         ech = RowEchelon(self.field)
-        for row in self._sparse_rows(right):
-            ech.insert(row)
+        if right is None:
+            for row in self.entries:
+                ech.insert(row)
+        else:
+            n = self.cols
+            for row, rrow in zip(self.entries, right.entries):
+                ech.insert({**row, **{n + j: v for j, v in rrow.items()}})
         return ech
 
     def _solve_augmented(self, right: "ExactMatrix"):
         """X with self @ X = right, free unknowns zero, read from the reduced
         echelon form of [self | right]; None if a pivot lies in the right block."""
+        n = self.cols
         ech = self._row_echelon(right)
-        if any(pc >= self.cols for pc in ech.rows):
+        if any(pc >= n for pc in ech.rows):
             return None
-        out = ExactMatrix(self.field, self.cols, right.cols)
+        out = [{} for _ in range(n)]
         for pc, row in ech.rows.items():
-            for c, v in row.items():
-                if c >= self.cols:
-                    out.data[pc][c - self.cols] = v
-        return out
+            out[pc] = {c - n: v for c, v in row.items() if c >= n}
+        return ExactMatrix(self.field, n, right.cols, out)
 
     def rank(self) -> int:
         return len(self._row_echelon().rows)
@@ -266,7 +240,7 @@ class ExactMatrix:
             raise ValueError("determinant of non-square matrix")
         ech = RowEchelon(self.field)
         det = self.field.one
-        for row in self._sparse_rows():
+        for row in self.entries:
             lead = ech.insert(row)
             if lead is None:
                 return self.field.zero
@@ -285,6 +259,22 @@ class ExactMatrix:
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols} over ell={self.field.ell})"
+
+
+def _add_rows(a: dict, b: dict) -> dict:
+    """a + b of two sparse rows, dropping the entries that cancel."""
+    out = dict(a)
+    for j, v in b.items():
+        w = out.get(j)
+        if w is None:
+            out[j] = v
+        else:
+            w = w + v
+            if w.is_zero():
+                del out[j]
+            else:
+                out[j] = w
+    return out
 
 
 class RowEchelon:
@@ -344,16 +334,15 @@ class RowEchelon:
                 target[k] = nv
 
     def kernel_basis(self, ncols: int):
-        """Basis, as dense lists, of the x in columns 0..ncols-1 that every
+        """Basis, as sparse vectors, of the x in columns 0..ncols-1 that every
         stored row annihilates when read on those columns: one vector per free
         column below ncols."""
-        field = self.field
+        one = self.field.one
         basis = []
         for fc in range(ncols):
             if fc in self.rows:
                 continue
-            vec = [field.zero] * ncols
-            vec[fc] = field.one
+            vec = {fc: one}
             for pc, row in self.rows.items():
                 v = row.get(fc)
                 if v is not None:
@@ -365,11 +354,11 @@ class RowEchelon:
 class SparseSystem:
     """Homogeneous or inhomogeneous sparse exact linear system.
 
-    Rows are dicts column -> scalar; the right-hand side is stored as column
-    `ncols`, so the system is inconsistent exactly when that column becomes a
-    pivot.  Designed for the banded systems coming from weight-graded
-    intertwiner equations: unknowns should be pre-ordered so that fill-in
-    stays local.
+    Rows are dicts column -> nonzero scalar; the right-hand side is stored as
+    column `ncols`, so the system is inconsistent exactly when that column
+    becomes a pivot.  Designed for the banded systems coming from
+    weight-graded intertwiner equations: unknowns should be pre-ordered so
+    that fill-in stays local.
     """
 
     def __init__(self, field: CycloField, ncols: int):
@@ -378,7 +367,8 @@ class SparseSystem:
         self.rows = []
 
     def add_row(self, entries: dict, rhs: CyclotomicScalar | None = None):
-        row = {c: v for c, v in entries.items() if not v.is_zero()}
+        """Add the equation sum entries[c] x_c = rhs (rhs None for zero)."""
+        row = dict(entries)
         if rhs is not None and not rhs.is_zero():
             row[self.ncols] = rhs
         self.rows.append(row)
@@ -390,17 +380,14 @@ class SparseSystem:
         return ech
 
     def kernel_basis(self):
-        """Basis of the homogeneous solution space as list of dense scalar lists."""
+        """Basis of the homogeneous solution space as sparse vectors."""
         return self.echelon().kernel_basis(self.ncols)
 
     def particular_solution(self):
-        """One solution of the inhomogeneous system (free unknowns zero), or
-        None if inconsistent."""
+        """One solution of the inhomogeneous system (free unknowns zero) as a
+        sparse vector, or None if inconsistent."""
         ech = self.echelon()
         if self.ncols in ech.rows:
             return None
-        zero = self.field.zero
-        vec = [zero] * self.ncols
-        for pc, row in ech.rows.items():
-            vec[pc] = row.get(self.ncols, zero)
-        return vec
+        n = self.ncols
+        return {pc: row[n] for pc, row in ech.rows.items() if n in row}

@@ -21,19 +21,17 @@ from __future__ import annotations
 
 from tiltlab.complexes import ChainComplex, labeled_direct_sum, minimalize, total_complex
 from tiltlab.cyclotomic import CertificationError
-from tiltlab.linalg import ExactMatrix
+from tiltlab.linalg import ExactMatrix, RowEchelon
 from tiltlab.modules import (
     UModule,
     UMorphism,
-    _homogeneous_components,
     find_isomorphism,
     hom_space,
     image_module,
     intertwiner_equations,
     kernel_module,
-    morphism_rank,
     quotient_module,
-    weight_echelons,
+    unknowns_to_matrix,
 )
 from tiltlab.standard import (
     label_table_character,
@@ -58,13 +56,8 @@ def _stack_into_sum(field, component_homs, source):
     """Build M -> sum of targets from maps h_i: M -> T_i; returns (Q, emb, parts)."""
     labeled = [(("T", mu), h.target) for mu, h in component_homs]
     Q, parts = labeled_direct_sum(field, labeled)
-    emb = ExactMatrix(field, Q.dim, source.dim)
-    off = 0
-    for _, h in component_homs:
-        for r in range(h.target.dim):
-            emb.data[off + r] = list(h.matrix.data[r])
-        off += h.target.dim
-    return Q, UMorphism(source, Q, emb), parts
+    rows = [dict(row) for _, h in component_homs for row in h.matrix.entries]
+    return Q, UMorphism(source, Q, ExactMatrix(field, Q.dim, source.dim, rows)), parts
 
 
 def _stack_from_sum(field, component_homs, target):
@@ -74,40 +67,30 @@ def _stack_from_sum(field, component_homs, target):
     mat = ExactMatrix(field, target.dim, P.dim)
     off = 0
     for _, h in component_homs:
-        for r in range(target.dim):
-            row = mat.data[r]
-            hrow = h.matrix.data[r]
-            for c in range(h.source.dim):
-                row[off + c] = hrow[c]
+        for row, hrow in zip(mat.entries, h.matrix.entries):
+            row.update((off + c, v) for c, v in hrow.items())
         off += h.source.dim
     return P, UMorphism(P, target, mat), parts
 
 
 def _greedy_embedding(components, M):
     """Select maps h: M -> T (small targets first) until the stacked map is
-    injective; returns the selection or None.
-
-    Each row of h is a functional on a single weight space of M, so the rank
-    of the stacked rows is tracked one weight at a time.
-    """
+    injective; returns the selection or None."""
     order = sorted(
         range(len(components)),
         key=lambda i: (components[i][1].target.dim, components[i][0], i),
     )
-    echs = weight_echelons(M)
-    rank = 0
+    ech = RowEchelon(M.field)
     chosen = []
     for i in order:
         mu, h = components[i]
         grew = False
-        for row in h.matrix.data:
-            for m, comp in _homogeneous_components(M, row):
-                if echs[m].insert(comp) is not None:
-                    rank += 1
-                    grew = True
+        for row in h.matrix.entries:
+            if ech.insert(row) is not None:
+                grew = True
         if grew:
             chosen.append((mu, h))
-        if rank == M.dim:
+        if len(ech.rows) == M.dim:
             return sorted(chosen, key=lambda c: -c[0])
     return None
 
@@ -164,7 +147,7 @@ def cover_by_tilting(M: UModule):
             for h in hom_space(tilting_module(field, mu), M):
                 components.append((mu, h))
         _, surj, _ = _stack_from_sum(field, components, M)
-        if morphism_rank(surj) == M.dim:
+        if surj.matrix.rank() == M.dim:
             components = _prune_factoring(field, components, M)
             return _stack_from_sum(field, components, M)
         attempt *= 2
@@ -276,33 +259,24 @@ def _solve_chain_map(src, tgt, left: ExactMatrix, rhs: ExactMatrix):
     The constraint rows join the intertwiner equations of Hom(src, tgt).
     Returns the matrix of f, or None when inconsistent.
     """
-    field = src.field
     sys, var_ids = intertwiner_equations(src, tgt)
-    # the unknowns f[r, c] of each column c, r ascending
-    by_column = [[] for _ in range(src.dim)]
-    for (r, c), k in sorted(var_ids.items()):
-        by_column[c].append((r, k))
-    # constraint rows: (left @ f)[i, c] = rhs[i, c]
-    for i in range(left.rows):
-        lrow = left.data[i]
-        for c in range(src.dim):
-            entries = {}
-            for r, key in by_column[c]:
-                v = lrow[r]
-                if not v.is_zero():
-                    entries[key] = v
-            target_val = rhs.data[i][c]
-            if entries or not target_val.is_zero():
-                sys.add_row(entries, target_val)
+    # the unknowns f[r, c] of each row r
+    by_row = {}
+    for (r, c), k in var_ids.items():
+        by_row.setdefault(r, []).append((c, k))
+    # constraint rows: (left @ f)[i, c] = rhs[i, c], for the c where either
+    # side has a nonzero term
+    for lrow, rrow in zip(left.entries, rhs.entries):
+        by_column = {}
+        for r, v in lrow.items():
+            for c, k in by_row.get(r, ()):
+                by_column.setdefault(c, {})[k] = v
+        for c in sorted(by_column.keys() | rrow.keys()):
+            sys.add_row(by_column.get(c, {}), rrow.get(c))
     sol = sys.particular_solution()
     if sol is None:
         return None
-    mat = ExactMatrix(field, tgt.dim, src.dim)
-    for (r, c), k in var_ids.items():
-        v = sol[k]
-        if not v.is_zero():
-            mat.data[r][c] = v
-    return mat
+    return unknowns_to_matrix(src, tgt, list(var_ids), sol)
 
 
 def tilting_complex_of(M: UModule) -> ChainComplex:

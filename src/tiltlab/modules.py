@@ -66,22 +66,18 @@ class UModule:
 
     def k_power(self, n: int) -> ExactMatrix:
         field = self.field
-        out = ExactMatrix(field, self.dim, self.dim)
-        for i, w in enumerate(self.weights):
-            out.data[i][i] = field.zeta_power(n * w)
-        return out
+        return ExactMatrix(field, self.dim, self.dim,
+                           [{i: field.zeta_power(n * w)} for i, w in enumerate(self.weights)])
 
     def assert_weight_graded(self):
         """Cheap structural invariant: each generator shifts weights by its degree."""
         for name, shift in _shifts(self.field.ell):
-            g = getattr(self, name)
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    if not g.data[i][j].is_zero():
-                        if self.weights[i] != self.weights[j] + shift:
-                            raise ValueError(
-                                f"{name} maps weight {self.weights[j]} to "
-                                f"{self.weights[i]}, expected shift {shift}")
+            for i, row in enumerate(getattr(self, name).entries):
+                for j in row:
+                    if self.weights[i] != self.weights[j] + shift:
+                        raise ValueError(
+                            f"{name} maps weight {self.weights[j]} to "
+                            f"{self.weights[i]}, expected shift {shift}")
 
     def fingerprint(self) -> str:
         if self._fp is None:
@@ -134,14 +130,6 @@ class UMorphism:
     def is_zero(self):
         return self.matrix.is_zero()
 
-    def is_intertwiner(self) -> bool:
-        for name in ("K", "E", "F", "El", "Fl"):
-            gs = getattr(self.source, name)
-            gt = getattr(self.target, name)
-            if (self.matrix @ gs) != (gt @ self.matrix):
-                return False
-        return True
-
     def __repr__(self):
         return f"UMorphism({self.source.dim} -> {self.target.dim})"
 
@@ -168,11 +156,8 @@ class RelationReport:
 
 
 def _first_bad_column(diff: ExactMatrix):
-    for j in range(diff.cols):
-        for i in range(diff.rows):
-            if not diff.data[i][j].is_zero():
-                return j
-    return None
+    """The lowest column where diff is nonzero, or None when diff is zero."""
+    return min((min(row) for row in diff.entries if row), default=None)
 
 
 def check_relations(M: UModule) -> RelationReport:
@@ -229,21 +214,14 @@ def _divided_powers(M: UModule, gen: str, r: int):
     r <= ell, X = E or F; X^(a) = X^(a-1) X / [a] below ell."""
     field = M.field
     ell = field.ell
-    g_rows = [[(l, v) for l, v in enumerate(row) if not v.is_zero()]
-              for row in getattr(M, gen).data]
-    out = [[(i, i, field.one) for i in range(M.dim)]]
+    power = ExactMatrix.identity(field, M.dim)
+    out = [power]
     for a in range(1, min(r, ell - 1) + 1):
-        inv = field.quantum_integer(a).inverse()
-        acc = {}
-        for i, k, x in out[-1]:
-            for l, y in g_rows[k]:
-                acc[i, l] = acc.get((i, l), field.zero) + x * y
-        out.append([(i, l, v * inv) for (i, l), v in acc.items() if not v.is_zero()])
+        power = (power @ getattr(M, gen)).scale(field.quantum_integer(a).inverse())
+        out.append(power)
     if r == ell:
-        stored = getattr(M, gen + "l").data
-        out.append([(i, k, v) for i, row in enumerate(stored)
-                    for k, v in enumerate(row) if not v.is_zero()])
-    return out
+        out.append(getattr(M, gen + "l"))
+    return [[(i, k, v) for i, row in enumerate(p.entries) for k, v in row.items()] for p in out]
 
 
 def _coproduct(M: UModule, N: UModule, gen: str, r: int) -> ExactMatrix:
@@ -254,12 +232,14 @@ def _coproduct(M: UModule, N: UModule, gen: str, r: int) -> ExactMatrix:
 
     K^b and K^(-a) act on a weight-w basis vector by zeta^(bw) and
     zeta^(-aw), so only products of nonzero divided-power entries are
-    accumulated.
+    formed.  Each entry of the result is one such product: X^(a) moves a
+    weight of M by 2a (by -2a for F), so an entry fixes its term a.
     """
     field = M.field
     zeta = field.zeta_power
     dn = N.dim
     out = ExactMatrix(field, M.dim * dn, M.dim * dn)
+    rows = out.entries
     pm, pn = _divided_powers(M, gen, r), _divided_powers(N, gen, r)
     for a in range(r + 1):
         b = r - a
@@ -271,8 +251,7 @@ def _coproduct(M: UModule, N: UModule, gen: str, r: int) -> ExactMatrix:
             right = [(j, l, y * zeta(-a * b - a * N.weights[j])) for j, l, y in pn[b]]
         for i, k, x in left:
             for j, l, y in right:
-                row = out.data[i * dn + j]
-                row[k * dn + l] = row[k * dn + l] + x * y
+                rows[i * dn + j][k * dn + l] = x * y
     return out
 
 
@@ -303,13 +282,8 @@ def frobenius_twist(field: CycloField, a: int) -> UModule:
     dim = a + 1
     weights = tuple(ell * (a - 2 * i) for i in range(dim))
     z = ExactMatrix(field, dim, dim)
-    El = ExactMatrix(field, dim, dim)
-    Fl = ExactMatrix(field, dim, dim)
-    for i in range(dim):
-        if i + 1 < dim:
-            Fl.data[i + 1][i] = field.scalar(i + 1)
-        if i - 1 >= 0:
-            El.data[i - 1][i] = field.scalar(a - i + 1)
+    El = ExactMatrix(field, dim, dim, [{i + 1: field.scalar(a - i)} for i in range(a)] + [{}])
+    Fl = ExactMatrix(field, dim, dim, [{}] + [{i: field.scalar(i + 1)} for i in range(a)])
     return UModule(field, weights, z, z.copy(), El, Fl)
 
 
@@ -328,7 +302,7 @@ def direct_sum(*summands: UModule) -> UModule:
 
 # ---------------------------------------------------------------------------
 # weight blocks of submodules and quotients: one RowEchelon per weight, over
-# block vectors stored as dicts position-in-block -> nonzero scalar
+# weight-homogeneous sparse vectors
 
 
 def weight_echelons(M: UModule):
@@ -336,38 +310,34 @@ def weight_echelons(M: UModule):
     return {m: RowEchelon(M.field) for m in M.weight_blocks()}
 
 
-def _homogeneous_components(M: UModule, dense_vec):
-    """Split a dense coordinate vector into (weight, block vector) parts."""
-    out = []
-    for m, idx in M.weight_blocks().items():
-        comp = {b: dense_vec[i] for b, i in enumerate(idx) if not dense_vec[i].is_zero()}
-        if comp:
-            out.append((m, comp))
-    return out
+def _homogeneous_components(M: UModule, vec):
+    """Split a sparse vector (index -> nonzero scalar) into its
+    (weight, weight-homogeneous part) pairs."""
+    out = {}
+    for i, v in vec.items():
+        out.setdefault(M.weights[i], {})[i] = v
+    return out.items()
 
 
 def _apply_block(M: UModule, gen_name, m, comp):
-    """Apply a generator to a weight-m block vector; returns (m', comp') or None."""
+    """Apply a generator to a weight-m vector; returns (m', image) or None."""
     shift = dict(_shifts(M.field.ell))[gen_name]
-    blocks = M.weight_blocks()
-    src = blocks[m]
-    tgt = blocks.get(m + shift, [])
-    g = getattr(M, gen_name)
+    rows = getattr(M, gen_name).entries
     out = {}
-    for a, r in enumerate(tgt):
-        grow = g.data[r]
-        acc = M.field.zero
-        for b, v in comp.items():
-            gv = grow[src[b]]
-            if not gv.is_zero():
-                acc = acc + gv * v
-        if not acc.is_zero():
-            out[a] = acc
+    for r in M.weight_blocks().get(m + shift, ()):
+        acc = None
+        for c, gv in rows[r].items():
+            v = comp.get(c)
+            if v is not None:
+                acc = gv * v if acc is None else acc + gv * v
+        if acc is not None and not acc.is_zero():
+            out[r] = acc
     return (m + shift, out) if out else None
 
 
-def submodule_generated(M: UModule, dense_vectors, close: bool = True):
-    """Smallest generator-stable subspace containing the vectors.
+def submodule_generated(M: UModule, vectors, close: bool = True):
+    """Smallest generator-stable subspace containing the vectors, each a
+    sparse vector (index -> nonzero scalar) or a dense coordinate list.
 
     Returns (S, inclusion).  With close=False the span must already be stable
     (images and kernels of intertwiners); stability is still verified when the
@@ -375,9 +345,12 @@ def submodule_generated(M: UModule, dense_vectors, close: bool = True):
     """
     echs = weight_echelons(M)
     work = []
-    for vec in dense_vectors:
-        if len(vec) != M.dim:
-            raise ValueError(f"vector of length {len(vec)} does not lie in dim-{M.dim} module")
+    for vec in vectors:
+        if not isinstance(vec, dict):
+            # perfbench's membership workload passes dense lists
+            if len(vec) != M.dim:
+                raise ValueError(f"vector of length {len(vec)} does not lie in dim-{M.dim} module")
+            vec = {i: v for i, v in enumerate(vec) if not v.is_zero()}
         for m, comp in _homogeneous_components(M, vec):
             if echs[m].insert(comp) is not None:
                 work.append((m, comp))
@@ -398,21 +371,17 @@ def submodule_generated(M: UModule, dense_vectors, close: bool = True):
 
 def _subspace_to_module(M: UModule, echs):
     field = M.field
-    blocks = M.weight_blocks()
-    basis = []  # (weight, pivot, block vector) in deterministic order
+    basis = []  # (weight, pivot, vector) in deterministic order
     for m in sorted(echs, reverse=True):
         rows = echs[m].rows
         for pivot in sorted(rows):
             basis.append((m, pivot, rows[pivot]))
     sdim = len(basis)
     weights = tuple(m for m, _, _ in basis)
-    incl = ExactMatrix(field, M.dim, sdim)
-    for j, (m, _, vec) in enumerate(basis):
-        for b, v in vec.items():
-            incl.data[blocks[m][b]][j] = v
+    incl = ExactMatrix.from_columns(field, [vec for _, _, vec in basis], M.dim)
     # induced action: the coefficients of each image in the echelon basis
     mats = {name: ExactMatrix(field, sdim, sdim) for name in ("E", "F", "El", "Fl")}
-    position = {(m, pivot): j for j, (m, pivot, _) in enumerate(basis)}
+    position = {pivot: j for j, (_, pivot, _) in enumerate(basis)}
     for j, (m, _, vec) in enumerate(basis):
         for name, shift in _shifts(field.ell):
             res = _apply_block(M, name, m, vec)
@@ -422,8 +391,9 @@ def _subspace_to_module(M: UModule, echs):
             residual, coeffs = echs[m2].reduce(comp2)
             if residual:
                 raise ValueError("subspace is not stable under the generators")
+            rows = mats[name].entries
             for pivot, c in coeffs.items():
-                mats[name].data[position[(m2, pivot)]][j] = c
+                rows[position[pivot]][j] = c
     S = UModule(field, weights, mats["E"], mats["F"], mats["El"], mats["Fl"])
     return S, UMorphism(S, M, incl)
 
@@ -440,8 +410,7 @@ def quotient_module(M: UModule, inclusion: UMorphism):
     S = inclusion.source
     echs = weight_echelons(M)
     count = 0
-    for j in range(S.dim):
-        vec = inclusion.matrix.column(j)
+    for vec in inclusion.matrix.transpose().entries:
         parts = _homogeneous_components(M, vec)
         if len(parts) > 1:
             raise ValueError("inclusion columns must be weight-homogeneous")
@@ -450,26 +419,19 @@ def quotient_module(M: UModule, inclusion: UMorphism):
                 count += 1
     if count != S.dim:
         raise ValueError("inclusion is not injective")
-    # complement positions per weight: coordinates that are not pivots
-    basis = []  # (weight, position within block)
-    for m in sorted(blocks, reverse=True):
-        for b in range(len(blocks[m])):
-            if b not in echs[m].rows:
-                basis.append((m, b))
+    # complement per weight: the coordinates that are not pivots
+    basis = [i for m in sorted(blocks, reverse=True) for i in blocks[m] if i not in echs[m].rows]
     qdim = len(basis)
-    weights = tuple(m for m, _ in basis)
-    # projection: reduce each ambient basis vector, read complement coords
+    weights = tuple(M.weights[i] for i in basis)
+    # projection: reduce each basis vector of M, read complement coords
     proj = ExactMatrix(field, qdim, M.dim)
-    pos = {(m, b): r for r, (m, b) in enumerate(basis)}
-    for m, idx in blocks.items():
-        for b, i in enumerate(idx):
-            residual, _ = echs[m].reduce({b: field.one})
-            for bb, v in residual.items():
-                proj.data[pos[(m, bb)]][i] = v
-    # section: complement unit vectors as ambient columns
-    sect = ExactMatrix(field, M.dim, qdim)
-    for r, (m, b) in enumerate(basis):
-        sect.data[blocks[m][b]][r] = field.one
+    pos = {i: r for r, i in enumerate(basis)}
+    for i, m in enumerate(M.weights):
+        residual, _ = echs[m].reduce({i: field.one})
+        for k, v in residual.items():
+            proj.entries[pos[k]][i] = v
+    # section: complement unit vectors as columns
+    sect = ExactMatrix.from_columns(field, [{i: field.one} for i in basis], M.dim)
     mats = {}
     for name in ("E", "F", "El", "Fl"):
         g = getattr(M, name)
@@ -485,40 +447,14 @@ def quotient_module(M: UModule, inclusion: UMorphism):
 
 def image_module(phi: UMorphism):
     """Image of an intertwiner as a submodule of the target."""
-    cols = [phi.matrix.column(j) for j in range(phi.matrix.cols)]
-    return submodule_generated(phi.target, cols, close=False)
-
-
-def weight_block_matrices(phi: UMorphism):
-    """(source indices, block) per source weight: the restriction of an
-    intertwiner to one weight space, which it maps into the same weight."""
-    nb = phi.target.weight_blocks()
-    data = phi.matrix.data
-    out = []
-    for m, idx in phi.source.weight_blocks().items():
-        rows = [[data[r][c] for c in idx] for r in nb.get(m, [])]
-        out.append((idx, ExactMatrix(phi.source.field, len(rows), len(idx), rows)))
-    return out
-
-
-def morphism_rank(phi: UMorphism) -> int:
-    """Rank of an intertwiner, computed one weight block at a time."""
-    return sum(block.rank() for _, block in weight_block_matrices(phi) if block.rows)
+    return submodule_generated(phi.target, phi.matrix.transpose().entries, close=False)
 
 
 def kernel_module(phi: UMorphism):
-    """Kernel of an intertwiner as a submodule of the source."""
-    M = phi.source
-    field = M.field
-    vectors = []
-    for idx, block in weight_block_matrices(phi):
-        ker = block.kernel()
-        for j in range(ker.cols):
-            dense = [field.zero] * M.dim
-            for b, i in enumerate(idx):
-                dense[i] = ker.data[b][j]
-            vectors.append(dense)
-    return submodule_generated(M, vectors, close=False)
+    """Kernel of an intertwiner as a submodule of the source.  Each row of an
+    intertwiner is nonzero on one weight space only, so elimination never
+    mixes weights and every kernel basis vector is weight-homogeneous."""
+    return submodule_generated(phi.source, phi.matrix.kernel().transpose().entries, close=False)
 
 
 # ---------------------------------------------------------------------------
@@ -546,27 +482,22 @@ def intertwiner_equations(M: UModule, N: UModule):
                 var_ids[(r, c)] = len(var_ids)
     sys = SparseSystem(field, len(var_ids))
     for name, shift in _shifts(field.ell):
-        gM = getattr(M, name)
-        gN = getattr(N, name)
+        gM_cols = getattr(M, name).transpose().entries
+        gN_rows = getattr(N, name).entries
         for m in mb:
-            m2 = m + shift
-            rows_n2 = nb.get(m2, [])
-            cols_m2 = mb.get(m2, [])
-            for rp in rows_n2:
+            for rp in nb.get(m + shift, ()):
                 for c in mb[m]:
+                    # (X gM - gN X)[rp, c]; the two sums share no unknown,
+                    # since rp and c have different weights
                     entries = {}
-                    # (X gM)[rp, c]
-                    for cp in cols_m2:
-                        v = gM.data[cp][c]
+                    for cp, v in gM_cols[c].items():
                         key = var_ids.get((rp, cp))
-                        if key is not None and not v.is_zero():
-                            entries[key] = entries.get(key, field.zero) + v
-                    # -(gN X)[rp, c]
-                    for r in nb.get(m, []):
-                        v = gN.data[rp][r]
+                        if key is not None:
+                            entries[key] = v
+                    for r, v in gN_rows[rp].items():
                         key = var_ids.get((r, c))
-                        if key is not None and not v.is_zero():
-                            entries[key] = entries.get(key, field.zero) - v
+                        if key is not None:
+                            entries[key] = -v
                     if entries:
                         sys.add_row(entries)
     return sys, var_ids
@@ -578,18 +509,18 @@ def hom_space(M: UModule, N: UModule):
     sys, var_ids = intertwiner_equations(M, N)
     if not var_ids:
         return []
-    field = M.field
-    basis = sys.kernel_basis()
-    id_items = sorted(var_ids.items(), key=lambda kv: kv[1])
-    out = []
-    for vec in basis:
-        mat = ExactMatrix(field, N.dim, M.dim)
-        for (r, c), k in id_items:
-            v = vec[k]
-            if not v.is_zero():
-                mat.data[r][c] = v
-        out.append(UMorphism(M, N, mat))
-    return out
+    cells = list(var_ids)
+    return [UMorphism(M, N, unknowns_to_matrix(M, N, cells, vec)) for vec in sys.kernel_basis()]
+
+
+def unknowns_to_matrix(M: UModule, N: UModule, cells, vec) -> ExactMatrix:
+    """The matrix of a map M -> N whose entry cells[k] is vec[k], for a
+    sparse vector of unknowns; cells lists the keys of var_ids in order."""
+    mat = ExactMatrix(M.field, N.dim, M.dim)
+    for k, v in vec.items():
+        r, c = cells[k]
+        mat.entries[r][c] = v
+    return mat
 
 
 def find_isomorphism(M: UModule, N: UModule, attempts: int = 40):

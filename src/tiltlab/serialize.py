@@ -20,10 +20,13 @@ def scalar_from_json(field, data):
 
 
 def matrix_to_json(m):
+    """Every entry, zeros included, row-major."""
+    zero = scalar_to_json(m.field.zero)
     return {
         "rows": m.rows,
         "cols": m.cols,
-        "entries": [scalar_to_json(x) for row in m.data for x in row],
+        "entries": [scalar_to_json(row[j]) if j in row else list(zero)
+                    for row in m.entries for j in range(m.cols)],
     }
 
 
@@ -34,9 +37,9 @@ def matrix_from_json(field, data):
     if len(data["entries"]) != m.rows * m.cols:
         raise ValueError(f"{len(data['entries'])} entries for a {m.rows} x {m.cols} matrix")
     it = iter(data["entries"])
-    for i in range(data["rows"]):
-        for j in range(data["cols"]):
-            m.data[i][j] = scalar_from_json(field, next(it))
+    for i in range(m.rows):
+        for j in range(m.cols):
+            m[i, j] = scalar_from_json(field, next(it))
     return m
 
 

@@ -61,13 +61,13 @@ def weyl_module(field: CycloField, n: int) -> UModule:
     Fl = ExactMatrix(field, dim, dim)
     for i in range(dim):
         if i + 1 < dim:
-            F.data[i + 1][i] = field.quantum_binomial(i + 1, 1)
+            F[i + 1, i] = field.quantum_binomial(i + 1, 1)
         if i + ell < dim:
-            Fl.data[i + ell][i] = field.quantum_binomial(i + ell, ell)
+            Fl[i + ell, i] = field.quantum_binomial(i + ell, ell)
         if i - 1 >= 0:
-            E.data[i - 1][i] = field.quantum_binomial(n - i + 1, 1)
+            E[i - 1, i] = field.quantum_binomial(n - i + 1, 1)
         if i - ell >= 0:
-            El.data[i - ell][i] = field.quantum_binomial(n - i + ell, ell)
+            El[i - ell, i] = field.quantum_binomial(n - i + ell, ell)
     M = UModule(field, weights, E, F, El, Fl)
     _weyl_cache[key] = M
     return M
@@ -104,16 +104,14 @@ def end_algebra(M: UModule):
 
 
 def _trace_of_product(a: ExactMatrix, b: ExactMatrix):
-    field = a.field
-    acc = field.zero
-    for i in range(a.rows):
-        arow = a.data[i]
-        for j in range(a.cols):
-            x = arow[j]
-            if not x.is_zero():
-                y = b.data[j][i]
-                if not y.is_zero():
-                    acc = acc + x * y
+    """tr(a b) = sum of a[i, j] b[j, i] over the nonzero entries."""
+    acc = a.field.zero
+    brows = b.entries
+    for i, arow in enumerate(a.entries):
+        for j, x in arow.items():
+            y = brows[j].get(i)
+            if y is not None:
+                acc = acc + x * y
     return acc
 
 
@@ -127,8 +125,8 @@ def radical_dimension(end_basis) -> int:
     for i in range(k):
         for j in range(i, k):
             v = _trace_of_product(end_basis[i].matrix, end_basis[j].matrix)
-            gram.data[i][j] = v
-            gram.data[j][i] = v
+            gram[i, j] = v
+            gram[j, i] = v
     return gram.kernel().cols
 
 
@@ -335,10 +333,23 @@ def tilting_character(field: CycloField, n: int) -> Character:
         head = weyl_character(ell - 1 + b)
         if b:
             head = head + weyl_character(ell - 1 - b)
-        twist = Character({ell * w: m for w, m in weyl_character(a).coeffs.items()})
-        ch = head * twist
+        ch = head * _twisted_weyl_character(ell, a)
     _tilting_character_cache[key] = ch
     return ch
+
+
+def _twisted_weyl_character(ell: int, a: int) -> Character:
+    """ch L(a)^[1]: chi(a) with every weight scaled by ell."""
+    return Character({ell * w: m for w, m in weyl_character(a).coeffs.items()})
+
+
+def simple_character(field: CycloField, n: int) -> Character:
+    """ch L(n) in closed form, without building the module: by the tensor
+    product theorem L(n0 + ell*n1) = L(n0) (x) L(n1)^[1] for 0 <= n0 < ell,
+    and L(n0) = Delta(n0), so ch L(n) = chi(n0) times chi(n1) with every
+    weight scaled by ell."""
+    n1, n0 = divmod(n, field.ell)
+    return weyl_character(n0) * _twisted_weyl_character(field.ell, n1)
 
 
 def label_table_character(field: CycloField, table) -> Character:
@@ -405,9 +416,7 @@ def peel_standard_filtration(M: UModule, side: str):
         blocks = R.weight_blocks()
         found = False
         for idx in blocks[mu]:
-            vec = [R.field.zero] * R.dim
-            vec[idx] = R.field.one
-            S, incl = submodule_generated(R, [vec])
+            S, incl = submodule_generated(R, [{idx: R.field.one}])
             if S.dim == mu + 1 and S.character == weyl_character(mu):
                 R, _ = quotient_module(R, incl)
                 peels.append(mu)

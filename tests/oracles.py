@@ -5,7 +5,7 @@ block is cancellable, and the pipeline certifies injectivity and
 surjectivity through its own exact invariants.
 """
 
-from tiltlab.complexes import ChainComplex, _find_cancellable, _part_blocks
+from tiltlab.complexes import ChainComplex, _find_cancellable, _part_blocks, total_complex
 from tiltlab.cyclotomic import CertificationError
 from tiltlab.linalg import ExactMatrix
 from tiltlab.modules import UModule, tensor_module
@@ -104,3 +104,101 @@ def kron_tensor_module(M, N):
         right = N.k_power(-a) @ divided_power(N, "F", b)
         Fl = Fl + divided_power(M, "F", a).kron(right).scale(field.zeta_power(-(a * b)))
     return UModule(field, weights, E, F, El, Fl)
+
+
+def dense(m):
+    """The entries of an ExactMatrix as a dense list of rows, zeros included."""
+    return [[m[i, j] for j in range(m.cols)] for i in range(m.rows)]
+
+
+def from_dense(field, rows, cols=None):
+    """The ExactMatrix with the given dense rows; `cols` for zero rows."""
+    cols = len(rows[0]) if rows else (cols or 0)
+    m = ExactMatrix(field, len(rows), cols)
+    for i, row in enumerate(rows):
+        if len(row) != cols:
+            raise ValueError("ragged rows")
+        for j, v in enumerate(row):
+            m[i, j] = v
+    return m
+
+
+def from_rational_rows(field, rows):
+    return from_dense(field, [[field.scalar(x) for x in row] for row in rows])
+
+
+# -- dense list-of-lists reference operations, one per ExactMatrix operation
+
+
+def dense_add(a, b, sign=1):
+    return [[x + y if sign > 0 else x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def dense_matmul(field, a, b, cols):
+    return [
+        [sum((row[k] * b[k][j] for k in range(len(b))), field.zero) for j in range(cols)]
+        for row in a
+    ]
+
+
+def dense_transpose(a, cols):
+    return [[row[j] for row in a] for j in range(cols)]
+
+
+def dense_kron(a, b):
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def dense_block_diagonal(field, blocks):
+    """blocks: (dense rows, cols) pairs."""
+    total = sum(cols for _, cols in blocks)
+    out = []
+    offset = 0
+    for rows, cols in blocks:
+        for row in rows:
+            out.append([field.zero] * offset + list(row) + [field.zero] * (total - offset - cols))
+        offset += cols
+    return out
+
+
+def is_intertwiner(phi) -> bool:
+    """phi commutes with K and the four ladder generators."""
+    for name in ("K", "E", "F", "El", "Fl"):
+        gs = getattr(phi.source, name)
+        gt = getattr(phi.target, name)
+        if (phi.matrix @ gs) != (gt @ phi.matrix):
+            return False
+    return True
+
+
+def complex_direct_sum(X, Y):
+    """X + Y, with X's summand first in every degree.
+
+    As a grid, X^i sits at (i, 0) and Y^i at (i + 1, -1).
+    """
+    grid, components, parts = {}, {}, {}
+    for Z, row in ((X, 0), (Y, -1)):
+        for i, t in Z.terms.items():
+            grid[(i - row, row)] = t
+            if i in Z.parts:
+                parts[(i - row, row)] = Z.parts[i]
+        for i, d in Z.differentials.items():
+            components[((i - row, row), (i + 1 - row, row))] = d.matrix
+    return total_complex(X.field, grid, components, parts)
+
+
+def cone(f_map, src_degree=0):
+    """Mapping cone of a module morphism viewed as a two-term complex."""
+    X, Y = f_map.source, f_map.target
+    return ChainComplex(X.field, {src_degree: X, src_degree + 1: Y}, {src_degree: f_map})
+
+
+def binomial_k_operator_value(field, m, c, t):
+    """Value of the torus binomial with shift c and depth t < ell at weight m."""
+    if t >= field.ell:
+        raise ValueError("depth must stay below ell")
+    acc = field.one
+    for s in range(1, t + 1):
+        acc = acc * field.quantum_integer(m + c - s + 1)
+        acc = acc * field.quantum_integer(s).inverse()
+    return acc

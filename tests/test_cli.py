@@ -6,11 +6,11 @@ import sys
 import pytest
 
 from tiltlab.cache import CacheDir
-from tiltlab.cli import main
+from tiltlab.cli import main, parse_module_spec
 from tiltlab.cyclotomic import CycloField
-from tiltlab.modules import UModule
+from tiltlab.modules import UModule, direct_sum
 from tiltlab.serialize import module_to_json
-from tiltlab.standard import tilting_module, weyl_module
+from tiltlab.standard import dual_weyl_module, simple_module, tilting_module, weyl_module
 
 
 def run_cli(capsys, *argv):
@@ -139,7 +139,7 @@ def test_cache_cold_warm_identical(tmp_path, capsys):
     assert cold == warm
 
 
-def test_cache_stores_module_files_with_filtration(tmp_path, capsys):
+def test_cache_stores_module_files(tmp_path, capsys):
     cache = str(tmp_path / "cache")
     run_cli(capsys, "cmin", "--ell", "3", "--module", "T:3", "--cache", cache)
     path = os.path.join(cache, CacheDir(cache).module_key(3, "T", 3))
@@ -189,25 +189,32 @@ def _truncated_e(M):
     return data
 
 
-@pytest.mark.parametrize("stored, reason", [
-    (lambda F: module_to_json(weyl_module(F, 3)), "not the character of T(3)"),
-    (lambda F: _doubled_e(tilting_module(F, 3)), "relation [E,F] = (K - K^-1)/(z - z^-1) fails"),
-    (lambda F: _truncated_e(tilting_module(F, 3)), "3 entries for a 6 x 6 matrix"),
-    (lambda F: _k_off_diagonal(tilting_module(F, 3)), "stored K is not zeta^weight on the diagonal"),
-], ids=["Delta(3) as T(3)", "T(3) with E doubled", "T(3) with E truncated", "T(3) with K off the diagonal"])
-def test_wrong_cached_module_is_rebuilt(stored, reason, tmp_path, capsys):
+@pytest.mark.parametrize("spec, stored, reason", [
+    ("T:3", lambda F: module_to_json(weyl_module(F, 3)), "not the character of T(3)"),
+    ("T:3", lambda F: _doubled_e(tilting_module(F, 3)), "relation [E,F] = (K - K^-1)/(z - z^-1) fails"),
+    ("T:3", lambda F: _truncated_e(tilting_module(F, 3)), "3 entries for a 6 x 6 matrix"),
+    ("T:3", lambda F: _k_off_diagonal(tilting_module(F, 3)), "stored K is not zeta^weight on the diagonal"),
+    ("delta:5", lambda F: module_to_json(weyl_module(F, 3)), "not the character of Delta(5)"),
+    ("L:4", lambda F: module_to_json(simple_module(F, 1)), "not the character of L(4)"),
+    ("nabla:4", lambda F: module_to_json(weyl_module(F, 4)), "dual not generated by a vector of weight 4"),
+    ("delta:4", lambda F: module_to_json(dual_weyl_module(F, 4)), "not generated by a vector of weight 4"),
+    ("T:3", lambda F: module_to_json(direct_sum(weyl_module(F, 3), weyl_module(F, 1))), "not tilting"),
+], ids=["Delta(3) as T(3)", "T(3) with E doubled", "T(3) with E truncated", "T(3) with K off the diagonal",
+        "Delta(3) as Delta(5)", "L(1) as L(4)", "Delta(4) as Nabla(4)", "Nabla(4) as Delta(4)", "Delta(3)+Delta(1) as T(3)"])
+def test_wrong_cached_module_is_rebuilt(spec, stored, reason, tmp_path, capsys):
     cache = str(tmp_path / "cache")
-    args = ["cmin", "--ell", "3", "--module", "T:3", "--cache", cache]
+    kind, n = parse_module_spec(spec)
+    args = ["cmin", "--ell", "3", "--module", spec, "--cache", cache]
     _, cold = run_cli(capsys, *args)
-    path = os.path.join(cache, CacheDir(cache).module_key(3, "T", 3))
+    path = os.path.join(cache, CacheDir(cache).module_key(3, kind, n))
     right = open(path).read()
-    # well-formed JSON, but not the module T(3)
+    # well-formed JSON of a module, but not the module the key names
     with open(path, "w") as fh:
-        json.dump({"ell": 3, "kind": "T", "n": 3, "module": stored(CycloField(3))}, fh)
+        json.dump({"ell": 3, "kind": kind, "n": n, "module": stored(CycloField(3))}, fh)
     code = main(args)
     captured = capsys.readouterr()
     assert code == 0 and captured.out.strip() == cold
-    assert f"warning: cache module T(3) invalid ({reason}); rebuilding" in captured.err
+    assert f"warning: cache module {kind}({n}) invalid ({reason}); rebuilding" in captured.err
     assert open(path).read() == right
     code = main(args)
     captured = capsys.readouterr()

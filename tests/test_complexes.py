@@ -5,8 +5,6 @@ import pytest
 from tiltlab.characters import Character
 from tiltlab.complexes import (
     ChainComplex,
-    complex_direct_sum,
-    cone,
     labeled_direct_sum,
     minimalize,
     tensor_complexes,
@@ -17,7 +15,7 @@ from tiltlab.linalg import ExactMatrix
 from tiltlab.modules import UModule, UMorphism, find_isomorphism, hom_space
 from tiltlab.standard import Part, simple_module, tilting_module, weyl_module
 
-from oracles import is_minimal, is_surjective
+from oracles import complex_direct_sum, cone, is_minimal, is_surjective
 
 F = CycloField(3)
 

@@ -67,7 +67,7 @@ def _rescaled_tilting(ell, n):
     M = tilting_module(F, n)
     P = ExactMatrix(F, M.dim, M.dim)
     for i in range(M.dim):
-        P.data[i][i] = F.scalar(2**i) + (F.zeta if i % 2 else F.zero)
+        P[i, i] = F.scalar(2**i) + (F.zeta if i % 2 else F.zero)
     P_inv = P.inverse()
     mats = [P_inv @ X @ P for X in (M.E, M.F, M.El, M.Fl)]
     return UModule(F, M.weights, *mats)

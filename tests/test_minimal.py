@@ -221,11 +221,11 @@ def test_solve_chain_map_rejects_a_non_intertwiner():
     # projection onto the highest weight vector: weight-preserving, but it
     # does not commute with F
     top = ExactMatrix(F3, T.dim, T.dim)
-    top.data[0][0] = F3.one
+    top[0, 0] = F3.one
     assert T.weights[0] == 3
     assert _solve_chain_map(T, T, left, top) is None
     # a map that moves weights is not an intertwiner either
     shift = ExactMatrix(F3, T.dim, T.dim)
-    shift.data[1][0] = F3.one
+    shift[1, 0] = F3.one
     assert T.weights[1] != T.weights[0]
     assert _solve_chain_map(T, T, left, shift) is None

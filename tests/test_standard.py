@@ -14,6 +14,7 @@ from tiltlab.standard import (
     is_local_end,
     peel_standard_filtration,
     radical_dimension,
+    simple_character,
     simple_module,
     tilting_character,
     tilting_module,
@@ -220,6 +221,13 @@ def test_tilting_characters_in_first_wall_region():
             n = ell - 1 + s
             expected = weyl_character(n) + weyl_character(ell - 1 - s)
             assert tilting_character(F, n) == expected, (ell, n)
+
+
+def test_simple_character_matches_simple_module():
+    # the closed form against L(n) built as the image of Delta(n) -> Nabla(n)
+    for F, top in ((F3, 14), (F5, 16)):
+        for n in range(top + 1):
+            assert simple_character(F, n) == simple_module(F, n).character, (F.ell, n)
 
 
 def test_tilting_character_rejects_negative_weight():
