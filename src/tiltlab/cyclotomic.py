@@ -279,7 +279,8 @@ class CyclotomicScalar:
         field = self.field
         if field is not other.field:
             raise MismatchedFieldError(f"scalars over ell={field.ell} and ell={other.field.ell}")
-        # dense matrices hold mostly zeros, so most sums have a zero term
+        # accumulators start at field.zero (Laurent evaluation, trace sums);
+        # a sum with a zero term returns the other term without arithmetic
         if not any(other.num):
             return self
         if not any(self.num):

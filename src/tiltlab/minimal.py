@@ -15,27 +15,32 @@ exactly when it splits into the T(mu) that its closed-form character
 predicts, so no Delta- or Nabla-flag is peeled for it.  The same test decides
 when the tail of the coresolution, and a kernel of a left resolution, is
 already tilting; those are costandard-filtered, which the Nabla-peel checks.
+
+Every grid term is a sum of T(mu) with known parts, so maps between them are
+solved over the cached bases of Hom(T(a), T(b)) (standard.tilting_hom_basis):
+a cover component is dropped when it lies in the span of the other
+components composed with those bases, and the vertical lifts and the
+corrections solve only for coefficients in them.
 """
 
 from __future__ import annotations
 
 from tiltlab.complexes import ChainComplex, labeled_direct_sum, minimalize, total_complex
 from tiltlab.cyclotomic import CertificationError
-from tiltlab.linalg import ExactMatrix, RowEchelon
+from tiltlab.linalg import ExactMatrix, RowEchelon, SparseSystem
 from tiltlab.modules import (
     UModule,
     UMorphism,
     find_isomorphism,
     hom_space,
     image_module,
-    intertwiner_equations,
     kernel_module,
     quotient_module,
-    unknowns_to_matrix,
 )
 from tiltlab.standard import (
     label_table_character,
     peel_standard_filtration,
+    tilting_hom_basis,
     tilting_module,
     tilting_parts,
 )
@@ -146,8 +151,7 @@ def cover_by_tilting(M: UModule):
         for mu in range(bound, -1, -1):
             for h in hom_space(tilting_module(field, mu), M):
                 components.append((mu, h))
-        _, surj, _ = _stack_from_sum(field, components, M)
-        if surj.matrix.rank() == M.dim:
+        if _is_onto(components, M):
             components = _prune_factoring(field, components, M)
             return _stack_from_sum(field, components, M)
         attempt *= 2
@@ -157,22 +161,53 @@ def cover_by_tilting(M: UModule):
     )
 
 
+def _is_onto(components, M):
+    """Whether the images of the maps h: T -> M span M; the columns are
+    inserted into one echelon form until its rank reaches dim M."""
+    ech = RowEchelon(M.field)
+    for _, h in components:
+        for col in h.matrix.transpose().entries:
+            if ech.insert(col) is not None and len(ech.rows) == M.dim:
+                return True
+    return False
+
+
+def _flatten(mat: ExactMatrix):
+    """The entries of a matrix as one sparse vector, entry (r, c) at r * cols + c."""
+    n = mat.cols
+    return {r * n + c: v for r, row in enumerate(mat.entries) for c, v in row.items()}
+
+
 def _prune_factoring(field, components, M):
-    """Drop cover components that factor through the remaining ones."""
+    """Drop cover components that factor through the remaining ones.
+
+    h_i: T(mu_i) -> M factors through the other kept components exactly when
+    it lies in the span of the h_j o phi, phi in the basis of
+    Hom(T(mu_i), T(mu_j)) (a right approximation is minimal once no
+    component does; Auslander-Smalo 1980).  Components are tested from the
+    largest source down, each against the components still kept.
+    """
     kept = list(components)
     order = sorted(
         range(len(kept)), key=lambda i: kept[i][1].source.dim, reverse=True
     )
+    composites = {}  # (j, mu) -> the h_j o phi over the basis of Hom(T(mu), T(mu_j))
     for i in order:
-        rest = [kept[j] for j in range(len(kept)) if j != i and kept[j] is not None]
-        if not rest:
-            continue
         mu_i, h_i = kept[i]
-        P_rest, surj_rest, _ = _stack_from_sum(field, rest, M)
-        lift = _solve_chain_map(
-            h_i.source, P_rest, surj_rest.matrix, h_i.matrix
-        )
-        if lift is not None:
+        ech = RowEchelon(field)
+        for j, comp in enumerate(kept):
+            if j == i or comp is None:
+                continue
+            vecs = composites.get((j, mu_i))
+            if vecs is None:
+                mu_j, h_j = comp
+                vecs = [_flatten(h_j.matrix @ phi.matrix)
+                        for phi in tilting_hom_basis(field, mu_i, mu_j)]
+                composites[(j, mu_i)] = vecs
+            for vec in vecs:
+                ech.insert(vec)
+        residual, _ = ech.reduce(_flatten(h_i.matrix))
+        if not residual:
             kept[i] = None
     return [c for c in kept if c is not None]
 
@@ -253,30 +288,71 @@ def _left_resolution(X: UModule, parts):
     return terms, partl, inner, aug
 
 
-def _solve_chain_map(src, tgt, left: ExactMatrix, rhs: ExactMatrix):
-    """Particular intertwiner f: src -> tgt with left @ f = rhs.
+def _lift_over_tiltings(src, src_parts, tgt, tgt_parts, left: ExactMatrix, rhs: ExactMatrix):
+    """The intertwiner f: src -> tgt with left @ f = rhs that is zero on the
+    free unknowns of the intertwiner equations of Hom(src, tgt), or None when
+    there is no such intertwiner.
 
-    The constraint rows join the intertwiner equations of Hom(src, tgt).
-    Returns the matrix of f, or None when inconsistent.
+    src and tgt are sums of T(mu) with the given parts, so Hom(src, tgt) has
+    the basis iota_j phi pi_i, phi in the cached basis of Hom(T(mu_i),
+    T(nu_j)), and only its coefficients are solved for.  The solution found
+    is then reduced by the homogeneous solutions, in reduced echelon form
+    with pivot the last nonzero entry in the order of the unknowns of
+    `intertwiner_equations` (weight descending, then row, then column).
+    That leaves the one solution which is zero at those pivots, the free
+    unknowns of a solve over all weight-preserving entries.
     """
-    sys, var_ids = intertwiner_equations(src, tgt)
-    # the unknowns f[r, c] of each row r
-    by_row = {}
-    for (r, c), k in var_ids.items():
-        by_row.setdefault(r, []).append((c, k))
-    # constraint rows: (left @ f)[i, c] = rhs[i, c], for the c where either
-    # side has a nonzero term
-    for lrow, rrow in zip(left.entries, rhs.entries):
-        by_column = {}
-        for r, v in lrow.items():
-            for c, k in by_row.get(r, ()):
-                by_column.setdefault(c, {})[k] = v
-        for c in sorted(by_column.keys() | rrow.keys()):
-            sys.add_row(by_column.get(c, {}), rrow.get(c))
-    sol = sys.particular_solution()
-    if sol is None:
+    field = left.field
+    basis = [(i, j, phi.matrix)
+             for j, q in enumerate(tgt_parts)
+             for i, p in enumerate(src_parts)
+             for phi in tilting_hom_basis(field, p.label[1], q.label[1])]
+
+    def combine(coeffs):
+        """sum_k coeffs[k] iota_j phi_k pi_i over the basis (i, j, phi_k)."""
+        blocks = {}
+        for k, c in coeffs.items():
+            i, j, phi = basis[k]
+            term = phi.scale(c)
+            blocks[(i, j)] = blocks[(i, j)] + term if (i, j) in blocks else term
+        out = ExactMatrix(field, tgt.dim, src.dim)
+        for (i, j), block in blocks.items():
+            out = out + tgt_parts[j].inclusion.matrix @ block @ src_parts[i].projection.matrix
+        return out
+
+    # one equation sum_k c_k (left @ B_k)[r, c] = rhs[r, c] per entry (r, c)
+    left_incl = [left @ q.inclusion.matrix for q in tgt_parts]
+    rows = {}
+    for k, (i, j, phi) in enumerate(basis):
+        image = left_incl[j] @ phi @ src_parts[i].projection.matrix
+        for cell, v in _flatten(image).items():
+            rows.setdefault(cell, {})[k] = v
+    sys = SparseSystem(field, len(basis))
+    target = _flatten(rhs)
+    for cell in rows.keys() | target.keys():
+        sys.add_row(rows.get(cell, {}), target.get(cell))
+    coeffs = sys.particular_solution()
+    if coeffs is None:
         return None
-    return unknowns_to_matrix(src, tgt, list(var_ids), sol)
+    f = combine(coeffs)
+    homogeneous = sys.kernel_basis() if coeffs else []
+    if not homogeneous:
+        return f
+    # key (w, -r, -c) of entry (r, c) of weight w: the least key is the last
+    # unknown, so RowEchelon's pivots are the last nonzero entries
+    weights = tgt.weights
+
+    def reversed_cells(mat):
+        return {(weights[r], -r, -c): v for r, row in enumerate(mat.entries) for c, v in row.items()}
+
+    ech = RowEchelon(field)
+    for vec in homogeneous:
+        ech.insert(reversed_cells(combine(vec)))
+    residual, _ = ech.reduce(reversed_cells(f))
+    out = ExactMatrix(field, tgt.dim, src.dim)
+    for (_, r, c), v in residual.items():
+        out.entries[-r][-c] = v
+    return out
 
 
 def tilting_complex_of(M: UModule) -> ChainComplex:
@@ -299,6 +375,10 @@ def tilting_complex_of(M: UModule) -> ChainComplex:
             gparts[(s, -u)] = ps
         for t, mor in inner.items():
             d0[(s, t)] = mor.matrix
+
+    def lift(a, b, left, rhs):
+        return _lift_over_tiltings(grid[a], gparts[a], grid[b], gparts[b], left, rhs)
+
     # vertical lifts f1[(s, t)]: grid[(s,t)] -> grid[(s+1,t)]
     f1 = {}
     for s in range(ncols - 1):
@@ -306,7 +386,7 @@ def tilting_complex_of(M: UModule) -> ChainComplex:
         aug_s1 = columns[s + 1][3]
         d_s = maps[s]
         rhs0 = d_s.matrix @ aug_s.matrix
-        sol = _solve_chain_map(grid[(s, 0)], grid[(s + 1, 0)], aug_s1.matrix, rhs0)
+        sol = lift((s, 0), (s + 1, 0), aug_s1.matrix, rhs0)
         if sol is None:
             raise WindowError(f"vertical lift at column {s}, level 0 is inconsistent")
         f1[(s, 0)] = sol
@@ -320,7 +400,7 @@ def tilting_complex_of(M: UModule) -> ChainComplex:
                     raise WindowError(f"vertical lift leaks below column {s + 1} at t={t}")
                 break
             rhs = f1[(s, t + 1)] @ d0[(s, t)]
-            sol = _solve_chain_map(grid[(s, t)], grid[(s + 1, t)], d0[(s + 1, t)], rhs)
+            sol = lift((s, t), (s + 1, t), d0[(s + 1, t)], rhs)
             if sol is None:
                 raise WindowError(f"vertical lift at column {s}, level {t} is inconsistent")
             f1[(s, t)] = sol
@@ -363,7 +443,7 @@ def tilting_complex_of(M: UModule) -> ChainComplex:
                     raise WindowError(
                         f"correction at column {s}, level {t}: no differential at target"
                     )
-                sol = _solve_chain_map(grid[(s, t)], grid[tgt_pos], left, -res)
+                sol = lift((s, t), tgt_pos, left, -res)
                 if sol is None:
                     raise WindowError(
                         f"correction at column {s}, level {t} is inconsistent"

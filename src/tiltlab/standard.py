@@ -18,11 +18,14 @@ tilting exactly when it is the direct sum of the T(n) that ch M predicts, so
 the split succeeds exactly when M has both a Delta- and a Nabla-flag, and no
 flag is peeled.  peel_standard_filtration remains for modules that need one
 flag only, such as the costandard-filtered tail of a coresolution.
+
+Hom(T(a), T(b)) is solved once per (ell, a, b) (tilting_hom_basis) and its
+dimension certified against sum_c (T(a):Delta(c)) (T(b):Nabla(c)).
 """
 
 from __future__ import annotations
 
-from tiltlab.characters import Character, is_nonneg_weyl_sum, weyl_character
+from tiltlab.characters import Character, decompose_into_weyl, is_nonneg_weyl_sum, weyl_character
 from tiltlab.cyclotomic import CertificationError, CycloField
 from tiltlab.linalg import ExactMatrix
 from tiltlab.modules import (
@@ -43,6 +46,7 @@ _nabla_cache: dict = {}
 _simple_cache: dict = {}
 _tilting_cache: dict = {}
 _tilting_character_cache: dict = {}
+_tilting_hom_cache: dict = {}
 
 
 def weyl_module(field: CycloField, n: int) -> UModule:
@@ -293,6 +297,29 @@ def tilting_module(field: CycloField, n: int) -> UModule:
             raise CertificationError(f"T({n}) = T({ell - 1 + b}) (x) L({a})^[1] has the wrong character")
     _tilting_cache[key] = T
     return T
+
+
+def tilting_hom_basis(field: CycloField, a: int, b: int):
+    """Basis of Hom(T(a), T(b)), the `hom_space` basis, cached per (ell, a, b).
+
+    Its dimension is certified against sum_c (T(a):Delta(c)) (T(b):Nabla(c)),
+    with both multiplicities read off the closed-form tilting characters
+    (ch Delta(c) = ch Nabla(c) = chi(c)); a pair predicted zero is not solved.
+    """
+    key = (field.ell, a, b)
+    basis = _tilting_hom_cache.get(key)
+    if basis is None:
+        mult_b = decompose_into_weyl(tilting_character(field, b))
+        expected = sum(m * mult_b.get(c, 0)
+                       for c, m in decompose_into_weyl(tilting_character(field, a)).items())
+        basis = []
+        if expected:
+            basis = hom_space(tilting_module(field, a), tilting_module(field, b))
+            if len(basis) != expected:
+                raise CertificationError(
+                    f"Hom(T({a}), T({b})) has dimension {len(basis)}, not {expected}")
+        _tilting_hom_cache[key] = basis
+    return basis
 
 
 def _extract_top_summand(M: UModule, n: int) -> UModule:

@@ -8,7 +8,8 @@ surjectivity through its own exact invariants.
 from tiltlab.complexes import ChainComplex, _find_cancellable, _part_blocks, total_complex
 from tiltlab.cyclotomic import CertificationError
 from tiltlab.linalg import ExactMatrix
-from tiltlab.modules import UModule, tensor_module
+from tiltlab.minimal import _stack_from_sum
+from tiltlab.modules import UModule, intertwiner_equations, tensor_module, unknowns_to_matrix
 from tiltlab.standard import _complement_of_idempotent, _split_pair, is_local_end, weyl_module
 
 _peeled_tilting_cache = {}
@@ -28,6 +29,47 @@ def is_injective(phi) -> bool:
 
 def is_surjective(phi) -> bool:
     return phi.matrix.rank() == phi.target.dim
+
+
+def solve_chain_map(src, tgt, left, rhs):
+    """Particular intertwiner f: src -> tgt with left @ f = rhs, zero on the
+    free unknowns, or None when inconsistent.
+
+    The constraint rows join the intertwiner equations of Hom(src, tgt), so
+    every weight-preserving entry of f is an unknown.
+    """
+    sys, var_ids = intertwiner_equations(src, tgt)
+    by_row = {}  # the unknowns f[r, c] of each row r
+    for (r, c), k in var_ids.items():
+        by_row.setdefault(r, []).append((c, k))
+    # (left @ f)[i, c] = rhs[i, c], for the c where either side has a term
+    for lrow, rrow in zip(left.entries, rhs.entries):
+        by_column = {}
+        for r, v in lrow.items():
+            for c, k in by_row.get(r, ()):
+                by_column.setdefault(c, {})[k] = v
+        for c in sorted(by_column.keys() | rrow.keys()):
+            sys.add_row(by_column.get(c, {}), rrow.get(c))
+    sol = sys.particular_solution()
+    if sol is None:
+        return None
+    return unknowns_to_matrix(src, tgt, list(var_ids), sol)
+
+
+def prune_by_lifting(field, components, M):
+    """Drop cover components h_i: T(mu_i) -> M that lift, as intertwiners,
+    through the sum of the other kept components, largest source first."""
+    kept = list(components)
+    order = sorted(range(len(kept)), key=lambda i: kept[i][1].source.dim, reverse=True)
+    for i in order:
+        rest = [kept[j] for j in range(len(kept)) if j != i and kept[j] is not None]
+        if not rest:
+            continue
+        _, h_i = kept[i]
+        P_rest, surj_rest, _ = _stack_from_sum(field, rest, M)
+        if solve_chain_map(h_i.source, P_rest, surj_rest.matrix, h_i.matrix) is not None:
+            kept[i] = None
+    return [c for c in kept if c is not None]
 
 
 def search_peel(M, below):

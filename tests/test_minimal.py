@@ -2,11 +2,13 @@ import random
 
 import pytest
 
-from tiltlab.complexes import tensor_complexes, minimalize
+from tiltlab.complexes import labeled_direct_sum, minimalize, tensor_complexes
 from tiltlab.cyclotomic import CycloField
+from tiltlab.linalg import ExactMatrix
 from tiltlab.modules import UModule, direct_sum, find_isomorphism, tensor_module
 from tiltlab.minimal import (
     WindowError,
+    _lift_over_tiltings,
     cover_by_tilting,
     embed_into_tilting,
     filtration_dimensions,
@@ -21,7 +23,7 @@ from tiltlab.standard import (
     weyl_module,
 )
 
-from oracles import is_injective, is_minimal, is_surjective
+from oracles import is_injective, is_minimal, is_surjective, prune_by_lifting, solve_chain_map
 
 F3 = CycloField(3)
 F5 = CycloField(5)
@@ -195,37 +197,103 @@ def test_random_sum_pairs_direct_sum_property():
         assert left == {k: sorted(v) for k, v in merged.items()}
 
 
+def _tilting_sum(field, labels):
+    """T(mu_1) + ... + T(mu_k) with its parts."""
+    return labeled_direct_sum(field, [(("T", mu), tilting_module(field, mu)) for mu in labels])
+
+
 def test_solve_chain_map_with_identity_returns_each_intertwiner():
     from tiltlab.linalg import ExactMatrix
-    from tiltlab.minimal import _solve_chain_map
     from tiltlab.modules import hom_space
 
-    for M, N in (
-        (tilting_module(F3, 4), tilting_module(F3, 4)),
-        (weyl_module(F3, 3), tilting_module(F3, 3)),
-        (tilting_module(F5, 6), dual_weyl_module(F5, 6)),
+    for field, src_labels, tgt_labels in (
+        (F3, [4], [4]),
+        (F3, [3, 1], [3]),
+        (F5, [6], [6, 2]),
     ):
+        (M, mparts), (N, nparts) = _tilting_sum(field, src_labels), _tilting_sum(field, tgt_labels)
         basis = hom_space(M, N)
         assert basis
-        left = ExactMatrix.identity(M.field, N.dim)
+        left = ExactMatrix.identity(field, N.dim)
         for h in basis:
-            assert _solve_chain_map(M, N, left, h.matrix) == h.matrix
+            lifted = _lift_over_tiltings(M, mparts, N, nparts, left, h.matrix)
+            assert lifted == solve_chain_map(M, N, left, h.matrix) == h.matrix
+
+
+@pytest.mark.parametrize("field", [F3, F5], ids=["ell3", "ell5"])
+def test_solve_chain_map_matches_oracle_on_random_combinations(field):
+    # f and left are seeded combinations of nonzero Hom bases, so left @ f =
+    # rhs is consistent, and rhs is nonzero.  In every other case the target
+    # is T(a) (x) T(b), whose parts from tilting_parts are not coordinate
+    # blocks, and left is one basis element of its End, which has a kernel:
+    # then the solution over the cached basis must be reduced by the
+    # homogeneous solutions to be the one the oracle returns.
+    from tiltlab.modules import hom_space, tensor_module
+    from tiltlab.standard import tilting_parts
+
+    rng = random.Random(12 + field.ell)
+    window = range(field.ell - 1, 2 * field.ell + 1)
+
+    def combination(basis):
+        mat = basis[0].matrix.scale(field.zero)
+        for h in basis:
+            mat = mat + h.matrix.scale(field.scalar(rng.choice((-2, -1, 1, 2))))
+        return mat
+
+    def labeled_sum():
+        return _tilting_sum(field, sorted(rng.sample(window, rng.randint(1, 3)), reverse=True))
+
+    cases = 0
+    while cases < 8:
+        tensor = cases % 2
+        M, mparts = labeled_sum()
+        if tensor:
+            N = tensor_module(tilting_module(field, rng.randint(1, 3)), tilting_module(field, rng.randint(1, 3)))
+            nparts, X = tilting_parts(N), N
+        else:
+            (N, nparts), (X, _) = labeled_sum(), labeled_sum()
+        homs_mn, homs_nx = hom_space(M, N), hom_space(N, X)
+        if not homs_mn or not homs_nx:
+            continue
+        left = rng.choice(homs_nx).matrix if tensor else combination(homs_nx)
+        rhs = left @ combination(homs_mn)
+        if rhs.is_zero():
+            continue
+        cases += 1
+        lifted = _lift_over_tiltings(M, mparts, N, nparts, left, rhs)
+        assert lifted == solve_chain_map(M, N, left, rhs)
+        assert left @ lifted == rhs
 
 
 def test_solve_chain_map_rejects_a_non_intertwiner():
-    from tiltlab.linalg import ExactMatrix
-    from tiltlab.minimal import _solve_chain_map
-
-    T = tilting_module(F3, 3)
+    T, parts = _tilting_sum(F3, [3])
     left = ExactMatrix.identity(F3, T.dim)
     # projection onto the highest weight vector: weight-preserving, but it
     # does not commute with F
     top = ExactMatrix(F3, T.dim, T.dim)
     top[0, 0] = F3.one
     assert T.weights[0] == 3
-    assert _solve_chain_map(T, T, left, top) is None
+    assert solve_chain_map(T, T, left, top) is None
+    assert _lift_over_tiltings(T, parts, T, parts, left, top) is None
     # a map that moves weights is not an intertwiner either
     shift = ExactMatrix(F3, T.dim, T.dim)
     shift[1, 0] = F3.one
     assert T.weights[1] != T.weights[0]
-    assert _solve_chain_map(T, T, left, shift) is None
+    assert solve_chain_map(T, T, left, shift) is None
+    assert _lift_over_tiltings(T, parts, T, parts, left, shift) is None
+
+
+@pytest.mark.parametrize("field, top", [(F3, 8), (F5, 12)], ids=["ell3", "ell5"])
+def test_prune_keeps_the_components_lifting_keeps(monkeypatch, field, top):
+    import tiltlab.minimal
+
+    for n in range(top + 1):
+        for kind in (weyl_module, dual_weyl_module, simple_module):
+            M = kind(field, n)
+            _, surj, parts = cover_by_tilting(M)
+            with monkeypatch.context() as m:
+                m.setattr(tiltlab.minimal, "_prune_factoring", prune_by_lifting)
+                _, oracle_surj, oracle_parts = cover_by_tilting(M)
+            # equal matrices: the same Hom basis elements, in the same order
+            assert [p.label for p in parts] == [p.label for p in oracle_parts]
+            assert surj.matrix == oracle_surj.matrix

@@ -380,13 +380,34 @@ def test_hom_space_matches_dense_bruteforce():
 @pytest.mark.parametrize("field, top", [(F3, 8), (F5, 6)])
 def test_hom_dimension_between_tiltings(field, top):
     # dim Hom(T(a), T(b)) = sum_c (T(a):Delta(c)) (T(b):Nabla(c)); the
-    # multiplicities come from characters, since ch Delta(c) = ch Nabla(c)
+    # multiplicities come from characters, since ch Delta(c) = ch Nabla(c).
+    # The certified cache holds exactly the hom_space basis, predicted-zero
+    # pairs included.
     from tiltlab.characters import decompose_into_weyl
-    from tiltlab.standard import tilting_module
+    from tiltlab.standard import tilting_hom_basis, tilting_module
 
     mult = {a: decompose_into_weyl(tilting_module(field, a).character) for a in range(top + 1)}
     for a in range(top + 1):
         for b in range(top + 1):
             expected = sum(m * mult[b].get(c, 0) for c, m in mult[a].items())
-            got = len(hom_space(tilting_module(field, a), tilting_module(field, b)))
-            assert got == expected, (a, b)
+            basis = hom_space(tilting_module(field, a), tilting_module(field, b))
+            assert len(basis) == expected, (a, b)
+            cached = tilting_hom_basis(field, a, b)
+            assert [h.matrix for h in cached] == [h.matrix for h in basis], (a, b)
+
+
+def test_tilting_hom_cache_certifies_its_dimension(monkeypatch):
+    import tiltlab.standard
+    from tiltlab.cyclotomic import CertificationError
+    from tiltlab.standard import tilting_hom_basis
+
+    def refuse(M, N):
+        raise AssertionError("a pair predicted zero was solved")
+
+    monkeypatch.setattr(tiltlab.standard, "_tilting_hom_cache", {})
+    monkeypatch.setattr(tiltlab.standard, "hom_space", refuse)
+    # T(3) and T(2) lie in different blocks at ell 3
+    assert tilting_hom_basis(F3, 3, 2) == []
+    monkeypatch.setattr(tiltlab.standard, "hom_space", lambda M, N: hom_space(M, N)[1:])
+    with pytest.raises(CertificationError, match=r"Hom\(T\(3\), T\(3\)\) has dimension 1, not 2"):
+        tilting_hom_basis(F3, 3, 3)
