@@ -297,3 +297,20 @@ def test_prune_keeps_the_components_lifting_keeps(monkeypatch, field, top):
             # equal matrices: the same Hom basis elements, in the same order
             assert [p.label for p in parts] == [p.label for p in oracle_parts]
             assert surj.matrix == oracle_surj.matrix
+
+
+def test_prune_never_factors_through_a_dropped_component():
+    # A and B = A o (1 + x), x spanning rad End(T(3)), are isomorphisms
+    # T(3) -> T(3) that factor through each other: A is dropped first, and B
+    # must then be kept, since nothing else is left to factor through
+    from tiltlab.minimal import _prune_factoring
+    from tiltlab.modules import UMorphism
+    from tiltlab.standard import tilting_hom_basis
+
+    T = tilting_module(F3, 3)
+    A = UMorphism.identity(T)
+    x = next(phi.matrix for phi in tilting_hom_basis(F3, 3, 3) if phi.matrix.determinant().is_zero())
+    B = UMorphism(T, T, A.matrix + x)
+    components = [(3, A), (3, B)]
+    kept = _prune_factoring(F3, components, T)
+    assert kept == prune_by_lifting(F3, components, T) == [(3, B)]
