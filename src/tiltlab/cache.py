@@ -12,16 +12,20 @@ trusted.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import sys
 
-from tiltlab.serialize import canonical_dumps, module_from_json, module_to_json
+from tiltlab.serialize import canonical_dumps, module_from_json, module_text
 
 # Bump whenever a cached module basis or entry format changes.  Version 2:
 # T(n) above 2ell-2 is T(ell-1+b) (x) L(a)^[1] instead of tensor-and-peel.
 # Version 3: T(n) files no longer carry a delta_filtration list.
 CACHE_VERSION = 3
+
+# numbers this process's temporary files, so that no two writers share one
+_tmp_ids = itertools.count()
 
 
 class CacheDir:
@@ -42,13 +46,22 @@ class CacheDir:
             print(f"warning: cache entry {name} unreadable ({exc}); rebuilding", file=sys.stderr)
             return None
 
-    def _write(self, name, obj):
+    def _write(self, name, text):
+        """Write text to the entry atomically.  Each write goes through its
+        own temporary file (process id and a per-process count), so writers
+        of one key, in this process or in others, never replace each
+        other's temporary file; the last replace wins."""
         self._ensure()
         fp = os.path.join(self.path, name)
-        tmp = fp + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write(canonical_dumps(obj))
-        os.replace(tmp, fp)
+        tmp = f"{fp}.{os.getpid()}.{next(_tmp_ids)}.tmp"
+        try:
+            with open(tmp, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, fp)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise
 
     # -- standard modules -------------------------------------------------
 
@@ -81,8 +94,9 @@ class CacheDir:
         return module
 
     def store_module(self, ell, kind, n, module):
-        obj = {"ell": ell, "kind": kind, "n": n, "module": module_to_json(module)}
-        self._write(self.module_key(ell, kind, n), obj)
+        # canonical_dumps of {"ell", "kind", "module", "n"}, keys sorted
+        text = f'{{"ell":{ell},"kind":{canonical_dumps(kind)},"module":{module_text(module)},"n":{n}}}'
+        self._write(self.module_key(ell, kind, n), text)
 
     # -- minimal complex label tables -------------------------------------
 
@@ -107,7 +121,7 @@ class CacheDir:
     def store_cmin_labels(self, fingerprint, table):
         self._write(
             self.cmin_key(fingerprint),
-            {"degrees": {str(k): list(v) for k, v in table.items()}},
+            canonical_dumps({"degrees": {str(k): list(v) for k, v in table.items()}}),
         )
 
 
@@ -191,6 +205,10 @@ def set_active_cache(cache: CacheDir | None):
     """Install a process-wide disk cache used by membership tests and suites."""
     global _active_cache
     _active_cache = cache
+
+
+def active_cache() -> CacheDir | None:
+    return _active_cache
 
 
 def active_cmin_labels(M):

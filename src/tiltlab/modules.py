@@ -21,7 +21,7 @@ def _shifts(ell):
 
 class UModule:
     __slots__ = ("field", "dim", "weights", "E", "F", "El", "Fl",
-                 "_blocks", "_char", "_fp")
+                 "_blocks", "_char", "_fp", "_powers")
 
     def __init__(self, field: CycloField, weights, E, F, El, Fl):
         self.field = field
@@ -34,6 +34,7 @@ class UModule:
         self._blocks = None
         self._char = None
         self._fp = None
+        self._powers = None  # gen -> entries of gen^(a), a = 0..ell
 
     @classmethod
     def zero_module(cls, field):
@@ -211,17 +212,23 @@ def check_relations(M: UModule) -> RelationReport:
 
 def _divided_powers(M: UModule, gen: str, r: int):
     """The nonzero entries (row, column, value) of X^(a) on M for a = 0..r,
-    r <= ell, X = E or F; X^(a) = X^(a-1) X / [a] below ell."""
-    field = M.field
-    ell = field.ell
-    power = ExactMatrix.identity(field, M.dim)
-    out = [power]
-    for a in range(1, min(r, ell - 1) + 1):
-        power = (power @ getattr(M, gen)).scale(field.quantum_integer(a).inverse())
-        out.append(power)
-    if r == ell:
+    r <= ell, X = E or F; X^(a) = X^(a-1) X / [a] below ell.  The list for
+    a = 0..ell is built once per module and generator and kept on M."""
+    if M._powers is None:
+        M._powers = {}
+    powers = M._powers.get(gen)
+    if powers is None:
+        field = M.field
+        power = ExactMatrix.identity(field, M.dim)
+        out = [power]
+        for a in range(1, field.ell):
+            power = (power @ getattr(M, gen)).scale(field.quantum_integer(a).inverse())
+            out.append(power)
         out.append(getattr(M, gen + "l"))
-    return [[(i, k, v) for i, row in enumerate(p.entries) for k, v in row.items()] for p in out]
+        powers = M._powers[gen] = [
+            [(i, k, v) for i, row in enumerate(p.entries) for k, v in row.items()] for p in out
+        ]
+    return powers[:r + 1]
 
 
 def _coproduct(M: UModule, N: UModule, gen: str, r: int) -> ExactMatrix:

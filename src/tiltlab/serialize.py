@@ -1,14 +1,20 @@
 """Canonical JSON forms and content addressing.
 
 Scalars are serialized as lists of 'a/b' strings (one per coefficient of the
-power basis of Q(zeta_ell)); matrices row-major.  The SHA-256 of the canonical
-encoding is used as a cache key.
+power basis of Q(zeta_ell)); matrices row-major with every entry, zeros
+included.  A module's canonical text is written by `module_text`, which
+visits only the nonzero entries: the text of a run of zeros is one repeated
+piece, each distinct scalar's text is memoized per field, and K's diagonal
+is read off the weights.  The SHA-256 of that text is the module's cache key.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+
+_scalar_texts: dict = {}  # field -> {(num, den): canonical JSON text}
+_zero_texts: dict = {}  # phi -> text of one zero entry preceded by a comma
 
 
 def scalar_to_json(s):
@@ -17,17 +23,6 @@ def scalar_to_json(s):
 
 def scalar_from_json(field, data):
     return field.from_coeffs(data)
-
-
-def matrix_to_json(m):
-    """Every entry, zeros included, row-major."""
-    zero = scalar_to_json(m.field.zero)
-    return {
-        "rows": m.rows,
-        "cols": m.cols,
-        "entries": [scalar_to_json(row[j]) if j in row else list(zero)
-                    for row in m.entries for j in range(m.cols)],
-    }
 
 
 def matrix_from_json(field, data):
@@ -43,21 +38,8 @@ def matrix_from_json(field, data):
     return m
 
 
-def module_to_json(M):
-    return {
-        "ell": M.field.ell,
-        "dim": M.dim,
-        "weights": list(M.weights),
-        "K": matrix_to_json(M.K),
-        "E": matrix_to_json(M.E),
-        "F": matrix_to_json(M.F),
-        "El": matrix_to_json(M.El),
-        "Fl": matrix_to_json(M.Fl),
-    }
-
-
 def module_from_json(data):
-    """The module stored by module_to_json; raises ValueError unless the
+    """The module stored by `module_text`; raises ValueError unless the
     stored K is zeta^weight on the diagonal, since K is read off the weights."""
     from tiltlab.cyclotomic import CycloField
     from tiltlab.modules import UModule
@@ -77,21 +59,58 @@ def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def content_hash(obj) -> str:
-    return hashlib.sha256(canonical_dumps(obj).encode()).hexdigest()
+def _scalar_text(field):
+    """The memoized canonical text of a scalar of field."""
+    memo = _scalar_texts.setdefault(field, {})
+
+    def text(s):
+        key = (s.num, s.den)
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = canonical_dumps(s.as_strings())
+        return out
+
+    return text
+
+
+def _zero_text(field):
+    phi = field.phi
+    out = _zero_texts.get(phi)
+    if out is None:
+        out = _zero_texts[phi] = "," + canonical_dumps(field.zero.as_strings())
+    return out
+
+
+def _matrix_text(m, scalar_text, zero):
+    """canonical_dumps of the row-major JSON of m, every zero included."""
+    pieces = []
+    last = -1  # flat index of the last entry written
+    cols = m.cols
+    for i, row in enumerate(m.entries):
+        base = i * cols
+        for j in sorted(row):
+            pieces.append(zero * (base + j - last - 1))
+            pieces.append("," + scalar_text(row[j]))
+            last = base + j
+    pieces.append(zero * (m.rows * cols - last - 1))
+    entries = "".join(pieces)[1:]  # no comma before the first entry
+    return f'{{"cols":{cols},"entries":[{entries}],"rows":{m.rows}}}'
+
+
+def module_text(M) -> str:
+    """canonical_dumps of the module's JSON: its ell, dimension, weights,
+    the generators E, F, E^(l), F^(l) and K = zeta^weight on the diagonal."""
+    field = M.field
+    scalar_text = _scalar_text(field)
+    zero = _zero_text(field)
+    E, El, F, Fl = (_matrix_text(m, scalar_text, zero) for m in (M.E, M.El, M.F, M.Fl))
+    d = M.dim
+    diagonal = (zero * d + ",").join(scalar_text(field.zeta_power(w)) for w in M.weights)
+    K = f'{{"cols":{d},"entries":[{diagonal}],"rows":{d}}}'
+    weights = ",".join(map(str, M.weights))
+    return (f'{{"E":{E},"El":{El},"F":{F},"Fl":{Fl},"K":{K},'
+            f'"dim":{d},"ell":{field.ell},"weights":[{weights}]}}')
 
 
 def module_fingerprint(M) -> str:
-    return content_hash(module_to_json(M))
-
-
-def complex_to_json(X):
-    """Degree range plus per-degree label multisets and block differentials."""
-    out = {"ell": X.field.ell, "terms": {}, "differentials": {}}
-    for i in sorted(X.terms):
-        out["terms"][str(i)] = sorted(
-            [list(lab) if isinstance(lab, tuple) else lab for lab in X.labels(i)]
-        )
-    for i in sorted(X.differentials):
-        out["differentials"][str(i)] = matrix_to_json(X.differentials[i].matrix)
-    return out
+    return hashlib.sha256(module_text(M).encode()).hexdigest()

@@ -69,12 +69,16 @@ def cmin_labels(M):
 
 
 def pmap(fn, items, workers=1):
-    """Order-preserving map, optionally through a process pool."""
+    """Order-preserving map, optionally through a process pool.  The
+    workers share the active disk cache whatever the start method."""
     if workers <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
     import multiprocessing
 
-    with multiprocessing.Pool(workers) as pool:
+    from tiltlab import cache
+
+    with multiprocessing.Pool(workers, initializer=cache.set_active_cache,
+                              initargs=(cache.active_cache(),)) as pool:
         return pool.map(fn, items)
 
 

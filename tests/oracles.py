@@ -5,11 +5,14 @@ block is cancellable, and the pipeline certifies injectivity and
 surjectivity through its own exact invariants.
 """
 
+import hashlib
+
 from tiltlab.complexes import ChainComplex, _find_cancellable, _part_blocks, total_complex
 from tiltlab.cyclotomic import CertificationError
 from tiltlab.linalg import ExactMatrix
 from tiltlab.minimal import _stack_from_sum
 from tiltlab.modules import UModule, intertwiner_equations, tensor_module, unknowns_to_matrix
+from tiltlab.serialize import canonical_dumps, scalar_to_json
 from tiltlab.standard import _complement_of_idempotent, _split_pair, is_local_end, weyl_module
 
 _peeled_tilting_cache = {}
@@ -244,3 +247,48 @@ def binomial_k_operator_value(field, m, c, t):
         acc = acc * field.quantum_integer(m + c - s + 1)
         acc = acc * field.quantum_integer(s).inverse()
     return acc
+
+
+# ---------------------------------------------------------------------------
+# byte oracle of the canonical module text: the JSON objects themselves,
+# every entry written out, zeros included
+
+
+def matrix_to_json(m):
+    """Every entry, zeros included, row-major."""
+    zero = scalar_to_json(m.field.zero)
+    return {
+        "rows": m.rows,
+        "cols": m.cols,
+        "entries": [scalar_to_json(row[j]) if j in row else list(zero)
+                    for row in m.entries for j in range(m.cols)],
+    }
+
+
+def module_to_json(M):
+    return {
+        "ell": M.field.ell,
+        "dim": M.dim,
+        "weights": list(M.weights),
+        "K": matrix_to_json(M.K),
+        "E": matrix_to_json(M.E),
+        "F": matrix_to_json(M.F),
+        "El": matrix_to_json(M.El),
+        "Fl": matrix_to_json(M.Fl),
+    }
+
+
+def complex_to_json(X):
+    """Degree range plus per-degree label multisets and block differentials."""
+    out = {"ell": X.field.ell, "terms": {}, "differentials": {}}
+    for i in sorted(X.terms):
+        out["terms"][str(i)] = sorted(
+            [list(lab) if isinstance(lab, tuple) else lab for lab in X.labels(i)]
+        )
+    for i in sorted(X.differentials):
+        out["differentials"][str(i)] = matrix_to_json(X.differentials[i].matrix)
+    return out
+
+
+def content_hash(obj) -> str:
+    return hashlib.sha256(canonical_dumps(obj).encode()).hexdigest()

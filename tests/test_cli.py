@@ -9,8 +9,9 @@ from tiltlab.cache import CacheDir
 from tiltlab.cli import main, parse_module_spec
 from tiltlab.cyclotomic import CycloField
 from tiltlab.modules import UModule, direct_sum
-from tiltlab.serialize import module_to_json
 from tiltlab.standard import dual_weyl_module, simple_module, tilting_module, weyl_module
+
+from oracles import module_to_json
 
 
 def run_cli(capsys, *argv):

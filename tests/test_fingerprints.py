@@ -1,17 +1,19 @@
 """Pinned module, complex and report fingerprints.
 
 The disk cache is keyed by module_fingerprint, the SHA-256 of a module's
-canonical JSON, in which every scalar coefficient is printed as 'a/b' or 'a'.
-Any drift in how a coefficient prints, or in the constructions behind these
-modules, would silently orphan every cached entry; these digests make it fail.
+canonical JSON text (`module_text`, checked byte for byte against the JSON
+oracle `module_to_json` in tests/oracles.py), in which every scalar
+coefficient is printed as 'a/b' or 'a'.  Any drift in how a coefficient
+prints, or in the constructions behind these modules, would silently orphan
+every cached entry; these digests make it fail.
 
-The C_min pipeline is pinned the same way: the SHA-256 of complex_to_json for
-the totalized complex and for its minimalization, of the differentials of a
-tensor product of complexes, and of the stdout of a few CLI reports.  A
-refactor of the pipeline must keep every one of these bytes.  The basis of
-T(n) is part of what the module and complex digests pin: they were last
-re-pinned when T(n) above 2ell-2 became T(ell-1+b) (x) L(a)^[1], a change that
-left every CLI-report digest unchanged.
+The C_min pipeline is pinned the same way: the SHA-256 of the oracle
+complex_to_json for the totalized complex and for its minimalization, of the
+differentials of a tensor product of complexes, and of the stdout of a few
+CLI reports.  A refactor of the pipeline must keep every one of these bytes.
+The basis of T(n) is part of what the module and complex digests pin: they
+were last re-pinned when T(n) above 2ell-2 became T(ell-1+b) (x) L(a)^[1], a
+change that left every CLI-report digest unchanged.
 
 The witnesses of decompose_indecomposables are pinned too: the labels of the
 Parts, in order, with their inclusion and projection matrices.  minimalize
@@ -23,6 +25,7 @@ import hashlib
 
 import pytest
 
+from tiltlab.cache import CacheDir
 from tiltlab.cli import main
 from tiltlab.complexes import tensor_complexes
 from tiltlab.cyclotomic import CycloField
@@ -32,19 +35,21 @@ from tiltlab.modules import (
     UModule,
     check_relations,
     direct_sum,
+    frobenius_twist,
     quotient_module,
     submodule_generated,
     tensor_module,
 )
-from tiltlab.serialize import (
-    canonical_dumps,
-    complex_to_json,
-    content_hash,
-    matrix_to_json,
-    module_fingerprint,
-    module_to_json,
+from tiltlab.serialize import canonical_dumps, module_fingerprint, module_text
+from tiltlab.standard import (
+    decompose_indecomposables,
+    dual_weyl_module,
+    simple_module,
+    tilting_module,
+    weyl_module,
 )
-from tiltlab.standard import decompose_indecomposables, simple_module, tilting_module, weyl_module
+
+from oracles import complex_to_json, content_hash, matrix_to_json, module_to_json
 
 
 def _delta3_submodule_and_quotient():
@@ -128,6 +133,38 @@ def test_rescaled_modules_print_fractions():
         M = _rescaled_tilting(ell, n)
         assert check_relations(M).ok
         assert "/" in canonical_dumps(module_to_json(M))
+
+
+def _with_zero_row(ell):
+    """A tensor product whose E has an all-zero row inside the matrix and
+    whose E^(l) and F^(l) may be zero throughout."""
+    F = CycloField(ell)
+    M = tensor_module(weyl_module(F, 2), dual_weyl_module(F, 1))
+    assert any(not row for row in M.E.entries[1:-1])
+    return M
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7, 9])
+def test_module_text_matches_the_json_oracle(ell):
+    F = CycloField(ell)
+    modules = [UModule.zero_module(F), UModule.trivial(F), _rescaled_tilting(ell, ell + 1),
+               _with_zero_row(ell), frobenius_twist(F, 2)]
+    if ell == 3:
+        modules += [build() for build, _ in CASES.values()]
+    for M in modules:
+        text = module_text(M)
+        assert text == canonical_dumps(module_to_json(M)), M
+        assert module_fingerprint(M) == hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_store_module_writes_the_json_oracle(tmp_path):
+    cache = CacheDir(str(tmp_path))
+    for ell, kind, n, M in ((3, "T", 4, _rescaled_tilting(3, 4)), (5, "L", 7, simple_module(CycloField(5), 7)),
+                            (3, "Delta", 0, UModule.trivial(CycloField(3)))):
+        cache.store_module(ell, kind, n, M)
+        with open(tmp_path / cache.module_key(ell, kind, n)) as fh:
+            stored = fh.read()
+        assert stored == canonical_dumps({"ell": ell, "kind": kind, "n": n, "module": module_to_json(M)})
 
 
 def _tilting(ell, n):

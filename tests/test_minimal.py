@@ -165,7 +165,7 @@ def test_total_complex_route_for_delta3():
 
 
 def test_complex_serialization():
-    from tiltlab.serialize import complex_to_json
+    from oracles import complex_to_json
 
     c = minimal_tilting_complex(simple_module(F3, 3)).complex
     data = complex_to_json(c)

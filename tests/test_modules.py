@@ -20,10 +20,16 @@ from tiltlab.modules import (
     submodule_generated,
     tensor_module,
 )
-from tiltlab.serialize import module_from_json, module_to_json
+from tiltlab.serialize import module_from_json
 from tiltlab.standard import dual_weyl_module, simple_module, tilting_module, weyl_module
 
-from oracles import binomial_k_operator_value, from_dense, is_intertwiner, kron_tensor_module
+from oracles import (
+    binomial_k_operator_value,
+    from_dense,
+    is_intertwiner,
+    kron_tensor_module,
+    module_to_json,
+)
 
 F3 = CycloField(3)
 F5 = CycloField(5)
@@ -71,6 +77,23 @@ def test_tensor_module_matches_kron_oracle(ell):
             assert got.weights == want.weights
             for name in ("E", "F", "El", "Fl"):
                 assert getattr(got, name) == getattr(want, name), (ell, M.weights, N.weights, name)
+
+
+@pytest.mark.parametrize("ell", [3, 5])
+def test_tensor_module_reuses_divided_powers_of_its_factors(ell):
+    # fresh factors, so the first tensor_module fills their divided powers
+    # and the second reads them back
+    F = CycloField(ell)
+    M = tensor_module(weyl_module(F, 2), UModule.trivial(F))
+    N = direct_sum(simple_module(F, ell + 1), frobenius_twist(F, 1))
+    assert M._powers is None and N._powers is None
+    want = kron_tensor_module(M, N)
+    for _ in range(2):
+        got = tensor_module(M, N)
+        assert got.weights == want.weights
+        for name in ("E", "F", "El", "Fl"):
+            assert getattr(got, name) == getattr(want, name), (ell, name)
+        assert sorted(M._powers) == sorted(N._powers) == ["E", "F"]
 
 
 def test_tensor_with_trivial_is_isomorphic():
