@@ -58,10 +58,9 @@ class CacheDir:
             with open(tmp, "w") as fh:
                 fh.write(text)
             os.replace(tmp, fp)
-        except BaseException:
-            if os.path.exists(tmp):
+        finally:
+            if os.path.exists(tmp):  # the write or the replace failed
                 os.remove(tmp)
-            raise
 
     # -- standard modules -------------------------------------------------
 

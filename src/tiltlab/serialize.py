@@ -14,11 +14,6 @@ import hashlib
 import json
 
 _scalar_texts: dict = {}  # field -> {(num, den): canonical JSON text}
-_zero_texts: dict = {}  # phi -> text of one zero entry preceded by a comma
-
-
-def scalar_to_json(s):
-    return s.as_strings()
 
 
 def scalar_from_json(field, data):
@@ -73,14 +68,6 @@ def _scalar_text(field):
     return text
 
 
-def _zero_text(field):
-    phi = field.phi
-    out = _zero_texts.get(phi)
-    if out is None:
-        out = _zero_texts[phi] = "," + canonical_dumps(field.zero.as_strings())
-    return out
-
-
 def _matrix_text(m, scalar_text, zero):
     """canonical_dumps of the row-major JSON of m, every zero included."""
     pieces = []
@@ -102,7 +89,7 @@ def module_text(M) -> str:
     the generators E, F, E^(l), F^(l) and K = zeta^weight on the diagonal."""
     field = M.field
     scalar_text = _scalar_text(field)
-    zero = _zero_text(field)
+    zero = "," + scalar_text(field.zero)  # one zero entry, preceded by a comma
     E, El, F, Fl = (_matrix_text(m, scalar_text, zero) for m in (M.E, M.El, M.F, M.Fl))
     d = M.dim
     diagonal = (zero * d + ",").join(scalar_text(field.zeta_power(w)) for w in M.weights)

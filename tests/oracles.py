@@ -12,7 +12,7 @@ from tiltlab.cyclotomic import CertificationError
 from tiltlab.linalg import ExactMatrix
 from tiltlab.minimal import _stack_from_sum
 from tiltlab.modules import UModule, intertwiner_equations, tensor_module, unknowns_to_matrix
-from tiltlab.serialize import canonical_dumps, scalar_to_json
+from tiltlab.serialize import canonical_dumps
 from tiltlab.standard import _complement_of_idempotent, _split_pair, is_local_end, weyl_module
 
 _peeled_tilting_cache = {}
@@ -252,6 +252,10 @@ def binomial_k_operator_value(field, m, c, t):
 # ---------------------------------------------------------------------------
 # byte oracle of the canonical module text: the JSON objects themselves,
 # every entry written out, zeros included
+
+
+def scalar_to_json(s):
+    return s.as_strings()
 
 
 def matrix_to_json(m):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from tiltlab.cyclotomic import CycloField
 from tiltlab.linalg import ExactMatrix, RowEchelon, SparseSystem
-from tiltlab.serialize import matrix_from_json, scalar_to_json
+from tiltlab.serialize import matrix_from_json
 
 from oracles import (
     dense,
@@ -17,6 +17,7 @@ from oracles import (
     from_dense,
     from_rational_rows,
     matrix_to_json,
+    scalar_to_json,
 )
 
 
