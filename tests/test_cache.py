@@ -7,7 +7,6 @@ import os
 import pytest
 
 import tiltlab.cache
-import tiltlab.minimal
 from tiltlab.cache import CacheDir
 from tiltlab.cyclotomic import CycloField
 from tiltlab.suites import check_direct_sums
@@ -53,7 +52,6 @@ def test_spawned_workers_share_the_active_cache(tmp_path, monkeypatch):
     through the pool's initializer."""
     monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("spawn").Pool)
     monkeypatch.setattr(tiltlab.cache, "_active_cache", CacheDir(str(tmp_path)))
-    monkeypatch.setattr(tiltlab.minimal, "_cmin_cache", {})
     pairs = [(("Delta", 1), ("L", 2)), (("T", 3), ("Nabla", 2))]
     cases = check_direct_sums(CycloField(3), pairs, workers=2)
     assert [c["ok"] for c in cases] == [True, True]
