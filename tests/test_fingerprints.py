@@ -136,8 +136,8 @@ def test_rescaled_modules_print_fractions():
 
 
 def _with_zero_row(ell):
-    """A tensor product whose E has an all-zero row inside the matrix and
-    whose E^(l) and F^(l) may be zero throughout."""
+    """A tensor product whose E has an all-zero row inside the matrix and,
+    for ell > 3, whose E^(l) and F^(l) are zero throughout."""
     F = CycloField(ell)
     M = tensor_module(weyl_module(F, 2), dual_weyl_module(F, 1))
     assert any(not row for row in M.E.entries[1:-1])
