@@ -3,7 +3,8 @@
 Standard modules are keyed by (ell, kind, n); minimal-complex label tables
 are content-addressed by the SHA-256 of the module's canonical serialization.
 Every key carries CACHE_VERSION, so entries written under another basis or
-format are never read.  Corrupt entries, modules whose stored K is not
+format are never read.  Corrupt entries (a malformed scalar, such as one
+with a zero denominator, included), modules whose stored K is not
 zeta^weight, that fail their defining relations or that are not the module
 their key names (`_check_named_module`), and label tables with a negative
 label or whose Euler character is not ch M are rebuilt with a warning, never
@@ -87,7 +88,7 @@ class CacheDir:
             if failures:
                 raise ValueError(f"relation {failures[0][0]} fails")
             _check_named_module(module, kind, n)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             print(f"warning: cache module {kind}({n}) invalid ({exc}); rebuilding", file=sys.stderr)
             return None
         return module

@@ -10,6 +10,13 @@ sec. 4.3) with integer arithmetic only.  Quantum integers, factorials and
 Gaussian binomials are computed as balanced Laurent polynomials in the quantum
 parameter and only specialized at zeta after all cancellation has happened, so
 [n choose k] never divides by a vanishing quantum factorial.
+
+The hot loops of elimination and matrix products call two fused kernels
+instead of the operators: `sub_product` (t - c*v) and `sum_of_products`
+(sum of a*b).  They work on the integer numerators, build no scalar for an
+intermediate product or partial sum, and normalize once per result.  A
+rational factor scales the other factor; only a product of two irrational
+scalars is convolved and reduced modulo Phi_ell.
 """
 
 from __future__ import annotations
@@ -261,6 +268,69 @@ def _normalised(field, num, den):
     return CyclotomicScalar(field, num, den)
 
 
+def _product_num(field, a, b):
+    """Numerators of the product of two numerator vectors.  Most products in
+    the elimination and tensor layers have a rational (often zero) factor,
+    which scales the other one; only an irrational pair is convolved."""
+    if not any(a[1:]):
+        x = a[0]
+        return [x * y for y in b]
+    if not any(b[1:]):
+        y = b[0]
+        return [x * y for x in a]
+    return _mul_num(field, a, b)
+
+
+def sub_product(t, c, v):
+    """t - c*v in normal form, or None when it is zero; t None reads as zero.
+
+    The fused step of elimination: the product stays a numerator vector over
+    c.den * v.den, and only the difference is normalized.
+    """
+    field = c.field
+    if v.field is not field or (t is not None and t.field is not field):
+        raise MismatchedFieldError("scalars over different fields")
+    pn = _product_num(field, c.num, v.num)
+    pd = c.den * v.den
+    if t is None:
+        num, den = [-x for x in pn], pd
+    elif t.den == pd:
+        num, den = list(map(sub, t.num, pn)), pd
+    else:
+        td = t.den
+        num, den = [x * pd - y * td for x, y in zip(t.num, pn)], td * pd
+    if not any(num):
+        return None
+    return _normalised(field, tuple(num), den)
+
+
+def sum_of_products(pairs):
+    """sum of a*b over the (a, b) pairs in normal form, or None when it is zero.
+
+    Products are added as numerator vectors over the least common
+    denominator so far, and the sum is normalized once.
+    """
+    acc = None
+    for a, b in pairs:
+        if acc is None:
+            field = a.field
+        if a.field is not field or b.field is not field:
+            raise MismatchedFieldError("scalars over different fields")
+        pn, pd = _product_num(field, a.num, b.num), a.den * b.den
+        if acc is None:
+            acc, den = pn, pd
+        elif pd == den:
+            acc = list(map(add, acc, pn))
+        else:
+            g = gcd(den, pd)
+            s, r = pd // g, den // g
+            acc = [x * s + y * r for x, y in zip(acc, pn)]
+            den *= s
+    if acc is None or not any(acc):
+        return None
+    return _normalised(field, tuple(acc), den)
+
+
 class CyclotomicScalar:
     """Immutable element of Q(zeta_ell): sum_i num[i] zeta^i / den, in normal form.
 
@@ -310,21 +380,7 @@ class CyclotomicScalar:
         field = self.field
         if field is not other.field:
             raise MismatchedFieldError(f"scalars over ell={field.ell} and ell={other.field.ell}")
-        a, b = self.num, other.num
-        # most products in the elimination and tensor layers have a rational
-        # (often zero) factor: scale instead of convolving
-        if not any(a[1:]):
-            x = a[0]
-            if not x:
-                return field.zero
-            num = tuple([x * y for y in b])
-        elif not any(b[1:]):
-            y = b[0]
-            if not y:
-                return field.zero
-            num = tuple([x * y for x in a])
-        else:
-            num = _mul_num(field, a, b)
+        num = tuple(_product_num(field, self.num, other.num))
         den = self.den * other.den
         return CyclotomicScalar(field, num, 1) if den == 1 else _normalised(field, num, den)
 

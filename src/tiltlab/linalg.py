@@ -7,7 +7,8 @@ nonzero scalar.  One eliminator, `RowEchelon`, keeps the reduced row echelon
 form of such rows over the exact field; rank, kernels, images, solutions,
 inverses and determinants of matrices, the sparse systems coming from
 intertwiner equations, and the per-weight bases of submodules are all read
-from it.
+from it.  Elimination and matrix products call the fused scalar kernels of
+`tiltlab.cyclotomic`.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from tiltlab.cyclotomic import (
     CycloField,
     CyclotomicScalar,
     MismatchedFieldError,
+    sub_product,
+    sum_of_products,
 )
 
 
@@ -111,12 +114,20 @@ class ExactMatrix:
         brows = other.entries
         out = []
         for arow in self.entries:
-            acc = {}
+            terms = {}  # column -> the (a, b) pairs of its entry
             for k, a in arow.items():
                 for j, b in brows[k].items():
-                    v = acc.get(j)
-                    acc[j] = a * b if v is None else v + a * b
-            out.append({j: v for j, v in acc.items() if not v.is_zero()})
+                    pairs = terms.get(j)
+                    if pairs is None:
+                        terms[j] = [(a, b)]
+                    else:
+                        pairs.append((a, b))
+            row = {}
+            for j, pairs in terms.items():
+                v = sum_of_products(pairs)
+                if v is not None:
+                    row[j] = v
+            out.append(row)
         return ExactMatrix(self.field, self.rows, other.cols, out)
 
     @property
@@ -283,7 +294,9 @@ class RowEchelon:
     Rows are dicts column -> nonzero scalar.  `rows` maps each pivot column to
     its stored row, whose leading entry is one at the pivot and which is zero
     at every other pivot.  The reduced echelon form of a row space is unique,
-    so what is read from it does not depend on the order of insertion.
+    so what is read from it does not depend on the order of insertion.  Each
+    elimination step target -= c * row is one fused `sub_product` per entry,
+    and a residual whose leading entry is already one is stored unscaled.
     """
 
     __slots__ = ("field", "rows")
@@ -314,8 +327,11 @@ class RowEchelon:
             return None
         p = min(residual)
         lead = residual[p]
-        inv = lead.inverse()
-        new = {k: inv * v for k, v in residual.items()}
+        if lead == self.field.one:
+            new = residual
+        else:
+            inv = lead.inverse()
+            new = {k: inv * v for k, v in residual.items()}
         for qrow in self.rows.values():
             c = qrow.get(p)
             if c is not None:
@@ -325,10 +341,9 @@ class RowEchelon:
 
     def _subtract(self, target: dict, c, row: dict):
         """target -= c * row in place, dropping the entries that cancel."""
-        zero = self.field.zero
         for k, v in row.items():
-            nv = target.get(k, zero) - c * v
-            if nv.is_zero():
+            nv = sub_product(target.get(k), c, v)
+            if nv is None:
                 target.pop(k, None)
             else:
                 target[k] = nv
@@ -358,7 +373,9 @@ class SparseSystem:
     column `ncols`, so the system is inconsistent exactly when that column
     becomes a pivot.  Designed for the banded systems coming from
     weight-graded intertwiner equations: unknowns should be pre-ordered so
-    that fill-in stays local.
+    that fill-in stays local.  Many of those equations are x_k = 0; the
+    presolve in `echelon` settles them, and the unknowns they force, without
+    elimination, so only the other rows reach `RowEchelon`.
     """
 
     def __init__(self, field: CycloField, ncols: int):
@@ -374,9 +391,37 @@ class SparseSystem:
         self.rows.append(row)
 
     def echelon(self) -> RowEchelon:
+        """The reduced echelon form of the rows, after a presolve: a
+        homogeneous one-entry row forces its unknown to zero, the forced
+        unknowns are dropped from every row, which may force more, and each
+        forced unknown is stored as the pivot row {k: 1}.  That changes the
+        rows but not their span, so the form is the same."""
+        n = self.ncols
+        rows = [dict(r) for r in self.rows]
+        by_col = {}  # unknown -> indices of the rows holding it
+        for i, row in enumerate(rows):
+            for k in row:
+                by_col.setdefault(k, []).append(i)
+        queue = [i for i, row in enumerate(rows) if len(row) == 1 and n not in row]
+        forced = set()
+        while queue:
+            row = rows[queue.pop()]
+            if len(row) != 1 or n in row:  # emptied by an earlier forced unknown
+                continue
+            (k,) = row
+            forced.add(k)
+            for i in by_col[k]:
+                other = rows[i]
+                del other[k]
+                if len(other) == 1 and n not in other:
+                    queue.append(i)
         ech = RowEchelon(self.field)
-        for row in sorted(self.rows, key=lambda r: min(r, default=self.ncols)):
+        # a row left holding only the right-hand side stays: it makes n a pivot
+        for row in sorted(filter(None, rows), key=min):
             ech.insert(row)
+        one = self.field.one
+        for k in sorted(forced):
+            ech.rows[k] = {k: one}
         return ech
 
     def kernel_basis(self):

@@ -11,7 +11,7 @@ weight block at a time.
 from __future__ import annotations
 
 from tiltlab.characters import Character
-from tiltlab.cyclotomic import CycloField, MismatchedFieldError
+from tiltlab.cyclotomic import CycloField, MismatchedFieldError, sum_of_products
 from tiltlab.linalg import ExactMatrix, RowEchelon, SparseSystem
 
 
@@ -332,12 +332,8 @@ def _apply_block(M: UModule, gen_name, m, comp):
     rows = getattr(M, gen_name).entries
     out = {}
     for r in M.weight_blocks().get(m + shift, ()):
-        acc = None
-        for c, gv in rows[r].items():
-            v = comp.get(c)
-            if v is not None:
-                acc = gv * v if acc is None else acc + gv * v
-        if acc is not None and not acc.is_zero():
+        acc = sum_of_products((gv, comp[c]) for c, gv in rows[r].items() if c in comp)
+        if acc is not None:
             out[r] = acc
     return (m + shift, out) if out else None
 

@@ -21,16 +21,25 @@ def scalar_from_json(field, data):
 
 
 def matrix_from_json(field, data):
+    """The matrix of the row-major JSON; each distinct entry text is parsed
+    once, and no zero entry is stored."""
     from tiltlab.linalg import ExactMatrix
 
-    m = ExactMatrix(field, data["rows"], data["cols"])
-    if len(data["entries"]) != m.rows * m.cols:
-        raise ValueError(f"{len(data['entries'])} entries for a {m.rows} x {m.cols} matrix")
-    it = iter(data["entries"])
-    for i in range(m.rows):
-        for j in range(m.cols):
-            m[i, j] = scalar_from_json(field, next(it))
-    return m
+    rows, cols, entries = data["rows"], data["cols"], data["entries"]
+    if len(entries) != rows * cols:
+        raise ValueError(f"{len(entries)} entries for a {rows} x {cols} matrix")
+    parsed = {}  # entry text -> its scalar, or None for zero
+    out = [{} for _ in range(rows)]
+    for index, entry in enumerate(entries):
+        key = tuple(entry)
+        if key in parsed:
+            value = parsed[key]
+        else:
+            value = scalar_from_json(field, key)
+            value = parsed[key] = None if value.is_zero() else value
+        if value is not None:
+            out[index // cols][index % cols] = value
+    return ExactMatrix(field, rows, cols, out)
 
 
 def module_from_json(data):

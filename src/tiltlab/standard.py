@@ -26,7 +26,7 @@ dimension certified against sum_c (T(a):Delta(c)) (T(b):Nabla(c)).
 from __future__ import annotations
 
 from tiltlab.characters import Character, decompose_into_weyl, is_nonneg_weyl_sum, weyl_character
-from tiltlab.cyclotomic import CertificationError, CycloField
+from tiltlab.cyclotomic import CertificationError, CycloField, sum_of_products
 from tiltlab.linalg import ExactMatrix
 from tiltlab.modules import (
     UModule,
@@ -109,14 +109,10 @@ def end_algebra(M: UModule):
 
 def _trace_of_product(a: ExactMatrix, b: ExactMatrix):
     """tr(a b) = sum of a[i, j] b[j, i] over the nonzero entries."""
-    acc = a.field.zero
     brows = b.entries
-    for i, arow in enumerate(a.entries):
-        for j, x in arow.items():
-            y = brows[j].get(i)
-            if y is not None:
-                acc = acc + x * y
-    return acc
+    acc = sum_of_products((x, brows[j][i]) for i, arow in enumerate(a.entries)
+                          for j, x in arow.items() if i in brows[j])
+    return a.field.zero if acc is None else acc
 
 
 def radical_dimension(end_basis) -> int:
@@ -179,18 +175,18 @@ def _split_pair(R: UModule, C: UModule):
     homs_in = hom_space(C, R)
     if not homs_in:
         return None
-    homs_out = hom_space(R, C)
+    homs_out = homs_in if R is C else hom_space(R, C)
     if not homs_out:
         return None
     for f in homs_in:
         for g in homs_out:
             if not _trace_of_product(g.matrix, f.matrix).is_zero():
                 gf = g.matrix @ f.matrix
-                det = gf.determinant()
-                if det.is_zero():
+                try:
+                    inv = gf.inverse()
+                except ZeroDivisionError:  # g o f is singular
                     continue
-                psi = UMorphism(R, C, gf.inverse() @ g.matrix)
-                return f, psi
+                return f, UMorphism(R, C, inv @ g.matrix)
     return None
 
 
@@ -225,6 +221,10 @@ def _split_tilting_labels(M: UModule, labels):
                 raise NonSplitError(f"T({mu}) is predicted by the character but does not split off (dim {R.dim})")
             phi, psi = split
             parts.append(Part(("T", mu), C, incl.compose(phi), psi.compose(proj)))
+            if R.dim == C.dim:
+                # phi is an isomorphism: this was the last label
+                R = UModule.zero_module(field)
+                continue
             R, kincl, kretr = _complement_of_idempotent(R, phi.matrix @ psi.matrix)
             incl, proj = incl.compose(kincl), kretr.compose(proj)
     return parts, R

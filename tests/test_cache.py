@@ -1,14 +1,17 @@
-"""The disk cache's writes: concurrent writers of one key, and worker
-processes that share the active cache whatever their start method."""
+"""The disk cache: concurrent writers of one key, worker processes that
+share the active cache whatever their start method, and warm loads of a
+closed-form tilting module."""
 
+import json
 import multiprocessing
 import os
 
 import pytest
 
 import tiltlab.cache
-from tiltlab.cache import CacheDir
+from tiltlab.cache import CacheDir, cached_standard_module
 from tiltlab.cyclotomic import CycloField
+from tiltlab.standard import tilting_module
 from tiltlab.suites import check_direct_sums
 
 FINGERPRINT = "0" * 64
@@ -58,3 +61,32 @@ def test_spawned_workers_share_the_active_cache(tmp_path, monkeypatch):
     names = os.listdir(tmp_path)
     assert any(name.startswith("cmin_") for name in names)
     assert not any(name.endswith(".tmp") for name in names)
+
+
+def _same_module(a, b):
+    return (a.weights, a.E, a.F, a.El, a.Fl) == (b.weights, b.E, b.F, b.El, b.Fl)
+
+
+@pytest.mark.parametrize("entry, reason", [
+    (["1"], "expected 4 coefficients, got 1"),
+    (["x", "0", "0", "0"], "Invalid literal for Fraction: 'x'"),
+    (["1/0", "0", "0", "0"], "Fraction(1, 0)"),
+], ids=["short", "not a number", "zero denominator"])
+def test_warm_tilting_module_loads_as_built_and_a_corrupted_entry_is_rebuilt(entry, reason, tmp_path, capsys):
+    """T(13) at ell 5 is T(5) (x) L(1)^[1]; a warm load must equal it, and a
+    malformed stored entry must warn and be rebuilt, not trusted."""
+    F = CycloField(5)
+    cache = CacheDir(str(tmp_path))
+    T = tilting_module(F, 13)
+    assert cached_standard_module(cache, F, "T", 13) is T  # cold: built and stored
+    path = tmp_path / cache.module_key(5, "T", 13)
+    right = path.read_text()
+    warm = cache.load_module(5, "T", 13)
+    assert warm is not T and _same_module(warm, T)
+    data = json.loads(right)
+    data["module"]["E"]["entries"][7] = entry
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert _same_module(cached_standard_module(cache, F, "T", 13), T)
+    assert f"warning: cache module T(13) invalid ({reason}); rebuilding" in capsys.readouterr().err
+    assert path.read_text() == right

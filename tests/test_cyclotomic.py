@@ -11,6 +11,8 @@ from tiltlab.cyclotomic import (
     MismatchedFieldError,
     cyclotomic_polynomial,
     euler_phi,
+    sub_product,
+    sum_of_products,
 )
 
 from oracles import binomial_k_operator_value
@@ -252,3 +254,58 @@ def test_inverse_rejects_a_wrong_norm(monkeypatch):
     monkeypatch.setattr(F, "_conjugations", F._conjugations[:-1])
     with pytest.raises(CertificationError):
         x.inverse()
+
+
+def _kernel_scalars(F, rng):
+    """Zero, rationals, irrationals, and scalars with mixed denominators."""
+    out = [F.zero, F.one, F.scalar(-3), F.scalar("2/3"), F.zeta, F.scalar("5/4") * F.zeta_power(2)]
+    for _ in range(4):
+        out.append(F.from_coeffs([Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(F.phi)]))
+    return out
+
+
+def _same(got, want):
+    """A kernel's result (None for zero) is the operators' scalar."""
+    if want.is_zero():
+        return got is None
+    return (got.num, got.den) == (want.num, want.den)
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7])
+def test_sub_product_matches_the_operators(ell):
+    F = CycloField(ell)
+    scalars = _kernel_scalars(F, random.Random(ell))
+    for c in scalars:
+        for v in scalars:
+            # an absent t reads as zero; t = c*v cancels exactly
+            assert _same(sub_product(None, c, v), F.zero - c * v)
+            assert sub_product(c * v, c, v) is None
+            for t in scalars:
+                assert _same(sub_product(t, c, v), t - c * v)
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7])
+def test_sum_of_products_matches_the_operators(ell):
+    F = CycloField(ell)
+    rng = random.Random(100 + ell)
+    scalars = _kernel_scalars(F, rng)
+    assert sum_of_products([]) is None
+    for length in range(1, 6):
+        for _ in range(30):
+            pairs = [(rng.choice(scalars), rng.choice(scalars)) for _ in range(length)]
+            want = F.zero
+            for a, b in pairs:
+                want = want + a * b
+            assert _same(sum_of_products(pairs), want)
+            # the same terms and their negatives cancel exactly
+            assert sum_of_products(pairs + [(-a, b) for a, b in pairs]) is None
+
+
+def test_fused_kernels_reject_mismatched_fields():
+    a, b = CycloField(3).one, CycloField(5).one
+    with pytest.raises(MismatchedFieldError):
+        sub_product(a, a, b)
+    with pytest.raises(MismatchedFieldError):
+        sub_product(b, a, a)
+    with pytest.raises(MismatchedFieldError):
+        sum_of_products([(a, a), (b, b)])

@@ -289,6 +289,15 @@ CLI_CASES = {
         ["verify", "--suite", "bijection"],
         "a346dcbb44885946c8ee5d2534e1b8bf1ce8de3c78646db4617035c52bbff51d",
     ),
+    # direct sums, tensor products and the Krull-Schmidt split
+    "verify lemmas ell 3 seed 7": (
+        ["verify", "--suite", "lemmas", "--ell", "3", "--window", "12", "--budget", "25", "--seed", "7"],
+        "52951eeade41f8a7e1612564921b0e26a36e6ef5583f88cea14ec0f64ff24c75",
+    ),
+    "verify two-out-of-three ell 3 seed 1": (
+        ["verify", "--suite", "two-out-of-three", "--ell", "3", "--window", "12", "--budget", "20", "--seed", "1"],
+        "b3f3bf28e48d6a1c9b3132decea4cba26e0c31be0a99e116db3a28a3f75404d3",
+    ),
 }
 
 

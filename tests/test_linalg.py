@@ -251,6 +251,79 @@ def test_sparse_system_inconsistent():
     assert sys.particular_solution() is None
 
 
+def _sparse_matches_dense(F, ncols, equations):
+    """SparseSystem against the dense oracles: its kernel basis and its
+    particular solution (free unknowns zero, None when inconsistent)."""
+    sys = SparseSystem(F, ncols)
+    for entries, rhs in equations:
+        sys.add_row(entries, rhs)
+    A = ExactMatrix(F, len(equations), ncols, [dict(e) for e, _ in equations])
+    b = ExactMatrix(F, len(equations), 1, [{} if r is None or r.is_zero() else {0: r} for _, r in equations])
+    oracle = dense_kernel(A)
+    assert sys.kernel_basis() == [oracle.column(j) for j in range(oracle.cols)]
+    X = dense_solve(A, b)
+    assert sys.particular_solution() == (None if X is None else X.column(0))
+    return sys
+
+
+def test_sparse_system_with_repeated_zero_rows():
+    F = CycloField(5)
+    z = F.zeta
+    equations = [
+        ({2: F.scalar(3)}, None), ({0: F.one, 2: z, 4: F.scalar(-2)}, None), ({2: F.scalar(-1)}, None),
+        ({4: z}, None), ({1: z, 3: F.one, 4: F.one}, F.scalar(2)), ({2: F.scalar("1/2")}, None),
+        ({4: F.scalar(7)}, None), ({0: F.one, 5: z + F.one}, z),
+    ]
+    _sparse_matches_dense(F, 6, equations)
+
+
+def test_sparse_system_presolve_cascade():
+    """x1 = 0 forces x2 through x1 + x2 = 0, which forces x3, and so on."""
+    F = CycloField(3)
+    z = F.zeta
+    equations = [
+        ({1: F.one}, None), ({1: F.one, 2: F.one}, None), ({2: z, 3: F.scalar(2)}, None),
+        ({3: F.one, 4: z, 0: F.one}, None), ({4: F.scalar("3/2"), 0: z, 5: F.one}, F.one),
+        ({0: F.one, 6: F.one}, F.scalar(-1)),
+    ]
+    sys = _sparse_matches_dense(F, 7, equations)
+    ech = sys.echelon()
+    for k in (1, 2, 3):
+        assert ech.rows[k] == {k: F.one}
+
+
+def test_sparse_system_row_left_with_only_its_right_hand_side():
+    """x0 = 0 and x0 + x1 = 0 leave 2 x1 = 1 as 0 = 1: inconsistent."""
+    F = CycloField(7)
+    equations = [({0: F.one}, None), ({0: F.zeta, 1: F.one}, None), ({1: F.scalar(2)}, F.one),
+                 ({2: F.one, 3: F.zeta}, F.scalar(5))]
+    sys = _sparse_matches_dense(F, 4, equations)
+    assert sys.particular_solution() is None
+    assert 4 in sys.echelon().rows
+    # with a zero right-hand side the same rows are consistent
+    _sparse_matches_dense(F, 4, [(e, None) for e, _ in equations[:3]] + equations[3:])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([3, 5]),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_sparse_system_with_one_entry_rows_matches_dense(ell, ncols, seed):
+    F = CycloField(ell)
+    rng = random.Random(seed)
+    equations = []
+    for _ in range(rng.randint(1, 2 * ncols)):
+        size = rng.choice([1, 1, 2, 3])
+        cols = rng.sample(range(ncols), min(size, ncols))
+        entries = {c: F.from_coeffs([rng.randint(-2, 2) or 1] + [rng.randint(-1, 1) for _ in range(F.phi - 1)])
+                   for c in cols}
+        rhs = F.scalar(rng.randint(-2, 2)) if rng.random() < 0.3 else None
+        equations.append((entries, rhs))
+    _sparse_matches_dense(F, ncols, equations)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from([3, 5]),

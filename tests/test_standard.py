@@ -109,6 +109,30 @@ def test_decomposition_witnesses_are_orthogonal_idempotents():
     assert sum(p.module.dim for p in parts) == M.dim
 
 
+@pytest.mark.parametrize("ell, build", [
+    # M is the cached T(8) itself, so the split solves End(T(8)) once and
+    # leaves the zero module
+    (7, lambda F: tilting_module(F, 8)),
+    (3, lambda F: direct_sum(tilting_module(F, 5), tilting_module(F, 3), tilting_module(F, 3))),
+    (3, lambda F: tensor_module(tilting_module(F, 3), tilting_module(F, 3))),
+], ids=["T(8) ell 7", "T(5)+T(3)+T(3) ell 3", "T(3)xT(3) ell 3"])
+def test_split_parts_resolve_the_identity(ell, build):
+    """sum_i incl_i o proj_i = id_M and proj_i o incl_j = delta_ij id."""
+    from tiltlab.linalg import ExactMatrix
+
+    F = CycloField(ell)
+    M = build(F)
+    parts = decompose_indecomposables(M)
+    total = ExactMatrix.zero(F, M.dim, M.dim)
+    for i, p in enumerate(parts):
+        total = total + p.inclusion.matrix @ p.projection.matrix
+        for j, q in enumerate(parts):
+            comp = p.projection.matrix @ q.inclusion.matrix
+            assert comp == (ExactMatrix.identity(F, p.module.dim) if i == j
+                            else ExactMatrix.zero(F, p.module.dim, q.module.dim))
+    assert total == ExactMatrix.identity(F, M.dim)
+
+
 def test_krull_schmidt_doubling():
     for M in (
         tilting_module(F3, 4),
