@@ -365,6 +365,13 @@ class RowEchelon:
             basis.append(vec)
         return basis
 
+    def particular_solution(self, ncols: int):
+        """A solution (free unknowns zero) of the system whose right-hand side
+        is column ncols, as a sparse vector; None if that column is a pivot."""
+        if ncols in self.rows:
+            return None
+        return {pc: row[ncols] for pc, row in self.rows.items() if ncols in row}
+
 
 class SparseSystem:
     """Homogeneous or inhomogeneous sparse exact linear system.
@@ -429,10 +436,5 @@ class SparseSystem:
         return self.echelon().kernel_basis(self.ncols)
 
     def particular_solution(self):
-        """One solution of the inhomogeneous system (free unknowns zero) as a
-        sparse vector, or None if inconsistent."""
-        ech = self.echelon()
-        if self.ncols in ech.rows:
-            return None
-        n = self.ncols
-        return {pc: row[n] for pc, row in ech.rows.items() if n in row}
+        """One solution (free unknowns zero) as a sparse vector, or None."""
+        return self.echelon().particular_solution(self.ncols)

@@ -14,7 +14,8 @@ tilting by the Krull-Schmidt split (standard.tilting_parts): it is tilting
 exactly when it splits into the T(mu) that its closed-form character
 predicts, so no Delta- or Nabla-flag is peeled for it.  The same test decides
 when the tail of the coresolution, and a kernel of a left resolution, is
-already tilting; those are costandard-filtered, which the Nabla-peel checks.
+already tilting; those are costandard-filtered, which the Nabla-peel checks,
+so each tilting cover is exact: one Hom(T(mu), X) per (X:Nabla(mu)) > 0.
 
 Every grid term is a sum of T(mu) with known parts, so maps between them are
 solved over the cached bases of Hom(T(a), T(b)) (standard.tilting_hom_basis):
@@ -25,6 +26,7 @@ corrections solve only for coefficients in them.
 
 from __future__ import annotations
 
+from tiltlab.characters import decompose_into_weyl
 from tiltlab.complexes import ChainComplex, labeled_direct_sum, minimalize, total_complex
 from tiltlab.cyclotomic import CertificationError
 from tiltlab.linalg import ExactMatrix, RowEchelon, SparseSystem
@@ -41,6 +43,7 @@ from tiltlab.standard import (
     label_table_character,
     peel_standard_filtration,
     tilting_hom_basis,
+    tilting_hom_dimension,
     tilting_module,
     tilting_parts,
 )
@@ -51,7 +54,7 @@ WINDOW_MARGIN_FACTOR = 4  # search window grows up to margin * this
 
 
 class WindowError(RuntimeError):
-    """A search window was exhausted; never silently return a wrong complex."""
+    """A search window or a step cap ran out (an internal fault is a CertificationError)."""
 
 
 _cmin_cache: dict = {}
@@ -130,35 +133,33 @@ def embed_into_tilting(M: UModule):
 
 
 def cover_by_tilting(M: UModule):
-    """Surjection onto M from a labeled direct sum of T(mu).
+    """Surjection onto M from a labeled direct sum of T(mu); M must be
+    Nabla-filtered, as the coresolution's tail and every cover kernel are.
 
-    The cover starts from the full Hom basis over the window, so that every
-    morphism from a tilting module factors through it (then kernels of covers
-    of costandard-filtered modules stay costandard filtered); components are
-    only dropped when they factor through the rest, which preserves that
-    property exactly.
+    The bases of Hom(T(mu), M), mu in {c : (M:Nabla(c)) > 0}, give a right
+    add(T)-approximation with Nabla-filtered kernel (Ringel, Math. Z. 208,
+    1991; Auslander-Reiten, Adv. Math. 86, 1991): Delta(c) -> M extends along
+    Delta(c) -> T(c), whose cokernel is Delta-filtered, so Hom(Delta(c), -) is
+    onto, and so is the cover by induction along a Nabla-flag.  A solved
+    dimension other than `tilting_hom_dimension`, or a cover that is not onto,
+    raises CertificationError.  Pruning drops only components that factor
+    through the rest, which keeps the approximation.
     """
     field = M.field
-    ell = field.ell
-    top = M.character.max_weight()
-    if top is None:
+    if M.dim == 0:
         raise ValueError("cannot cover the zero module")
-    margin = 2 * (ell - 1)
-    attempt = margin
-    while attempt <= margin * WINDOW_MARGIN_FACTOR:
-        bound = top + attempt
-        components = []
-        for mu in range(bound, -1, -1):
-            for h in hom_space(tilting_module(field, mu), M):
-                components.append((mu, h))
-        if _is_onto(components, M):
-            components = _prune_factoring(field, components, M)
-            return _stack_from_sum(field, components, M)
-        attempt *= 2
-    raise WindowError(
-        f"no tilting cover of a dim-{M.dim} module with highest weight "
-        f"<= {top + margin * WINDOW_MARGIN_FACTOR}"
-    )
+    mults = {c: m for c, m in decompose_into_weyl(M.character).items() if m > 0}
+    components = []
+    for mu in sorted(mults, reverse=True):
+        homs = hom_space(tilting_module(field, mu), M)
+        expected = tilting_hom_dimension(field, mu, mults)
+        if len(homs) != expected:
+            raise CertificationError(f"Hom(T({mu}), M) has dimension {len(homs)}, not {expected}")
+        components += [(mu, h) for h in homs]
+    if not _is_onto(components, M):
+        raise CertificationError(f"the tilting cover of a dim-{M.dim} module is not onto")
+    components = _prune_factoring(field, components, M)
+    return _stack_from_sum(field, components, M)
 
 
 def _is_onto(components, M):
@@ -270,9 +271,7 @@ def _left_resolution(X: UModule, parts):
         if -t > COLUMN_CAP:
             raise WindowError(f"left resolution did not terminate within {COLUMN_CAP} steps")
         if peel_standard_filtration(K, "nabla") is None:
-            raise WindowError(
-                "cover kernel lost its costandard filtration; approximation failed"
-            )
+            raise CertificationError("cover kernel lost its costandard filtration")
         kparts = tilting_parts(K)
         if kparts is not None:
             terms.append(K)
@@ -331,11 +330,12 @@ def _lift_over_tiltings(src, src_parts, tgt, tgt_parts, left: ExactMatrix, rhs: 
     target = _flatten(rhs)
     for cell in rows.keys() | target.keys():
         sys.add_row(rows.get(cell, {}), target.get(cell))
-    coeffs = sys.particular_solution()
+    solved = sys.echelon()
+    coeffs = solved.particular_solution(len(basis))
     if coeffs is None:
         return None
     f = combine(coeffs)
-    homogeneous = sys.kernel_basis() if coeffs else []
+    homogeneous = solved.kernel_basis(len(basis)) if coeffs else []
     if not homogeneous:
         return f
     # key (w, -r, -c) of entry (r, c) of weight w: the least key is the last
@@ -388,7 +388,7 @@ def tilting_complex_of(M: UModule) -> ChainComplex:
         rhs0 = d_s.matrix @ aug_s.matrix
         sol = lift((s, 0), (s + 1, 0), aug_s1.matrix, rhs0)
         if sol is None:
-            raise WindowError(f"vertical lift at column {s}, level 0 is inconsistent")
+            raise CertificationError(f"vertical lift at column {s}, level 0 is inconsistent")
         f1[(s, 0)] = sol
         t = 0
         while (s, t - 1) in grid:
@@ -397,12 +397,12 @@ def tilting_complex_of(M: UModule) -> ChainComplex:
                 # lift must compose to zero through the lower boundary
                 comp = f1[(s, t + 1)] @ d0[(s, t)]
                 if not comp.is_zero():
-                    raise WindowError(f"vertical lift leaks below column {s + 1} at t={t}")
+                    raise CertificationError(f"vertical lift leaks below column {s + 1} at t={t}")
                 break
             rhs = f1[(s, t + 1)] @ d0[(s, t)]
             sol = lift((s, t), (s + 1, t), d0[(s + 1, t)], rhs)
             if sol is None:
-                raise WindowError(f"vertical lift at column {s}, level {t} is inconsistent")
+                raise CertificationError(f"vertical lift at column {s}, level {t} is inconsistent")
             f1[(s, t)] = sol
     # store D_1 with the sign twist (-1)^t
     comps = {}  # (k, s, t) -> matrix for D_k component at (s,t)
@@ -433,21 +433,16 @@ def tilting_complex_of(M: UModule) -> ChainComplex:
                     res = term if res is None else res + term
                 if res is None or res.is_zero():
                     continue
+                where = f"correction at column {s}, level {t}"
                 if tgt_pos not in grid:
-                    raise WindowError(
-                        f"correction at column {s}, level {t} has nowhere to go"
-                    )
+                    raise CertificationError(f"{where} has nowhere to go")
                 # unknown X: (s,t) -> tgt_pos with d0 (at tgt_pos) o X = -res
                 left = comps.get((0,) + tgt_pos)
                 if left is None:
-                    raise WindowError(
-                        f"correction at column {s}, level {t}: no differential at target"
-                    )
+                    raise CertificationError(f"{where}: no differential at target")
                 sol = lift((s, t), tgt_pos, left, -res)
                 if sol is None:
-                    raise WindowError(
-                        f"correction at column {s}, level {t} is inconsistent"
-                    )
+                    raise CertificationError(f"{where} is inconsistent")
                 layer[(s, t)] = sol
         for (s, t), mat in layer.items():
             comps[(k, s, t)] = mat

@@ -302,16 +302,14 @@ def tilting_module(field: CycloField, n: int) -> UModule:
 def tilting_hom_basis(field: CycloField, a: int, b: int):
     """Basis of Hom(T(a), T(b)), the `hom_space` basis, cached per (ell, a, b).
 
-    Its dimension is certified against sum_c (T(a):Delta(c)) (T(b):Nabla(c)),
-    with both multiplicities read off the closed-form tilting characters
-    (ch Delta(c) = ch Nabla(c) = chi(c)); a pair predicted zero is not solved.
+    Its dimension is certified against `tilting_hom_dimension`, with the
+    Nabla-multiplicities of T(b) read off its closed-form character; a pair
+    predicted zero is not solved.
     """
     key = (field.ell, a, b)
     basis = _tilting_hom_cache.get(key)
     if basis is None:
-        mult_b = decompose_into_weyl(tilting_character(field, b))
-        expected = sum(m * mult_b.get(c, 0)
-                       for c, m in decompose_into_weyl(tilting_character(field, a)).items())
+        expected = tilting_hom_dimension(field, a, decompose_into_weyl(tilting_character(field, b)))
         basis = []
         if expected:
             basis = hom_space(tilting_module(field, a), tilting_module(field, b))
@@ -320,6 +318,15 @@ def tilting_hom_basis(field: CycloField, a: int, b: int):
                     f"Hom(T({a}), T({b})) has dimension {len(basis)}, not {expected}")
         _tilting_hom_cache[key] = basis
     return basis
+
+
+def tilting_hom_dimension(field: CycloField, a: int, nabla_mults) -> int:
+    """dim Hom(T(a), X) = sum_c (T(a):Delta(c)) (X:Nabla(c)) for a
+    Nabla-filtered X with nabla_mults {c: (X:Nabla(c))}, since
+    Ext^1(Delta, Nabla) = 0; (T(a):Delta(c)) is read off the closed-form
+    character (ch Delta(c) = ch Nabla(c) = chi(c))."""
+    return sum(m * nabla_mults.get(c, 0)
+               for c, m in decompose_into_weyl(tilting_character(field, a)).items())
 
 
 def _extract_top_summand(M: UModule, n: int) -> UModule:

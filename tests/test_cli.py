@@ -468,3 +468,44 @@ def test_internal_invariant_failure_exits_internal(monkeypatch, capsys):
     assert code == 3
     assert captured.out == ""
     assert "Hom(Delta(5), Nabla(5)) has dimension 0" in captured.err
+
+
+def test_a_lost_cover_solution_exits_internal(monkeypatch, capsys):
+    import tiltlab.cache
+    import tiltlab.minimal
+
+    monkeypatch.setattr(tiltlab.cache, "_active_cache", None)
+    monkeypatch.delenv("TILTLAB_CACHE", raising=False)
+    monkeypatch.setattr(tiltlab.minimal, "_cmin_cache", {})
+    solve = tiltlab.minimal.hom_space
+
+    def lossy(M, N):
+        basis = solve(M, N)
+        # a cover solves Hom(T(mu), X) out of the cached T(mu)
+        if M is tilting_module(M.field, M.character.max_weight()):
+            return basis[:-1]
+        return basis
+
+    monkeypatch.setattr(tiltlab.minimal, "hom_space", lossy)
+    code = main(["cmin", "--ell", "3", "--module", "L:4"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "Hom(T(" in captured.err
+
+
+def test_a_failed_lift_exits_internal(monkeypatch, capsys):
+    import tiltlab.cache
+    import tiltlab.minimal
+
+    monkeypatch.setattr(tiltlab.cache, "_active_cache", None)
+    monkeypatch.delenv("TILTLAB_CACHE", raising=False)
+    monkeypatch.setattr(tiltlab.minimal, "_cmin_cache", {})
+    monkeypatch.setattr(tiltlab.minimal, "_lift_over_tiltings", lambda *args: None)
+    # the coresolution of L(4) at ell 3 has two columns, joined by a lift
+    assert len(tiltlab.minimal._coresolution(simple_module(CycloField(3), 4))[0]) == 2
+    code = main(["cmin", "--ell", "3", "--module", "L:4"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "vertical lift at column 0, level 0 is inconsistent" in captured.err

@@ -298,6 +298,15 @@ CLI_CASES = {
         ["verify", "--suite", "two-out-of-three", "--ell", "3", "--window", "12", "--budget", "20", "--seed", "1"],
         "b3f3bf28e48d6a1c9b3132decea4cba26e0c31be0a99e116db3a28a3f75404d3",
     ),
+    # C_min(L(lam)) for lam = 0..12, most of it in the tilting covers
+    "verify alcove-cross ell 3": (
+        ["verify", "--suite", "alcove-cross", "--ell", "3", "--window", "12"],
+        "ba92beca4d286dbf80ab06c68c4396bd2c5e69fb070967cf06763297dcfa560e",
+    ),
+    "verify alcove-cross ell 5": (
+        ["verify", "--suite", "alcove-cross", "--ell", "5", "--window", "12"],
+        "237d92f19fce033ea99062a192d4ba8307603ac7fb359860baacc5989bd846c2",
+    ),
 }
 
 

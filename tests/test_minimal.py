@@ -3,11 +3,10 @@ import random
 import pytest
 
 from tiltlab.complexes import labeled_direct_sum, minimalize, tensor_complexes
-from tiltlab.cyclotomic import CycloField
+from tiltlab.cyclotomic import CertificationError, CycloField
 from tiltlab.linalg import ExactMatrix
 from tiltlab.modules import UModule, direct_sum, find_isomorphism, tensor_module
 from tiltlab.minimal import (
-    WindowError,
     _lift_over_tiltings,
     cover_by_tilting,
     embed_into_tilting,
@@ -127,8 +126,26 @@ def test_embed_and_cover_shapes():
     Q, emb, parts = embed_into_tilting(L3)
     assert is_injective(emb)
     assert all(lab[0] == "T" for lab in (p.label for p in parts))
-    P, surj, parts2 = cover_by_tilting(L3)
+    # a cover's input is Nabla-filtered, as the coresolution's tail is
+    P, surj, parts2 = cover_by_tilting(direct_sum(dual_weyl_module(F3, 3), dual_weyl_module(F3, 1)))
     assert is_surjective(surj)
+    assert all(lab[0] == "T" for lab in (p.label for p in parts2))
+
+
+@pytest.mark.parametrize("field", [F3, F5], ids=["ell3", "ell5"])
+def test_cover_refuses_exactly_the_inputs_without_a_nabla_flag(field):
+    refused = 0
+    for n in range(3 * field.ell):
+        for kind in (weyl_module, dual_weyl_module, simple_module):
+            M = kind(field, n)
+            if peel_standard_filtration(M, "nabla") is None:
+                refused += 1
+                with pytest.raises(CertificationError):
+                    cover_by_tilting(M)
+            else:
+                _, surj, _ = cover_by_tilting(M)
+                assert is_surjective(surj)
+    assert refused
 
 
 def test_embed_zero_raises():
@@ -287,16 +304,29 @@ def test_solve_chain_map_rejects_a_non_intertwiner():
 def test_prune_keeps_the_components_lifting_keeps(monkeypatch, field, top):
     import tiltlab.minimal
 
-    for n in range(top + 1):
-        for kind in (weyl_module, dual_weyl_module, simple_module):
-            M = kind(field, n)
+    prune = tiltlab.minimal._prune_factoring
+    dropped = []
+
+    def counted_prune(field, components, M):
+        kept = prune(field, components, M)
+        dropped.append(len(components) - len(kept))
+        return kept
+
+    # Nabla-filtered inputs; the cover of a single Nabla(n) has one component
+    nabla = [dual_weyl_module(field, n) for n in range(top + 1)]
+    inputs = [direct_sum(nabla[a], nabla[b]) for a in range(top + 1) for b in range(a)]
+    inputs += [tensor_module(nabla[a], nabla[b]) for a in range(1, 5) for b in range(1, a + 1)]
+    for M in inputs:
+        with monkeypatch.context() as m:
+            m.setattr(tiltlab.minimal, "_prune_factoring", counted_prune)
             _, surj, parts = cover_by_tilting(M)
-            with monkeypatch.context() as m:
-                m.setattr(tiltlab.minimal, "_prune_factoring", prune_by_lifting)
-                _, oracle_surj, oracle_parts = cover_by_tilting(M)
-            # equal matrices: the same Hom basis elements, in the same order
-            assert [p.label for p in parts] == [p.label for p in oracle_parts]
-            assert surj.matrix == oracle_surj.matrix
+        with monkeypatch.context() as m:
+            m.setattr(tiltlab.minimal, "_prune_factoring", prune_by_lifting)
+            _, oracle_surj, oracle_parts = cover_by_tilting(M)
+        # equal matrices: the same Hom basis elements, in the same order
+        assert [p.label for p in parts] == [p.label for p in oracle_parts]
+        assert surj.matrix == oracle_surj.matrix
+    assert len(dropped) == len(inputs) and sum(dropped) > 0
 
 
 def test_prune_never_factors_through_a_dropped_component():
