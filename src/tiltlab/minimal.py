@@ -136,14 +136,14 @@ def cover_by_tilting(M: UModule):
     """Surjection onto M from a labeled direct sum of T(mu); M must be
     Nabla-filtered, as the coresolution's tail and every cover kernel are.
 
-    The bases of Hom(T(mu), M), mu in {c : (M:Nabla(c)) > 0}, give a right
-    add(T)-approximation with Nabla-filtered kernel (Ringel, Math. Z. 208,
-    1991; Auslander-Reiten, Adv. Math. 86, 1991): Delta(c) -> M extends along
-    Delta(c) -> T(c), whose cokernel is Delta-filtered, so Hom(Delta(c), -) is
-    onto, and so is the cover by induction along a Nabla-flag.  A solved
-    dimension other than `tilting_hom_dimension`, or a cover that is not onto,
-    raises CertificationError.  Pruning drops only components that factor
-    through the rest, which keeps the approximation.
+    The bases of Hom(T(mu), M), mu in S(M) = {c : (M:Nabla(c)) > 0}, give a
+    right add(T)-approximation P -> M with Nabla-filtered kernel (Ringel,
+    Math. Z. 208, 1991; Auslander-Reiten, Adv. Math. 86, 1991): a map
+    Delta(c) -> M extends along Delta(c) -> T(c), whose cokernel is
+    Delta-filtered, so Hom(Delta(c), P) -> Hom(Delta(c), M) is onto, and
+    P -> M is onto by induction along a Nabla-flag.  A solved dimension other
+    than `tilting_hom_dimension`, or a cover that is not onto, raises
+    CertificationError.  The prune keeps the approximation.
     """
     field = M.field
     if M.dim == 0:
