@@ -132,12 +132,13 @@ def _check_named_module(M, kind: str, n: int):
     then a quotient of Delta(n) of the same dimension); Nabla(n): the same
     on the dual of M.  L(n): ch M = ch L(n), since a module with the
     character of a simple module has that simple module as its only
-    composition factor.  T(n): ch M = ch T(n) and M is tilting, so its
-    Krull-Schmidt labels, read off the character, are the one label n.
+    composition factor.  T(n): ch M = ch T(n) and M is tilting by the flag
+    counts (standard.is_tilting), since a tilting module is fixed by its
+    character; T(n) is not built.
     """
     from tiltlab.characters import weyl_character
     from tiltlab.modules import dual_module, submodule_generated
-    from tiltlab.standard import simple_character, tilting_character, tilting_parts
+    from tiltlab.standard import is_tilting, simple_character, tilting_character
 
     field = M.field
     if kind == "L":
@@ -154,7 +155,7 @@ def _check_named_module(M, kind: str, n: int):
         if submodule_generated(G, [{top: field.one}])[0].dim != G.dim:
             dual = "" if kind == "Delta" else "dual "
             raise ValueError(f"{dual}not generated by a vector of weight {n}")
-    elif kind == "T" and tilting_parts(M) is None:
+    elif kind == "T" and not is_tilting(M):
         raise ValueError("not tilting")
 
 

@@ -39,7 +39,12 @@ def labeled_direct_sum(field, labeled_modules):
 class ChainComplex:
     """Cohomologically graded: differentials raise degree by one."""
 
-    def __init__(self, field, terms: dict, differentials: dict, parts: dict | None = None):
+    def __init__(self, field, terms: dict, differentials: dict, parts: dict | None = None,
+                 labels: dict | None = None):
+        """parts[i] lists the indecomposable summands of term i with their
+        witnesses; labels[i], for a term without parts, is the multiset
+        {label: multiplicity} of its summands, which ensure_parts then
+        splits off."""
         self.field = field
         self.terms = {i: t for i, t in terms.items() if t.dim > 0}
         self.differentials = {}
@@ -51,6 +56,11 @@ class ChainComplex:
             for i, ps in parts.items():
                 if i in self.terms:
                     self.parts[i] = list(ps)
+        self._labels = {}
+        if labels:
+            for i, mults in labels.items():
+                if i in self.terms and i not in self.parts:
+                    self._labels[i] = sorted(lab for lab, m in mults.items() for _ in range(m))
 
     @classmethod
     def single(cls, M: UModule, degree: int = 0, label=None):
@@ -107,9 +117,11 @@ class ChainComplex:
         """Multiset of summand labels in degree i (sorted list)."""
         if i not in self.terms:
             return []
-        if i not in self.parts:
-            raise ValueError(f"no decomposition stored for degree {i}")
-        return sorted(p.label for p in self.parts[i])
+        if i in self.parts:
+            return sorted(p.label for p in self.parts[i])
+        if i in self._labels:
+            return list(self._labels[i])
+        raise ValueError(f"no decomposition stored for degree {i}")
 
     def tilting_label_table(self):
         """degree -> ascending list of n for terms that are sums of T(n)."""

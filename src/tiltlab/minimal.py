@@ -9,13 +9,16 @@ its Euler character, of the terms and of the closed-form tilting characters
 of its labels, both equal to ch M, and by recomputing cohomology: the source
 module in degree zero and nothing else.
 
-A tilting module is its own C_min, in degree zero.  M is recognized as
-tilting by the Krull-Schmidt split (standard.tilting_parts): it is tilting
-exactly when it splits into the T(mu) that its closed-form character
-predicts, so no Delta- or Nabla-flag is peeled for it.  The same test decides
-when the tail of the coresolution, and a kernel of a left resolution, is
-already tilting; those are costandard-filtered, which the Nabla-peel checks,
-so each tilting cover is exact: one Hom(T(mu), X) per (X:Nabla(mu)) > 0.
+A tilting module is its own C_min, in degree zero.  Flags are decided by
+counting primitive vectors (standard.primitive_counts): M is tilting exactly
+when both its Nabla- and its Delta-count are equalities, and then its labels
+are read off its closed-form character and nothing is split; the one-term
+complex splits its term only when a caller reads the parts
+(ChainComplex.ensure_parts).  The same counts decide when the tail of the
+coresolution is costandard-filtered, and when it, or a kernel of a left
+resolution, is already tilting; every kernel is costandard-filtered, which
+the Nabla-count checks, so each tilting cover is exact: one Hom(T(mu), X) per
+(X:Nabla(mu)) > 0.
 
 Every grid term is a sum of T(mu) with known parts, so maps between them are
 solved over the cached bases of Hom(T(a), T(b)) (standard.tilting_hom_basis):
@@ -40,8 +43,10 @@ from tiltlab.modules import (
     quotient_module,
 )
 from tiltlab.standard import (
+    decompose_tilting_character,
+    has_nabla_flag,
+    is_tilting,
     label_table_character,
-    peel_standard_filtration,
     tilting_hom_basis,
     tilting_hom_dimension,
     tilting_module,
@@ -225,7 +230,7 @@ def _coresolution(M: UModule):
     for _ in range(CORESOLUTION_CAP):
         if C.dim == 0:
             return terms, partlists, maps
-        if peel_standard_filtration(C, "nabla") is not None:
+        if has_nabla_flag(C):
             terms.append(C)
             partlists.append(None)  # resolved later by the column machinery
             if prev_proj is not None:
@@ -251,9 +256,8 @@ def _left_resolution(X: UModule, parts):
     """
     field = X.field
     if parts is None:
-        # X is the costandard-filtered tail of the coresolution; it is
-        # already tilting exactly when it splits into the T(mu) that its
-        # character predicts
+        # X is the costandard-filtered tail of the coresolution, which may
+        # already be tilting
         parts = tilting_parts(X)
     if parts is not None:
         return [X], [parts], {}, UMorphism.identity(X)
@@ -270,7 +274,7 @@ def _left_resolution(X: UModule, parts):
         t -= 1
         if -t > COLUMN_CAP:
             raise WindowError(f"left resolution did not terminate within {COLUMN_CAP} steps")
-        if peel_standard_filtration(K, "nabla") is None:
+        if not has_nabla_flag(K):
             raise CertificationError("cover kernel lost its costandard filtration")
         kparts = tilting_parts(K)
         if kparts is not None:
@@ -477,9 +481,9 @@ def minimal_tilting_complex(M: UModule) -> MinimalTiltingComplex:
         result = MinimalTiltingComplex(M, ChainComplex.zero(field))
         _cmin_cache[key] = result
         return result
-    parts = tilting_parts(M)
-    if parts is not None:
-        single = ChainComplex(field, {0: M}, {}, {0: parts})
+    if is_tilting(M):
+        labels = decompose_tilting_character(field, M.character)
+        single = ChainComplex(field, {0: M}, {}, labels={0: {("T", mu): m for mu, m in labels.items()}})
         result = MinimalTiltingComplex(M, single)
         _cmin_cache[key] = result
         return result

@@ -5,19 +5,21 @@ characters are closed-form above 2ell-2 (Donkin's tensor product theorem,
 T(ell-1+b+ell*a) = T(ell-1+b) (x) L(a)^[1]); only T(n) for n <= 2ell-2 is
 built by tensor-and-peel.  Tilting characters never build a module, so
 character arithmetic on tiltings, such as tensor ideals and Euler-character
-checks, costs only dictionary operations.  Krull-Schmidt decomposition of a
-tilting module reads its summand labels off the closed-form character
-(tilting characters are unitriangular) and splits each predicted T(n) off by
-the split-pair test: C splits off M as soon as some composite M -> C -> M ...
-C -> M -> C is invertible, which for C with local endomorphism ring is
-detected by a nonzero trace.  A predicted summand that does not split is
-reported, never guessed.
+checks, costs only dictionary operations.
 
-The same split decides whether a module is tilting (tilting_parts): M is
-tilting exactly when it is the direct sum of the T(n) that ch M predicts, so
-the split succeeds exactly when M has both a Delta- and a Nabla-flag, and no
-flag is peeled.  peel_standard_filtration remains for modules that need one
-flag only, such as the costandard-filtered tail of a coresolution.
+Nabla-flags, Delta-flags and tilting-ness are decided by counting primitive
+vectors (primitive_counts): M has a Nabla-flag exactly when
+dim M = sum_c dim Hom(Delta(c), M) (c+1), and a Delta-flag exactly when the
+same count on the dual holds, read off the same weight blocks without
+building the dual.  Neither flag is peeled and nothing is split to decide.
+
+Krull-Schmidt decomposition of a tilting module reads its summand labels off
+the closed-form character (tilting characters are unitriangular) and splits
+each predicted T(n) off by the split-pair test: C splits off M as soon as
+some composite M -> C -> M ... C -> M -> C is invertible, which for C with
+local endomorphism ring is detected by a nonzero trace.  tilting_parts splits
+only modules the count proves tilting, so a predicted summand that does not
+split there is an internal fault (CertificationError).
 
 Hom(T(a), T(b)) is solved once per (ell, a, b) (tilting_hom_basis) and its
 dimension certified against sum_c (T(a):Delta(c)) (T(b):Nabla(c)).
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from tiltlab.characters import Character, decompose_into_weyl, is_nonneg_weyl_sum, weyl_character
 from tiltlab.cyclotomic import CertificationError, CycloField, sum_of_products
-from tiltlab.linalg import ExactMatrix
+from tiltlab.linalg import ExactMatrix, RowEchelon
 from tiltlab.modules import (
     UModule,
     UMorphism,
@@ -46,6 +48,7 @@ _nabla_cache: dict = {}
 _simple_cache: dict = {}
 _tilting_cache: dict = {}
 _tilting_character_cache: dict = {}
+_tilting_weyl_cache: dict = {}
 _tilting_hom_cache: dict = {}
 
 
@@ -248,19 +251,17 @@ def decompose_indecomposables(M: UModule):
 def tilting_parts(M: UModule):
     """decompose_indecomposables(M) if M is tilting, else None.
 
-    M is tilting exactly when M is a direct sum of T(mu).  The labels mu are
-    forced by ch M (tilting characters are unitriangular) and the split-pair
-    test is exhaustive, so the split succeeds exactly when M has both a
-    Delta- and a Nabla-flag, without peeling either.
+    M is tilting exactly when both flag counts hold (is_tilting), so nothing
+    is split unless it is; a tilting M is the direct sum of the T(mu) that
+    ch M predicts, so a predicted summand that then does not split is an
+    internal fault and raises CertificationError.
     """
-    try:
-        decompose_tilting_character(M.field, M.character)
-    except ValueError:
+    if not is_tilting(M):
         return None
     try:
         return decompose_indecomposables(M)
-    except NonSplitError:
-        return None
+    except NonSplitError as exc:
+        raise CertificationError(f"a tilting module by the flag counts does not split: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +310,7 @@ def tilting_hom_basis(field: CycloField, a: int, b: int):
     key = (field.ell, a, b)
     basis = _tilting_hom_cache.get(key)
     if basis is None:
-        expected = tilting_hom_dimension(field, a, decompose_into_weyl(tilting_character(field, b)))
+        expected = tilting_hom_dimension(field, a, tilting_weyl_multiplicities(field, b))
         basis = []
         if expected:
             basis = hom_space(tilting_module(field, a), tilting_module(field, b))
@@ -326,17 +327,31 @@ def tilting_hom_dimension(field: CycloField, a: int, nabla_mults) -> int:
     Ext^1(Delta, Nabla) = 0; (T(a):Delta(c)) is read off the closed-form
     character (ch Delta(c) = ch Nabla(c) = chi(c))."""
     return sum(m * nabla_mults.get(c, 0)
-               for c, m in decompose_into_weyl(tilting_character(field, a)).items())
+               for c, m in tilting_weyl_multiplicities(field, a).items())
+
+
+def tilting_weyl_multiplicities(field: CycloField, n: int):
+    """{c: (T(n):Delta(c))} = {c: (T(n):Nabla(c))}, the Weyl decomposition
+    of the closed-form ch T(n), memoized per (ell, n); callers must not
+    modify it."""
+    key = (field.ell, n)
+    mults = _tilting_weyl_cache.get(key)
+    if mults is None:
+        mults = _tilting_weyl_cache[key] = decompose_into_weyl(tilting_character(field, n))
+    return mults
 
 
 def _extract_top_summand(M: UModule, n: int) -> UModule:
-    """Split every T(mu) but the single T(n) off M; certify the local
-    remainder."""
+    """Split every T(mu) but the single T(n) off the tilting module M;
+    certify the local remainder."""
     labels = decompose_tilting_character(M.field, M.character)
     if labels.get(n) != 1:
         raise CertificationError(f"T({n}) has multiplicity {labels.get(n, 0)}, not 1")
     del labels[n]
-    _, R = _split_tilting_labels(M, labels)
+    try:
+        _, R = _split_tilting_labels(M, labels)
+    except NonSplitError as exc:
+        raise CertificationError(f"T({n - 1}) (x) Delta(1) does not split: {exc}") from exc
     if R.character.max_weight() != n:
         raise CertificationError(f"tilting extraction lost the top weight {n}")
     if not is_local_end(R):
@@ -429,12 +444,103 @@ def decompose_tilting_character(field: CycloField, ch: Character):
 # standard filtrations
 
 
+def primitive_counts(M: UModule):
+    """{c: h_c(M)} for c >= 0, h_c(M) = dim Hom(Delta(c), M).
+
+    By the universal property of Weyl modules (Andersen-Polo-Wen, Invent.
+    Math. 104, 1991; classically Jantzen, Representations of Algebraic
+    Groups, II.2.13), h_c(M) is the dimension of the weight-c vectors that
+    every E^(r) kills; over Q(zeta_ell), E and E^(ell) generate every E^(r),
+    so h_c(M) = dim M_c minus the rank of the rows of E from weight c+2 and
+    of E^(ell) from weight c+2ell, which meet only the columns of M_c.
+
+    Criterion: dim M <= sum_c h_c(M) (c+1), with equality exactly when M
+    has a Nabla-flag.  Proof, by induction on the top weight lam of M, with
+    m = dim M_lam (M = 0 is trivial):
+      - Frobenius reciprocity (Nabla(lam) is induced from lam on the
+        negative Borel part) identifies Hom(M, Nabla(lam)) with the dual of
+        M_lam, as no weight of M lies above lam.  A basis of it gives
+        e: M -> Nabla(lam)^m, injective on M_lam.
+      - Its image I contains all of weight lam and lies in Nabla(lam)^m,
+        whose only primitive vectors have weight lam (socle L(lam)), so
+        h_c(I) = m delta_{c lam} and sum_c h_c(I) (c+1) = m (lam+1) >= dim I,
+        with equality only if I = Nabla(lam)^m.
+      - Its kernel N has no weight lam, and h_c(N) <= h_c(M) for every c
+        (Hom(Delta(c), -) is left exact).  By induction dim N <=
+        sum_{c < lam} h_c(N) (c+1), so dim M = dim N + dim I is at most
+        sum_c h_c(M) (c+1).
+      - Equality forces I = Nabla(lam)^m and equality for N, so N is
+        Nabla-filtered by induction, and so is M.  Conversely, on a Nabla-
+        filtered M, h_c(M) = (M:Nabla(c)) since Ext^1(Delta, Nabla) = 0 and
+        Hom(Delta(c), Nabla(d)) is k when c = d and 0 otherwise; the sum is
+        then sum_c (M:Nabla(c)) dim Nabla(c) = dim M.
+    M has a Delta-flag exactly when M* has a Nabla-flag
+    (dual_primitive_counts).
+    """
+    return _primitive_counts(M, 1, M.E.entries, M.El.entries)
+
+
+def dual_primitive_counts(M: UModule):
+    """{c: h_c(M*)} for c >= 0, without building M*.
+
+    (M*)_c is the dual of M_{-c}, and E, E^(ell) act on M* by the
+    transposes of E, E^(ell) up to sign and the invertible K^-1, so
+    h_c(M*) = dim M_{-c} minus the rank of E M_{-c-2} + E^(ell) M_{-c-2ell}
+    inside M_{-c}: the same blocks as primitive_counts, read by column.
+    """
+    return _primitive_counts(M, -1, M.E.transpose().entries, M.El.transpose().entries)
+
+
+def _primitive_counts(M: UModule, sign: int, E_vecs, El_vecs):
+    """{c: dim M_{sign c} minus the rank of the vectors E_vecs[i], i of
+    weight sign (c+2), and El_vecs[i], i of weight sign (c+2ell)}, c >= 0."""
+    blocks = M.weight_blocks()
+    ell = M.field.ell
+    out = {}
+    for w, idx in blocks.items():
+        c = sign * w
+        if c < 0:
+            continue
+        ech = RowEchelon(M.field)
+        for vecs, shift in ((E_vecs, 2), (El_vecs, 2 * ell)):
+            for i in blocks.get(sign * (c + shift), ()):
+                if vecs[i]:
+                    ech.insert(vecs[i])
+        out[c] = len(idx) - len(ech.rows)
+    return out
+
+
+def _count_holds(M: UModule, counts) -> bool:
+    """Whether dim M = sum_c h_c (c+1); a sum below dim M contradicts the
+    criterion of primitive_counts and raises CertificationError."""
+    total = sum(h * (c + 1) for c, h in counts.items())
+    if total < M.dim:
+        raise CertificationError(f"primitive vectors span {total} < dim {M.dim}")
+    return total == M.dim
+
+
+def has_nabla_flag(M: UModule) -> bool:
+    """Whether M has a Nabla-flag (criterion of primitive_counts)."""
+    return _count_holds(M, primitive_counts(M))
+
+
+def has_delta_flag(M: UModule) -> bool:
+    """Whether M has a Delta-flag (the Nabla criterion on M*)."""
+    return _count_holds(M, dual_primitive_counts(M))
+
+
+def is_tilting(M: UModule) -> bool:
+    """Whether M has both a Delta- and a Nabla-flag."""
+    return has_nabla_flag(M) and has_delta_flag(M)
+
+
 def peel_standard_filtration(M: UModule, side: str):
     """Ordered weights of a Delta- or Nabla-filtration, or None on failure.
 
     The Delta side repeatedly splits off a highest-weight submodule
     isomorphic to Delta(mu) for the maximal weight mu; the Nabla side is the
-    dual procedure, realized by peeling the dual module.
+    dual procedure, realized by peeling the dual module.  Production code
+    decides flags by primitive_counts; this peel is its test oracle.
     """
     if side == "nabla":
         return peel_standard_filtration(dual_module(M), "delta")

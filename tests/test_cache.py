@@ -90,3 +90,36 @@ def test_warm_tilting_module_loads_as_built_and_a_corrupted_entry_is_rebuilt(ent
     assert _same_module(cached_standard_module(cache, F, "T", 13), T)
     assert f"warning: cache module T(13) invalid ({reason}); rebuilding" in capsys.readouterr().err
     assert path.read_text() == right
+
+
+def test_warm_tilting_module_load_builds_no_tilting_module(tmp_path, monkeypatch):
+    """A loaded T(n) is proved tilting by the flag counts, so a warm load
+    builds no T(mu)."""
+    import tiltlab.standard
+
+    F = CycloField(5)
+    cache = CacheDir(str(tmp_path))
+    T = cached_standard_module(cache, F, "T", 13)
+
+    def refuse(*args):
+        raise AssertionError("a warm load built a tilting module")
+
+    monkeypatch.setattr(tiltlab.standard, "tilting_module", refuse)
+    warm = cache.load_module(5, "T", 13)
+    assert warm is not None and _same_module(warm, T)
+
+
+def test_a_tilting_character_that_is_not_tilting_is_rebuilt(tmp_path, capsys):
+    """Delta(3) + Delta(1) has the character of T(3) at ell 3 but no
+    Nabla-flag; stored under the key of T(3), it is rejected and rebuilt."""
+    from tiltlab.modules import direct_sum
+    from tiltlab.standard import weyl_module
+
+    F = CycloField(3)
+    cache = CacheDir(str(tmp_path))
+    fake = direct_sum(weyl_module(F, 3), weyl_module(F, 1))
+    cache.store_module(3, "T", 3, fake)
+    capsys.readouterr()
+    assert _same_module(cached_standard_module(cache, F, "T", 3), tilting_module(F, 3))
+    assert "warning: cache module T(3) invalid (not tilting); rebuilding" in capsys.readouterr().err
+    assert _same_module(cache.load_module(3, "T", 3), tilting_module(F, 3))

@@ -509,3 +509,23 @@ def test_a_failed_lift_exits_internal(monkeypatch, capsys):
     assert code == 3
     assert captured.out == ""
     assert "vertical lift at column 0, level 0 is inconsistent" in captured.err
+
+
+def test_a_tilting_kernel_that_does_not_split_exits_internal(monkeypatch, capsys):
+    """Once the flag counts prove a module tilting, a predicted summand that
+    does not split is an internal fault, not a verdict on the module."""
+    import tiltlab.cache
+    import tiltlab.minimal
+    import tiltlab.standard
+
+    monkeypatch.setattr(tiltlab.cache, "_active_cache", None)
+    monkeypatch.delenv("TILTLAB_CACHE", raising=False)
+    monkeypatch.setattr(tiltlab.minimal, "_cmin_cache", {})
+    for n in range(9):  # the tiltings the resolution of L(4) needs, built first
+        tilting_module(CycloField(3), n)
+    monkeypatch.setattr(tiltlab.standard, "_split_pair", lambda R, C: None)
+    code = main(["cmin", "--ell", "3", "--module", "L:4"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "internal error: a tilting module by the flag counts does not split" in captured.err

@@ -283,6 +283,8 @@ CLI_CASES = {
         ["ideals", "enumerate", "--ell", "9", "--window", "10"],
         "84977432cb21e42e1d22fc88b8e596a99b91399599352365bfb4d70f5be949d6",
     ),
+    # a closed-form tilting module, C_min read off its flag counts
+    "cmin T:13 ell 5": (["cmin", "--ell", "5", "--module", "T:13"], "ddedd1d772d7d5b11bb5847d693c8248405773f236f99946b9ab74d7e9e2136d"),
     "cmin L:12 ell 5": (["cmin", "--ell", "5", "--module", "L:12"], "393aa77192c2deb7fa3e36e565123b0a0139d2408db78bc038603bf2789efe38"),
     "cmin L:10 ell 7": (["cmin", "--ell", "7", "--module", "L:10"], "1664c72d2db2b6f6cae6f4d6979496586f6d479cd150e755dd1156e8ef6b2089"),
     "verify bijection": (

@@ -35,17 +35,21 @@ def test_tilting_inputs_are_one_term_complexes():
 
 
 def test_tilting_inputs_peel_no_flag(monkeypatch):
+    """The short path counts primitive vectors: it peels no flag and splits
+    no summand."""
     import tiltlab.minimal
+    import tiltlab.standard
 
     def refuse(*args):
-        raise AssertionError("a tilting input was peeled")
+        raise AssertionError("a tilting input was peeled or split")
 
+    inputs = (direct_sum(tilting_module(F3, 4), tilting_module(F3, 2)),
+              tensor_module(tilting_module(F3, 2), tilting_module(F3, 1)))
     monkeypatch.setattr(tiltlab.minimal, "_cmin_cache", {})
-    monkeypatch.setattr(tiltlab.minimal, "peel_standard_filtration", refuse)
-    c = minimal_tilting_complex(direct_sum(tilting_module(F3, 4), tilting_module(F3, 2)))
-    assert c.label_table() == {0: [2, 4]}
-    c = minimal_tilting_complex(tensor_module(tilting_module(F3, 2), tilting_module(F3, 1)))
-    assert c.label_table() == {0: [3]}
+    monkeypatch.setattr(tiltlab.standard, "peel_standard_filtration", refuse)
+    monkeypatch.setattr(tiltlab.standard, "_split_tilting_labels", refuse)
+    assert minimal_tilting_complex(inputs[0]).label_table() == {0: [2, 4]}
+    assert minimal_tilting_complex(inputs[1]).label_table() == {0: [3]}
 
 
 def test_fixed_point_delta3():

@@ -1,18 +1,31 @@
+import random
 from collections import Counter
 
 import pytest
 
 from tiltlab.characters import Character, weyl_character
 from tiltlab.cyclotomic import CertificationError, CycloField
-from tiltlab.modules import check_relations, direct_sum, find_isomorphism, hom_space, tensor_module
+from tiltlab.ideals import sample_ses
+from tiltlab.modules import (
+    check_relations,
+    direct_sum,
+    dual_module,
+    find_isomorphism,
+    hom_space,
+    tensor_module,
+)
 from tiltlab.standard import (
     NonSplitError,
     decompose_indecomposables,
     decompose_tilting_character,
+    dual_primitive_counts,
     dual_weyl_module,
     end_algebra,
+    has_delta_flag,
+    has_nabla_flag,
     is_local_end,
     peel_standard_filtration,
+    primitive_counts,
     radical_dimension,
     simple_character,
     simple_module,
@@ -35,7 +48,8 @@ def steinberg_dimension(field, n):
 
 
 def is_tilting(M):
-    """Oracle for tilting_parts: M is tilting iff it has a Delta- and a Nabla-flag."""
+    """Oracle for the flag counts and tilting_parts: M is tilting iff it has
+    a Delta- and a Nabla-flag, found by peeling."""
     return (
         peel_standard_filtration(M, "delta") is not None
         and peel_standard_filtration(M, "nabla") is not None
@@ -192,6 +206,48 @@ def test_is_tilting():
     assert not is_tilting(simple_module(F3, 3))
 
 
+def _count_oracle_modules(field):
+    """Delta, Nabla, L and T up to 3ell+1, direct sums, tensor products and
+    both outer terms of sampled short exact sequences."""
+    rng = random.Random(field.ell)
+    singles = [build(field, n) for n in range(3 * field.ell + 2)
+               for build in (weyl_module, dual_weyl_module, simple_module, tilting_module)]
+    small = [M for M in singles if M.dim <= field.ell + 1]
+    sums = [direct_sum(*rng.sample(singles, 2)) for _ in range(12)]
+    tensors = [tensor_module(*rng.sample(small, 2)) for _ in range(8)]
+    outer = [M for ses in (sample_ses(field, rng) for _ in range(8)) if ses is not None
+             for M in (ses.sub, ses.quotient)]
+    return singles + sums + tensors + outer
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7])
+def test_flag_counts_agree_with_the_peel(ell):
+    filtered = {"delta": 0, "nabla": 0}
+    for M in _count_oracle_modules(CycloField(ell)):
+        nabla, delta = primitive_counts(M), dual_primitive_counts(M)
+        assert delta == primitive_counts(dual_module(M))
+        for side, counts, holds in (("nabla", nabla, has_nabla_flag), ("delta", delta, has_delta_flag)):
+            total = sum(h * (c + 1) for c, h in counts.items())
+            assert total >= M.dim, (side, M.character)
+            peels = peel_standard_filtration(M, side)
+            assert holds(M) == (total == M.dim) == (peels is not None), (side, M.character)
+            if peels is not None:
+                # on a filtered module, h_c is the multiplicity of Delta(c) or Nabla(c)
+                assert {c: h for c, h in counts.items() if h} == Counter(peels)
+                filtered[side] += 1
+    # both outcomes occur on both sides
+    assert all(0 < n for n in filtered.values())
+
+
+def test_a_tilting_character_with_one_flag_is_not_tilting():
+    M = direct_sum(weyl_module(F3, 3), weyl_module(F3, 1))
+    assert M.character == tilting_character(F3, 3)
+    assert has_delta_flag(M)
+    assert not has_nabla_flag(M)
+    assert not is_tilting(M)
+    assert tilting_parts(M) is None
+
+
 def _tilting_candidates():
     for F, top in ((F3, 8), (F5, 6)):
         for n in range(top + 1):
@@ -199,8 +255,8 @@ def _tilting_candidates():
                 yield build(F, n)
     yield direct_sum(tilting_module(F3, 3), simple_module(F3, 3))
     yield tensor_module(tilting_module(F3, 2), tilting_module(F3, 1))
-    # tilting characters of modules that are not tilting: the split raises
-    # NonSplitError inside tilting_parts
+    # tilting characters of modules that are not tilting: the flag counts
+    # reject them before any split
     yield direct_sum(weyl_module(F3, 3), weyl_module(F3, 1))
     yield direct_sum(dual_weyl_module(F3, 3), dual_weyl_module(F3, 1))
 
@@ -222,6 +278,22 @@ def test_tilting_parts_lets_certification_errors_through(monkeypatch):
     monkeypatch.setattr(tiltlab.standard, "_split_tilting_labels", broken)
     with pytest.raises(CertificationError):
         tilting_parts(tilting_module(F3, 3))
+
+
+def test_tilting_parts_raises_when_a_predicted_summand_does_not_split(monkeypatch):
+    import tiltlab.standard
+
+    T = tilting_module(F3, 3)
+    not_tilting = direct_sum(weyl_module(F3, 3), weyl_module(F3, 1))
+    monkeypatch.setattr(tiltlab.standard, "_split_pair", lambda R, C: None)
+    with pytest.raises(CertificationError, match="does not split"):
+        tilting_parts(T)
+    # the counts reject a module that is not tilting before any split
+    assert tilting_parts(not_tilting) is None
+    # T(3) at ell 3 is split off T(2) (x) Delta(1), which is tilting
+    monkeypatch.setattr(tiltlab.standard, "_tilting_cache", {})
+    with pytest.raises(CertificationError, match="does not split"):
+        tilting_module(F3, 3)
 
 
 def test_tilting_character_decomposition():
