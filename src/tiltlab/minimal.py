@@ -1,10 +1,12 @@
 """Minimal tilting complexes.
 
 The construction is a checked pipeline: (1) coresolve the module by sums of
-indecomposable tiltings until the cokernel acquires a costandard filtration,
-(2) resolve every term on the left by tiltings until kernels become tilting,
-(3) assemble the columns into a twisted total complex whose square is
-verified to vanish exactly, then (4) minimalize.  The result is certified by
+indecomposable tiltings X^0, ..., X^(k-1) until the cokernel, the tail,
+acquires a costandard filtration, (2) resolve the tail, the one term that is
+not already a labeled sum of T(mu), on the left by tiltings until a kernel
+becomes tilting, (3) join the coresolution to that column by one staircase
+of maps and totalize, verifying that the square vanishes exactly, then
+(4) minimalize.  The result is certified by
 its Euler character, of the terms and of the closed-form tilting characters
 of its labels, both equal to ch M, and by recomputing cohomology: the source
 module in degree zero and nothing else.
@@ -16,15 +18,17 @@ are read off its closed-form character and nothing is split; the one-term
 complex splits its term only when a caller reads the parts
 (ChainComplex.ensure_parts).  The same counts decide when the tail of the
 coresolution is costandard-filtered, and when it, or a kernel of a left
-resolution, is already tilting; every kernel is costandard-filtered, which
-the Nabla-count checks, so each tilting cover is exact: one Hom(T(mu), X) per
-(X:Nabla(mu)) > 0.
+resolution, is already tilting; each module's Nabla-count is taken once.
+Every kernel is costandard-filtered, which the Nabla-count checks, so each
+tilting cover is exact: one Hom(T(mu), X) per (X:Nabla(mu)) > 0.  The
+embeddings are exact too: one window of Hom(M, T(mu)), mu at most 2(ell-1)
+above the top weight of M, always holds an embedding.
 
 Every grid term is a sum of T(mu) with known parts, so maps between them are
 solved over the cached bases of Hom(T(a), T(b)) (standard.tilting_hom_basis):
 a cover component is dropped when it lies in the span of the other
-components composed with those bases, and the vertical lifts and the
-corrections solve only for coefficients in them.
+components composed with those bases, and the maps of the staircase solve
+only for coefficients in them.
 """
 
 from __future__ import annotations
@@ -47,19 +51,18 @@ from tiltlab.standard import (
     has_nabla_flag,
     is_tilting,
     label_table_character,
+    split_if_tilting,
     tilting_hom_basis,
     tilting_hom_dimension,
     tilting_module,
-    tilting_parts,
 )
 
 CORESOLUTION_CAP = 60
 COLUMN_CAP = 60
-WINDOW_MARGIN_FACTOR = 4  # search window grows up to margin * this
 
 
 class WindowError(RuntimeError):
-    """A search window or a step cap ran out (an internal fault is a CertificationError)."""
+    """A step cap ran out (an internal fault is a CertificationError)."""
 
 
 _cmin_cache: dict = {}
@@ -109,32 +112,34 @@ def _greedy_embedding(components, M):
 
 
 def embed_into_tilting(M: UModule):
-    """Injective morphism into a labeled direct sum of T(mu).
+    """Injective morphism into a labeled direct sum of T(mu), mu <= top +
+    2(ell-1) for the top weight of M.
 
-    The candidate window is max weight of M plus 2(ell-1), doubled on failure
-    up to a hard cap; exhaustion raises WindowError with the attempted bound.
+    This window always holds an embedding.  St = T(ell-1) is self-dual, so
+    the coevaluation k -> St (x) St embeds M into St (x) St (x) M.  St (x) X
+    is tilting for every X: St (x) L(lam) = (St (x) L(lam_0)) (x)
+    L(lam_1)^[1] for lam = lam_0 + ell lam_1 is tilting by Donkin's tensor
+    product theorem (Andersen-Tubbenhauer, Transform. Groups 22, 2017),
+    which tilting_module relies on too, and an extension of tiltings
+    splits, so St (x) X is tilting along a composition series of X.  Every
+    summand T(mu) of St (x) St (x) M has mu <= top + 2(ell-1), so the maps
+    in Hom(M, T(mu)), mu in the window, are jointly injective; a greedy
+    selection from them that is not injective contradicts this and raises
+    CertificationError.
     """
     field = M.field
-    ell = field.ell
     top = M.character.max_weight()
     if top is None:
         raise ValueError("cannot embed the zero module")
-    margin = 2 * (ell - 1)
-    attempt = margin
-    while attempt <= margin * WINDOW_MARGIN_FACTOR:
-        bound = top + attempt
-        components = []
-        for mu in range(bound, -1, -1):
-            for h in hom_space(M, tilting_module(field, mu)):
-                components.append((mu, h))
-        chosen = _greedy_embedding(components, M)
-        if chosen is not None:
-            return _stack_into_sum(field, chosen, M)
-        attempt *= 2
-    raise WindowError(
-        f"no embedding of a dim-{M.dim} module into tiltings with highest "
-        f"weight <= {top + margin * WINDOW_MARGIN_FACTOR}"
-    )
+    bound = top + 2 * (field.ell - 1)
+    components = [(mu, h) for mu in range(bound, -1, -1)
+                  for h in hom_space(M, tilting_module(field, mu))]
+    chosen = _greedy_embedding(components, M)
+    if chosen is None:
+        raise CertificationError(
+            f"the maps into T(mu), mu <= {bound}, do not embed a dim-{M.dim} module"
+        )
+    return _stack_into_sum(field, chosen, M)
 
 
 def cover_by_tilting(M: UModule):
@@ -219,76 +224,59 @@ def _prune_factoring(field, components, M):
 
 
 def _coresolution(M: UModule):
-    """Terms and maps of 0 -> M -> X^0 -> X^1 -> ... with tilting terms and a
-    costandard-filtered tail; returns (terms, parts_per_term, maps)."""
-    field = M.field
-    terms = []
-    partlists = []
-    maps = []  # maps[s]: X^s -> X^{s+1}
+    """0 -> M -> X^0 -> ... -> X^(k-1) -> tail -> 0 with labeled tilting terms
+    X^s and a costandard-filtered tail; returns (terms, parts, maps, tail)
+    with maps[s]: X^s -> X^(s+1), the last of them the projection onto the
+    tail."""
+    terms, partlists, maps = [], [], []
     C = M
-    prev_proj = None  # X^{s-1} ->> C
     for _ in range(CORESOLUTION_CAP):
-        if C.dim == 0:
-            return terms, partlists, maps
         if has_nabla_flag(C):
-            terms.append(C)
-            partlists.append(None)  # resolved later by the column machinery
-            if prev_proj is not None:
-                maps.append(prev_proj)
-            return terms, partlists, maps
+            return terms, partlists, maps, C
         Q, emb, parts = embed_into_tilting(C)
-        img, incl = image_module(emb)
+        _, incl = image_module(emb)
         coker, proj = quotient_module(Q, incl)
+        if maps:
+            maps[-1] = UMorphism(terms[-1], Q, emb.matrix @ maps[-1].matrix)
         terms.append(Q)
         partlists.append(parts)
-        if prev_proj is not None:
-            maps.append(UMorphism(terms[-2], Q, emb.matrix @ prev_proj.matrix))
+        maps.append(proj)
         C = coker
-        prev_proj = proj
     raise WindowError(f"coresolution did not terminate within {CORESOLUTION_CAP} steps")
 
 
-def _left_resolution(X: UModule, parts):
-    """Column [P_(-r) -> ... -> P_0] with P_0 ->> X; all terms labeled tilting.
+def _left_resolution(X: UModule):
+    """Column P_(-r) -> ... -> P_0 ->> X of the Nabla-filtered tail X, every
+    term a labeled sum of T(mu).
 
-    Returns (term_list, part_list, inner_maps, augmentation) where term_list
-    is indexed by t = 0, -1, ..., inner_maps[t]: term[t] -> term[t+1].
+    Returns (terms, parts, maps, augmentation) with terms[u] = P_(-u) and
+    maps[u - 1]: P_(-u) -> P_(-u+1).  X is its own P_0 when it is tilting,
+    and the column ends at the first tilting kernel.  Each cover kernel is
+    checked Nabla-filtered; X's Nabla-count was taken by _coresolution.
     """
-    field = X.field
-    if parts is None:
-        # X is the costandard-filtered tail of the coresolution, which may
-        # already be tilting
-        parts = tilting_parts(X)
+    parts = split_if_tilting(X)
     if parts is not None:
-        return [X], [parts], {}, UMorphism.identity(X)
-    terms = []
-    partl = []
-    inner = {}
-    P0, surj, p0parts = cover_by_tilting(X)
-    terms.append(P0)
-    partl.append(p0parts)
-    aug = surj
-    K, kincl = kernel_module(surj)
-    t = 0
+        return [X], [parts], [], UMorphism.identity(X)
+    P, aug, pparts = cover_by_tilting(X)
+    terms, partl, maps = [P], [pparts], []
+    K, kincl = kernel_module(aug)
     while K.dim:
-        t -= 1
-        if -t > COLUMN_CAP:
+        if len(terms) > COLUMN_CAP:
             raise WindowError(f"left resolution did not terminate within {COLUMN_CAP} steps")
         if not has_nabla_flag(K):
             raise CertificationError("cover kernel lost its costandard filtration")
-        kparts = tilting_parts(K)
+        kparts = split_if_tilting(K)
         if kparts is not None:
             terms.append(K)
             partl.append(kparts)
-            inner[t] = kincl
+            maps.append(kincl)
             break
-        P, surj_k, pparts = cover_by_tilting(K)
+        P, surj, pparts = cover_by_tilting(K)
+        maps.append(UMorphism(P, terms[-1], kincl.matrix @ surj.matrix))
         terms.append(P)
         partl.append(pparts)
-        inner[t] = UMorphism(P, terms[-2], kincl.matrix @ surj_k.matrix)
-        K, kincl = kernel_module(surj_k)
-    # terms[0] is at t=0, terms[1] at t=-1, ...
-    return terms, partl, inner, aug
+        K, kincl = kernel_module(surj)
+    return terms, partl, maps, aug
 
 
 def _lift_over_tiltings(src, src_parts, tgt, tgt_parts, left: ExactMatrix, rhs: ExactMatrix):
@@ -360,97 +348,52 @@ def _lift_over_tiltings(src, src_parts, tgt, tgt_parts, left: ExactMatrix, rhs: 
 
 
 def tilting_complex_of(M: UModule) -> ChainComplex:
-    """A bounded complex of tiltings quasi-isomorphic to M (degree-0 cohomology)."""
+    """A bounded complex of tiltings quasi-isomorphic to M (degree-0 cohomology).
+
+    X^s of the coresolution sits at (s, 0), and P_(-u) of the tail's column
+    at (k, -u), k the number of tilting terms.  The maps d_s: X^s -> X^(s+1)
+    for s < k-1 and the column's maps are components as they are.  A
+    staircase g_j: X^(k-1-j) -> P_(-j) joins the two: g_0 lifts the
+    projection X^(k-1) ->> tail through P_0 ->> tail (it is the projection
+    itself when the tail is tilting), and g_j solves
+    d o g_j = -g_(j-1) o d_(k-1-j), so that the square of the total
+    differential vanishes from X^(k-1-j) to P_(-j+1), until a right-hand
+    side is zero.
+    """
     field = M.field
     if M.dim == 0:
         return ChainComplex.zero(field)
-    terms, partlists, maps = _coresolution(M)
-    columns = []
-    for X, parts in zip(terms, partlists):
-        columns.append(_left_resolution(X, parts))
-    ncols = len(columns)
-    # grid[(s, t)] modules and horizontal differentials inside columns
-    grid = {}
-    gparts = {}
-    d0 = {}
-    for s, (cterms, cparts, inner, aug) in enumerate(columns):
-        for u, (tm, ps) in enumerate(zip(cterms, cparts)):
-            grid[(s, -u)] = tm
-            gparts[(s, -u)] = ps
-        for t, mor in inner.items():
-            d0[(s, t)] = mor.matrix
-
-    def lift(a, b, left, rhs):
-        return _lift_over_tiltings(grid[a], gparts[a], grid[b], gparts[b], left, rhs)
-
-    # vertical lifts f1[(s, t)]: grid[(s,t)] -> grid[(s+1,t)]
-    f1 = {}
-    for s in range(ncols - 1):
-        aug_s = columns[s][3]
-        aug_s1 = columns[s + 1][3]
-        d_s = maps[s]
-        rhs0 = d_s.matrix @ aug_s.matrix
-        sol = lift((s, 0), (s + 1, 0), aug_s1.matrix, rhs0)
-        if sol is None:
-            raise CertificationError(f"vertical lift at column {s}, level 0 is inconsistent")
-        f1[(s, 0)] = sol
-        t = 0
-        while (s, t - 1) in grid:
-            t -= 1
-            if (s + 1, t) not in grid:
-                # lift must compose to zero through the lower boundary
-                comp = f1[(s, t + 1)] @ d0[(s, t)]
-                if not comp.is_zero():
-                    raise CertificationError(f"vertical lift leaks below column {s + 1} at t={t}")
-                break
-            rhs = f1[(s, t + 1)] @ d0[(s, t)]
-            sol = lift((s, t), (s + 1, t), d0[(s + 1, t)], rhs)
-            if sol is None:
-                raise CertificationError(f"vertical lift at column {s}, level {t} is inconsistent")
-            f1[(s, t)] = sol
-    # store D_1 with the sign twist (-1)^t
-    comps = {}  # (k, s, t) -> matrix for D_k component at (s,t)
-    for (s, t), mat in d0.items():
-        comps[(0, s, t)] = mat
-    for (s, t), mat in f1.items():
-        comps[(1, s, t)] = mat if t % 2 == 0 else -mat
-    # higher corrections D_k: (s,t) -> (s+k, t+1-k), solved layer by layer
-    for k in range(2, ncols):
-        layer = {}
-        for s in range(ncols - k):
-            for t in sorted((tt for (ss, tt) in grid if ss == s), reverse=True):
-                # residual R = sum_{0<a<k} D_a D_{k-a} at (s,t), target (s+k, t+1-k)
-                tgt_pos = (s + k, t + 1 - k)
-                res = None
-                for a in range(1, k):
-                    b = k - a
-                    mid = (s + b, t + 1 - b)
-                    first = comps.get((b, s, t))
-                    second = comps.get((a,) + mid)
-                    if first is not None and second is not None:
-                        term = second @ first
-                        res = term if res is None else res + term
-                # equation: D_0 X + (layer at (s, t+1)) D_0 + R = 0
-                known = layer.get((s, t + 1))
-                if known is not None and (0, s, t) in comps:
-                    term = known @ comps[(0, s, t)]
-                    res = term if res is None else res + term
-                if res is None or res.is_zero():
-                    continue
-                where = f"correction at column {s}, level {t}"
-                if tgt_pos not in grid:
-                    raise CertificationError(f"{where} has nowhere to go")
-                # unknown X: (s,t) -> tgt_pos with d0 (at tgt_pos) o X = -res
-                left = comps.get((0,) + tgt_pos)
-                if left is None:
-                    raise CertificationError(f"{where}: no differential at target")
-                sol = lift((s, t), tgt_pos, left, -res)
-                if sol is None:
-                    raise CertificationError(f"{where} is inconsistent")
-                layer[(s, t)] = sol
-        for (s, t), mat in layer.items():
-            comps[(k, s, t)] = mat
-    components = {((s, t), (s + k, t + 1 - k)): mat for (k, s, t), mat in comps.items()}
+    terms, partlists, maps, tail = _coresolution(M)
+    column, cparts, cmaps, aug = _left_resolution(tail)
+    k = len(terms)
+    grid = {(s, 0): X for s, X in enumerate(terms)}
+    gparts = {(s, 0): parts for s, parts in enumerate(partlists)}
+    for u, (P, parts) in enumerate(zip(column, cparts)):
+        grid[(k, -u)] = P
+        gparts[(k, -u)] = parts
+    components = {((k, -u), (k, 1 - u)): d.matrix for u, d in enumerate(cmaps, 1)}
+    for s, d in enumerate(maps[:-1]):
+        components[((s, 0), (s + 1, 0))] = d.matrix
+    if not k:
+        return total_complex(field, grid, components, gparts)
+    g = maps[-1].matrix
+    if column[0] is not tail:
+        g = _lift_over_tiltings(terms[-1], partlists[-1], column[0], cparts[0], aug.matrix, g)
+        if g is None:
+            raise CertificationError(f"vertical lift at column {k - 1}, level 0 is inconsistent")
+    components[((k - 1, 0), (k, 0))] = g
+    for j in range(1, k):
+        s = k - 1 - j
+        rhs = g @ maps[s].matrix
+        if rhs.is_zero():
+            break
+        where = f"correction at column {s}, level 0"
+        if j == len(column):
+            raise CertificationError(f"{where} has nowhere to go")
+        g = _lift_over_tiltings(terms[s], partlists[s], column[j], cparts[j], cmaps[j - 1].matrix, -rhs)
+        if g is None:
+            raise CertificationError(f"{where} is inconsistent")
+        components[((s, 0), (k, -j))] = g
     return total_complex(field, grid, components, gparts)
 
 

@@ -17,9 +17,9 @@ Krull-Schmidt decomposition of a tilting module reads its summand labels off
 the closed-form character (tilting characters are unitriangular) and splits
 each predicted T(n) off by the split-pair test: C splits off M as soon as
 some composite M -> C -> M ... C -> M -> C is invertible, which for C with
-local endomorphism ring is detected by a nonzero trace.  tilting_parts splits
-only modules the count proves tilting, so a predicted summand that does not
-split there is an internal fault (CertificationError).
+local endomorphism ring is detected by a nonzero trace.  split_if_tilting
+splits only modules the counts prove tilting, so a predicted summand that
+does not split there is an internal fault (CertificationError).
 
 Hom(T(a), T(b)) is solved once per (ell, a, b) (tilting_hom_basis) and its
 dimension certified against sum_c (T(a):Delta(c)) (T(b):Nabla(c)).
@@ -248,15 +248,17 @@ def decompose_indecomposables(M: UModule):
     return parts
 
 
-def tilting_parts(M: UModule):
-    """decompose_indecomposables(M) if M is tilting, else None.
+def split_if_tilting(M: UModule):
+    """decompose_indecomposables(M) if M is tilting, else None, for an M
+    whose Nabla-count the caller has found to hold.
 
-    M is tilting exactly when both flag counts hold (is_tilting), so nothing
-    is split unless it is; a tilting M is the direct sum of the T(mu) that
-    ch M predicts, so a predicted summand that then does not split is an
-    internal fault and raises CertificationError.
+    Such an M is tilting exactly when its Delta-count holds too, so only
+    that count is taken and nothing is split unless it holds; a tilting M is
+    the direct sum of the T(mu) that ch M predicts, so a predicted summand
+    that then does not split is an internal fault and raises
+    CertificationError.
     """
-    if not is_tilting(M):
+    if not has_delta_flag(M):
         return None
     try:
         return decompose_indecomposables(M)

@@ -13,7 +13,14 @@ from tiltlab.linalg import ExactMatrix
 from tiltlab.minimal import _stack_from_sum
 from tiltlab.modules import UModule, intertwiner_equations, tensor_module, unknowns_to_matrix
 from tiltlab.serialize import canonical_dumps
-from tiltlab.standard import _complement_of_idempotent, _split_pair, is_local_end, weyl_module
+from tiltlab.standard import (
+    _complement_of_idempotent,
+    _split_pair,
+    has_nabla_flag,
+    is_local_end,
+    split_if_tilting,
+    weyl_module,
+)
 
 _peeled_tilting_cache = {}
 
@@ -114,6 +121,13 @@ def peeled_tilting_module(field, n):
             raise CertificationError(f"tensor-and-peel left no indecomposable T({n})")
         _peeled_tilting_cache[key] = R
     return _peeled_tilting_cache[key]
+
+
+def tilting_parts(M):
+    """decompose_indecomposables(M) if M is tilting, else None: both flag
+    counts, then the split that the construction uses on a module whose
+    Nabla-count it has already taken."""
+    return split_if_tilting(M) if has_nabla_flag(M) else None
 
 
 def divided_power(M, gen, a):

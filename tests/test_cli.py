@@ -494,6 +494,24 @@ def test_a_lost_cover_solution_exits_internal(monkeypatch, capsys):
     assert "Hom(T(" in captured.err
 
 
+def test_an_embedding_missing_from_its_window_exits_internal(monkeypatch, capsys):
+    """The window of embed_into_tilting always holds an embedding, so a
+    selection that is not injective is a program fault, not a resource
+    limit."""
+    import tiltlab.cache
+    import tiltlab.minimal
+
+    monkeypatch.setattr(tiltlab.cache, "_active_cache", None)
+    monkeypatch.delenv("TILTLAB_CACHE", raising=False)
+    monkeypatch.setattr(tiltlab.minimal, "_cmin_cache", {})
+    monkeypatch.setattr(tiltlab.minimal, "_greedy_embedding", lambda components, M: None)
+    code = main(["cmin", "--ell", "3", "--module", "L:4"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "mu <= 8, do not embed a dim-4 module" in captured.err
+
+
 def test_a_failed_lift_exits_internal(monkeypatch, capsys):
     import tiltlab.cache
     import tiltlab.minimal
@@ -503,7 +521,7 @@ def test_a_failed_lift_exits_internal(monkeypatch, capsys):
     monkeypatch.setattr(tiltlab.minimal, "_cmin_cache", {})
     monkeypatch.setattr(tiltlab.minimal, "_lift_over_tiltings", lambda *args: None)
     # the coresolution of L(4) at ell 3 has two columns, joined by a lift
-    assert len(tiltlab.minimal._coresolution(simple_module(CycloField(3), 4))[0]) == 2
+    assert len(tiltlab.minimal._coresolution(simple_module(CycloField(3), 4))[0]) == 1
     code = main(["cmin", "--ell", "3", "--module", "L:4"])
     captured = capsys.readouterr()
     assert code == 3

@@ -239,6 +239,19 @@ COMPLEX_CASES = {
         "c5942923ac11f83312c8928c6c3883b608bdba91b3ed36886ffb6fb2f98166e0",
         "f2cae228415fc6e692e648deeaac0f438998a3c99183d0a71c322a6e836e5a90",
     ),
+    # five columns, joined by the projection onto the tail's cover and
+    # three corrections down the tail's resolution
+    "L(12), ell 3": (
+        lambda: simple_module(CycloField(3), 12),
+        "828fea878054f958ed2e4bdd100b302978a33aede0eee198cc8b07a6169b4819",
+        "8234f53c00d6de87496b77876d4b750e928264ad8ff3ddc9df229f9e368b341e",
+    ),
+    # three columns and one correction
+    "L(10), ell 5": (
+        lambda: simple_module(CycloField(5), 10),
+        "a4e63591f21ccdb25a17a5a8622c873848a7543cf04d0a5fc12ac02809367c49",
+        "346776c7f26d2c5a4b70f8fc7d6f757a5dab99b6effa5284194ce8dbc2e558bc",
+    ),
 }
 
 
@@ -248,6 +261,19 @@ def test_complex_fingerprints_are_pinned(name):
     M = build()
     assert content_hash(complex_to_json(tilting_complex_of(M))) == total_digest
     assert content_hash(complex_to_json(minimal_tilting_complex(M).complex)) == min_digest
+
+
+def test_a_tilting_tail_needs_no_lift(monkeypatch):
+    """The coresolution of Delta(6) at ell 3 has two tilting terms and a
+    tilting tail, so every map of its complex is written down as it is."""
+    import tiltlab.minimal
+
+    def no_lift(*args):
+        raise AssertionError("a lift was solved")
+
+    monkeypatch.setattr(tiltlab.minimal, "_lift_over_tiltings", no_lift)
+    build, total_digest, _ = COMPLEX_CASES["Delta(6), ell 3"]
+    assert content_hash(complex_to_json(tilting_complex_of(build()))) == total_digest
 
 
 def test_tensor_complex_differentials_are_pinned():

@@ -31,11 +31,10 @@ from tiltlab.standard import (
     simple_module,
     tilting_character,
     tilting_module,
-    tilting_parts,
     weyl_module,
 )
 
-from oracles import peeled_tilting_module
+from oracles import peeled_tilting_module, tilting_parts
 
 F3 = CycloField(3)
 F5 = CycloField(5)
