@@ -16,7 +16,6 @@ from tiltlab.modules import (
     direct_sum,
     kernel_module,
     quotient_module,
-    submodule_generated,
     tensor_module,
 )
 from tiltlab.standard import Part, decompose_indecomposables
@@ -173,14 +172,11 @@ class ChainComplex:
         din = self.differentials.get(i - 1)
         if din is None or din.matrix.is_zero():
             return ker
-        # express the image inside the kernel and quotient
+        # write the incoming differential into the kernel and take its cokernel
         sol = kincl.matrix.solve(din.matrix)
         if sol is None:
             raise CertificationError("image does not land in the kernel; not a complex")
-        img, iincl = submodule_generated(ker, sol.transpose().entries, close=False)
-        if img.dim == 0:
-            return ker
-        q, _ = quotient_module(ker, iincl)
+        q, _ = quotient_module(ker, UMorphism(din.source, ker, sol))
         return q
 
     def __repr__(self):

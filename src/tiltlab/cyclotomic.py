@@ -447,9 +447,3 @@ class CyclotomicScalar:
             g = gcd(n, den)
             out.append(str(n // g) if g == den else f"{n // g}/{den // g}")
         return out
-
-    def rational_value(self):
-        """The rational this scalar equals, as a Fraction, or None if it is irrational."""
-        if any(self.num[1:]):
-            return None
-        return Fraction(self.num[0], self.den)

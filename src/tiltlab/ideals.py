@@ -53,13 +53,12 @@ def tensor_labels(field: CycloField, m: int, n: int, limit: int):
 class TiltIdeal:
     """Downward tensor-closed label set within [0, W]."""
 
-    def __init__(self, field: CycloField, window: int, members, certificate=None):
+    def __init__(self, field: CycloField, window: int, members):
         if window < 0:
             raise ValueError("window must be nonnegative")
         self.field = field
         self.window = window
         self.members = frozenset(members)
-        self.certificate = certificate or {}
         if any(n < 0 or n > window for n in self.members):
             raise ValueError("members must lie in [0, W]")
 
@@ -97,20 +96,17 @@ def generate_tilt_ideal(field: CycloField, generators, window: int) -> TiltIdeal
     if any(g < 0 or g > window for g in generators):
         raise ValueError("generators must lie in [0, W]")
     members = set(generators)
-    certificate = {}
     frontier = set(generators)
     while frontier:
         new = set()
         for n in sorted(frontier):
             for m in range(window + 1):
-                dec = tensor_labels(field, n, m, 2 * window)
-                certificate[(n, m)] = dict(dec)
-                for k in dec:
+                for k in tensor_labels(field, n, m, 2 * window):
                     if k <= window and k not in members:
                         members.add(k)
                         new.add(k)
         frontier = new
-    return TiltIdeal(field, window, members, certificate)
+    return TiltIdeal(field, window, members)
 
 
 def enumerate_tilt_ideals(field: CycloField, window: int):

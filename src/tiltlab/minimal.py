@@ -18,7 +18,8 @@ are read off its closed-form character and nothing is split; the one-term
 complex splits its term only when a caller reads the parts
 (ChainComplex.ensure_parts).  The same counts decide when the tail of the
 coresolution is costandard-filtered, and when it, or a kernel of a left
-resolution, is already tilting; each module's Nabla-count is taken once.
+resolution, is already tilting; each count is kept on its module, so the
+short path and the construction share the source module's counts.
 Every kernel is costandard-filtered, which the Nabla-count checks, so each
 tilting cover is exact: one Hom(T(mu), X) per (X:Nabla(mu)) > 0.  The
 embeddings are exact too: one window of Hom(M, T(mu)), mu at most 2(ell-1)
@@ -42,7 +43,6 @@ from tiltlab.modules import (
     UMorphism,
     find_isomorphism,
     hom_space,
-    image_module,
     kernel_module,
     quotient_module,
 )
@@ -234,8 +234,7 @@ def _coresolution(M: UModule):
         if has_nabla_flag(C):
             return terms, partlists, maps, C
         Q, emb, parts = embed_into_tilting(C)
-        _, incl = image_module(emb)
-        coker, proj = quotient_module(Q, incl)
+        coker, proj = quotient_module(Q, emb)
         if maps:
             maps[-1] = UMorphism(terms[-1], Q, emb.matrix @ maps[-1].matrix)
         terms.append(Q)
@@ -252,7 +251,7 @@ def _left_resolution(X: UModule):
     Returns (terms, parts, maps, augmentation) with terms[u] = P_(-u) and
     maps[u - 1]: P_(-u) -> P_(-u+1).  X is its own P_0 when it is tilting,
     and the column ends at the first tilting kernel.  Each cover kernel is
-    checked Nabla-filtered; X's Nabla-count was taken by _coresolution.
+    checked Nabla-filtered.
     """
     parts = split_if_tilting(X)
     if parts is not None:

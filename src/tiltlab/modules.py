@@ -21,7 +21,7 @@ def _shifts(ell):
 
 class UModule:
     __slots__ = ("field", "dim", "weights", "E", "F", "El", "Fl",
-                 "_blocks", "_char", "_fp", "_powers")
+                 "_blocks", "_char", "_fp", "_powers", "_nabla_flag", "_delta_flag")
 
     def __init__(self, field: CycloField, weights, E, F, El, Fl):
         self.field = field
@@ -35,6 +35,9 @@ class UModule:
         self._char = None
         self._fp = None
         self._powers = None  # gen -> entries of gen^(a), a = 0..ell
+        # filled by standard.has_nabla_flag and has_delta_flag
+        self._nabla_flag = None
+        self._delta_flag = None
 
     @classmethod
     def zero_module(cls, field):
@@ -401,27 +404,25 @@ def _subspace_to_module(M: UModule, echs):
     return S, UMorphism(S, M, incl)
 
 
-def quotient_module(M: UModule, inclusion: UMorphism):
-    """Quotient of M by the image of an injective inclusion of a submodule.
+def quotient_module(M: UModule, phi: UMorphism):
+    """Cokernel M / im phi of an intertwiner phi into M.
 
-    Returns (Q, projection) with projection o inclusion = 0.
+    The complement and the projection are read off the per-weight reduced
+    echelon form of phi's columns, which depends only on their span, so the
+    quotient is the one by the image of phi.  Returns (Q, projection) with
+    projection o phi = 0.
     """
-    if inclusion.target is not M:
-        raise ValueError("inclusion does not land in the module")
+    if phi.target is not M:
+        raise ValueError("map does not land in the module")
     field = M.field
     blocks = M.weight_blocks()
-    S = inclusion.source
     echs = weight_echelons(M)
-    count = 0
-    for vec in inclusion.matrix.transpose().entries:
+    for vec in phi.matrix.transpose().entries:
         parts = _homogeneous_components(M, vec)
         if len(parts) > 1:
-            raise ValueError("inclusion columns must be weight-homogeneous")
+            raise ValueError("map columns must be weight-homogeneous")
         for m, comp in parts:
-            if echs[m].insert(comp) is not None:
-                count += 1
-    if count != S.dim:
-        raise ValueError("inclusion is not injective")
+            echs[m].insert(comp)
     # complement per weight: the coordinates that are not pivots
     basis = [i for m in sorted(blocks, reverse=True) for i in blocks[m] if i not in echs[m].rows]
     qdim = len(basis)
@@ -438,13 +439,13 @@ def quotient_module(M: UModule, inclusion: UMorphism):
     mats = {}
     for name in ("E", "F", "El", "Fl"):
         g = getattr(M, name)
-        if not (proj @ g @ inclusion.matrix).is_zero():
-            raise ValueError(f"subspace is not stable under {name}; quotient undefined")
+        if not (proj @ g @ phi.matrix).is_zero():
+            raise ValueError(f"image is not stable under {name}; quotient undefined")
         mats[name] = proj @ g @ sect
     Q = UModule(field, weights, mats["E"], mats["F"], mats["El"], mats["Fl"])
     pr = UMorphism(M, Q, proj)
-    if not (proj @ inclusion.matrix).is_zero():
-        raise ValueError("projection does not kill the submodule")
+    if not (proj @ phi.matrix).is_zero():
+        raise ValueError("projection does not kill the image")
     return Q, pr
 
 
@@ -526,11 +527,14 @@ def unknowns_to_matrix(M: UModule, N: UModule, cells, vec) -> ExactMatrix:
     return mat
 
 
-def find_isomorphism(M: UModule, N: UModule, attempts: int = 40):
+ISO_ATTEMPTS = 40
+
+
+def find_isomorphism(M: UModule, N: UModule):
     """An invertible intertwiner M -> N, or None.
 
-    Characters are compared first; then basis elements and seeded small
-    integer combinations of the Hom basis are tried.
+    Characters are compared first; then basis elements and ISO_ATTEMPTS
+    seeded small integer combinations of the Hom basis are tried.
     """
     if M.dim != N.dim or M.character != N.character:
         return None
@@ -546,7 +550,7 @@ def find_isomorphism(M: UModule, N: UModule, attempts: int = 40):
 
     rng = random.Random(20240 + M.dim + 31 * N.dim)
     field = M.field
-    for _ in range(attempts):
+    for _ in range(ISO_ATTEMPTS):
         mat = ExactMatrix(field, N.dim, M.dim)
         for h in homs:
             c = field.scalar(rng.randint(-3, 3))

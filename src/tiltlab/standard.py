@@ -12,14 +12,17 @@ vectors (primitive_counts): M has a Nabla-flag exactly when
 dim M = sum_c dim Hom(Delta(c), M) (c+1), and a Delta-flag exactly when the
 same count on the dual holds, read off the same weight blocks without
 building the dual.  Neither flag is peeled and nothing is split to decide.
+Each count is taken once per module and kept on it.
 
 Krull-Schmidt decomposition of a tilting module reads its summand labels off
 the closed-form character (tilting characters are unitriangular) and splits
 each predicted T(n) off by the split-pair test: C splits off M as soon as
 some composite M -> C -> M ... C -> M -> C is invertible, which for C with
-local endomorphism ring is detected by a nonzero trace.  split_if_tilting
-splits only modules the counts prove tilting, so a predicted summand that
-does not split there is an internal fault (CertificationError).
+local endomorphism ring is detected by a nonzero trace.  split_if_tilting(M)
+is that split when is_tilting(M) and None otherwise, so a predicted summand
+that does not split there is an internal fault (CertificationError).  A
+peeled T(n) is certified by its character and its flag counts, since a
+tilting module is determined by its character.
 
 Hom(T(a), T(b)) is solved once per (ell, a, b) (tilting_hom_basis) and its
 dimension certified against sum_c (T(a):Delta(c)) (T(b):Nabla(c)).
@@ -103,11 +106,7 @@ def simple_module(field: CycloField, n: int) -> UModule:
 
 
 # ---------------------------------------------------------------------------
-# endomorphism-ring tools
-
-
-def end_algebra(M: UModule):
-    return hom_space(M, M)
+# splitting machinery
 
 
 def _trace_of_product(a: ExactMatrix, b: ExactMatrix):
@@ -116,33 +115,6 @@ def _trace_of_product(a: ExactMatrix, b: ExactMatrix):
     acc = sum_of_products((x, brows[j][i]) for i, arow in enumerate(a.entries)
                           for j, x in arow.items() if i in brows[j])
     return a.field.zero if acc is None else acc
-
-
-def radical_dimension(end_basis) -> int:
-    """dim of the nilradical, via the radical of the trace form (char 0)."""
-    k = len(end_basis)
-    if k == 0:
-        return 0
-    field = end_basis[0].source.field
-    gram = ExactMatrix(field, k, k)
-    for i in range(k):
-        for j in range(i, k):
-            v = _trace_of_product(end_basis[i].matrix, end_basis[j].matrix)
-            gram[i, j] = v
-            gram[j, i] = v
-    return gram.kernel().cols
-
-
-def is_local_end(M: UModule) -> bool:
-    """End(M)/rad is one-dimensional (M indecomposable, split case)."""
-    if M.dim == 0:
-        return False
-    basis = end_algebra(M)
-    return len(basis) - radical_dimension(basis) == 1
-
-
-# ---------------------------------------------------------------------------
-# splitting machinery
 
 
 class NonSplitError(ArithmeticError):
@@ -249,16 +221,13 @@ def decompose_indecomposables(M: UModule):
 
 
 def split_if_tilting(M: UModule):
-    """decompose_indecomposables(M) if M is tilting, else None, for an M
-    whose Nabla-count the caller has found to hold.
+    """decompose_indecomposables(M) if M is tilting, else None.
 
-    Such an M is tilting exactly when its Delta-count holds too, so only
-    that count is taken and nothing is split unless it holds; a tilting M is
-    the direct sum of the T(mu) that ch M predicts, so a predicted summand
-    that then does not split is an internal fault and raises
-    CertificationError.
+    Nothing is split unless both flag counts hold; a tilting M is the direct
+    sum of the T(mu) that ch M predicts, so a predicted summand that then
+    does not split is an internal fault and raises CertificationError.
     """
-    if not has_delta_flag(M):
+    if not is_tilting(M):
         return None
     try:
         return decompose_indecomposables(M)
@@ -344,8 +313,15 @@ def tilting_weyl_multiplicities(field: CycloField, n: int):
 
 
 def _extract_top_summand(M: UModule, n: int) -> UModule:
-    """Split every T(mu) but the single T(n) off the tilting module M;
-    certify the local remainder."""
+    """Split every T(mu) but the single T(n) off the tilting module M and
+    certify that the remainder R is T(n) by its character and flag counts.
+
+    A tilting module is the direct sum of indecomposable tilting modules,
+    and each of those is T(mu) for its top weight mu (Ringel, Math. Z. 208,
+    1991).  Tilting characters are unitriangular, so the character of a
+    tilting module fixes the multiset of its summands: if R is tilting and
+    ch R = ch T(n), then R = T(n).  Otherwise CertificationError is raised.
+    """
     labels = decompose_tilting_character(M.field, M.character)
     if labels.get(n) != 1:
         raise CertificationError(f"T({n}) has multiplicity {labels.get(n, 0)}, not 1")
@@ -354,10 +330,8 @@ def _extract_top_summand(M: UModule, n: int) -> UModule:
         _, R = _split_tilting_labels(M, labels)
     except NonSplitError as exc:
         raise CertificationError(f"T({n - 1}) (x) Delta(1) does not split: {exc}") from exc
-    if R.character.max_weight() != n:
-        raise CertificationError(f"tilting extraction lost the top weight {n}")
-    if not is_local_end(R):
-        raise CertificationError(f"remainder for T({n}) is not indecomposable")
+    if R.character != tilting_character(M.field, n) or not is_tilting(R):
+        raise CertificationError(f"the remainder for T({n}) is not a tilting module of character ch T({n})")
     return R
 
 
@@ -522,13 +496,19 @@ def _count_holds(M: UModule, counts) -> bool:
 
 
 def has_nabla_flag(M: UModule) -> bool:
-    """Whether M has a Nabla-flag (criterion of primitive_counts)."""
-    return _count_holds(M, primitive_counts(M))
+    """Whether M has a Nabla-flag (criterion of primitive_counts), counted
+    once per module and kept on it."""
+    if M._nabla_flag is None:
+        M._nabla_flag = _count_holds(M, primitive_counts(M))
+    return M._nabla_flag
 
 
 def has_delta_flag(M: UModule) -> bool:
-    """Whether M has a Delta-flag (the Nabla criterion on M*)."""
-    return _count_holds(M, dual_primitive_counts(M))
+    """Whether M has a Delta-flag (the Nabla criterion on M*), counted once
+    per module and kept on it."""
+    if M._delta_flag is None:
+        M._delta_flag = _count_holds(M, dual_primitive_counts(M))
+    return M._delta_flag
 
 
 def is_tilting(M: UModule) -> bool:

@@ -6,21 +6,15 @@ surjectivity through its own exact invariants.
 """
 
 import hashlib
+from fractions import Fraction
 
 from tiltlab.complexes import ChainComplex, _find_cancellable, _part_blocks, total_complex
 from tiltlab.cyclotomic import CertificationError
 from tiltlab.linalg import ExactMatrix
 from tiltlab.minimal import _stack_from_sum
-from tiltlab.modules import UModule, intertwiner_equations, tensor_module, unknowns_to_matrix
+from tiltlab.modules import UModule, hom_space, intertwiner_equations, tensor_module, unknowns_to_matrix
 from tiltlab.serialize import canonical_dumps
-from tiltlab.standard import (
-    _complement_of_idempotent,
-    _split_pair,
-    has_nabla_flag,
-    is_local_end,
-    split_if_tilting,
-    weyl_module,
-)
+from tiltlab.standard import _complement_of_idempotent, _split_pair, _trace_of_product, weyl_module
 
 _peeled_tilting_cache = {}
 
@@ -123,11 +117,38 @@ def peeled_tilting_module(field, n):
     return _peeled_tilting_cache[key]
 
 
-def tilting_parts(M):
-    """decompose_indecomposables(M) if M is tilting, else None: both flag
-    counts, then the split that the construction uses on a module whose
-    Nabla-count it has already taken."""
-    return split_if_tilting(M) if has_nabla_flag(M) else None
+def end_algebra(M):
+    return hom_space(M, M)
+
+
+def radical_dimension(end_basis) -> int:
+    """dim of the nilradical, via the radical of the trace form (char 0)."""
+    k = len(end_basis)
+    if k == 0:
+        return 0
+    field = end_basis[0].source.field
+    gram = ExactMatrix(field, k, k)
+    for i in range(k):
+        for j in range(i, k):
+            v = _trace_of_product(end_basis[i].matrix, end_basis[j].matrix)
+            gram[i, j] = v
+            gram[j, i] = v
+    return gram.kernel().cols
+
+
+def is_local_end(M) -> bool:
+    """End(M)/rad is one-dimensional (M indecomposable, split case)."""
+    if M.dim == 0:
+        return False
+    basis = end_algebra(M)
+    return len(basis) - radical_dimension(basis) == 1
+
+
+def rational_value(x):
+    """The rational a scalar equals, as a Fraction, or None if it is irrational."""
+    if any(x.num[1:]):
+        return None
+    return Fraction(x.num[0], x.den)
 
 
 def divided_power(M, gen, a):

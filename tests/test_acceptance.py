@@ -6,6 +6,16 @@ tests/test_acceptance.py -v` to see the per-criterion lines.
 import random
 import time
 
+from tiltlab.alcove import (
+    is_negligible_weight,
+    is_p_regular,
+    is_p_restricted,
+    root_system,
+    separating_hyperplane_count,
+    separating_hyperplane_count_bruteforce,
+    steinberg_decompose,
+    steinberg_twist_example,
+)
 from tiltlab.cyclotomic import CycloField
 from tiltlab.ideals import (
     RepIdealHandle,
@@ -23,7 +33,6 @@ from tiltlab.suites import (
     check_ses_containments,
     check_tensor_lemma,
     random_pool_pairs,
-    suite_alcove_box,
     suite_alcove_cross,
 )
 
@@ -168,6 +177,66 @@ def test_criterion_07_two_out_of_three():
         len(samples) >= 100 and not violations,
         f"{len(samples)} SES x {len(handles)} handles, {len(violations)} violations",
     )
+
+
+def suite_alcove_box(types=("A1", "A2", "B2", "G2"), primes=(2, 3, 5, 7), radius_factor=3):
+    """Exhaustive box validation of the alcove operations against brute force."""
+    cases = []
+    for label in types:
+        rs = root_system(label)
+        for p in primes:
+            radius = radius_factor * p
+            box = _box_weights(rs.rank, radius)
+            d_bad = []
+            reg_bad = []
+            st_bad = []
+            neg_bad = []
+            for lam in box:
+                if separating_hyperplane_count(rs, lam, p) != separating_hyperplane_count_bruteforce(rs, lam, p):
+                    d_bad.append(lam)
+                shifted = tuple(l + r for l, r in zip(lam, rs.rho))
+                brute_regular = all(
+                    not any(beta.pairing(shifted) == r * p for r in range(1, beta.pairing(shifted) // p + 2))
+                    for beta in rs.positive_roots
+                )
+                if is_p_regular(rs, lam, p) != brute_regular:
+                    reg_bad.append(lam)
+                lam0, lam1 = steinberg_decompose(rs, lam, p)
+                recomposed = tuple(a + p * b for a, b in zip(lam0, lam1))
+                if recomposed != lam or not is_p_restricted(rs, lam0, p) or not rs.is_dominant(lam1):
+                    st_bad.append(lam)
+                brute_neg = any(beta.pairing(shifted) >= p for beta in rs.positive_roots)
+                if is_negligible_weight(rs, lam, p) != brute_neg:
+                    neg_bad.append(lam)
+            cases.append(
+                {
+                    "case": f"{label} p={p} box radius {radius}",
+                    "ok": not (d_bad or reg_bad or st_bad or neg_bad),
+                    "weights_checked": len(box),
+                    "d_mismatches": d_bad[:3],
+                    "regularity_mismatches": reg_bad[:3],
+                    "steinberg_mismatches": st_bad[:3],
+                    "negligible_mismatches": neg_bad[:3],
+                }
+            )
+            if p >= rs.coxeter_number:
+                info = steinberg_twist_example(rs, p)
+                cases.append(
+                    {
+                        "case": f"{label} p={p} twisted Steinberg weight",
+                        "ok": bool(info["p_regular"]) and info["negligible"],
+                        "weight": info["weight"],
+                    }
+                )
+    failures = [c for c in cases if not c["ok"]]
+    return {"suite": "alcove-box", "cases": cases, "failures": failures}
+
+
+def _box_weights(rank, radius):
+    out = [()]
+    for _ in range(rank):
+        out = [w + (x,) for w in out for x in range(radius + 1)]
+    return out
 
 
 def test_criterion_08_alcove_box():

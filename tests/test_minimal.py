@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -18,6 +19,7 @@ from tiltlab.standard import (
     dual_weyl_module,
     peel_standard_filtration,
     simple_module,
+    split_if_tilting,
     tilting_module,
     weyl_module,
 )
@@ -50,6 +52,27 @@ def test_tilting_inputs_peel_no_flag(monkeypatch):
     monkeypatch.setattr(tiltlab.standard, "_split_tilting_labels", refuse)
     assert minimal_tilting_complex(inputs[0]).label_table() == {0: [2, 4]}
     assert minimal_tilting_complex(inputs[1]).label_table() == {0: [3]}
+
+
+def test_each_module_is_counted_once_per_side(monkeypatch):
+    """The flag counts are kept on the module, so the short path's is_tilting
+    and the construction share the source module's counts."""
+    import tiltlab.minimal
+    import tiltlab.standard
+
+    counted = []  # (module, side); the modules stay alive, so ids stay distinct
+    count = tiltlab.standard._primitive_counts
+
+    def recording(M, sign, *vecs):
+        counted.append((M, sign))
+        return count(M, sign, *vecs)
+
+    monkeypatch.setattr(tiltlab.minimal, "_cmin_cache", {})
+    monkeypatch.setattr(tiltlab.standard, "_primitive_counts", recording)
+    for M in (dual_weyl_module(F3, 4), simple_module(F3, 4)):
+        minimal_tilting_complex(M)
+    sides = Counter((id(M), sign) for M, sign in counted)
+    assert sides and max(sides.values()) == 1
 
 
 def test_fixed_point_delta3():
@@ -245,12 +268,11 @@ def test_solve_chain_map_with_identity_returns_each_intertwiner():
 def test_solve_chain_map_matches_oracle_on_random_combinations(field):
     # f and left are seeded combinations of nonzero Hom bases, so left @ f =
     # rhs is consistent, and rhs is nonzero.  In every other case the target
-    # is T(a) (x) T(b), whose parts from tilting_parts are not coordinate
+    # is T(a) (x) T(b), whose parts from split_if_tilting are not coordinate
     # blocks, and left is one basis element of its End, which has a kernel:
     # then the solution over the cached basis must be reduced by the
     # homogeneous solutions to be the one the oracle returns.
     from tiltlab.modules import hom_space, tensor_module
-    from oracles import tilting_parts
 
     rng = random.Random(12 + field.ell)
     window = range(field.ell - 1, 2 * field.ell + 1)
@@ -270,7 +292,7 @@ def test_solve_chain_map_matches_oracle_on_random_combinations(field):
         M, mparts = labeled_sum()
         if tensor:
             N = tensor_module(tilting_module(field, rng.randint(1, 3)), tilting_module(field, rng.randint(1, 3)))
-            nparts, X = tilting_parts(N), N
+            nparts, X = split_if_tilting(N), N
         else:
             (N, nparts), (X, _) = labeled_sum(), labeled_sum()
         homs_mn, homs_nx = hom_space(M, N), hom_space(N, X)

@@ -20,7 +20,7 @@ from tiltlab.modules import (
     submodule_generated,
     tensor_module,
 )
-from tiltlab.serialize import module_from_json
+from tiltlab.serialize import module_from_json, module_text
 from tiltlab.standard import dual_weyl_module, simple_module, tilting_module, weyl_module
 
 from oracles import (
@@ -29,6 +29,7 @@ from oracles import (
     is_intertwiner,
     kron_tensor_module,
     module_to_json,
+    rational_value,
 )
 
 F3 = CycloField(3)
@@ -227,6 +228,18 @@ def test_quotient_module():
     assert Qfull.dim == 4
 
 
+def test_quotient_by_a_non_injective_map_is_the_quotient_by_its_image():
+    for field, n in ((F3, 3), (F5, 7)):
+        (h,) = hom_space(weyl_module(field, n), dual_weyl_module(field, n))
+        assert h.matrix.rank() < h.source.dim
+        _, incl = image_module(h)
+        Q, proj = quotient_module(h.target, h)
+        Qi, proji = quotient_module(h.target, incl)
+        assert module_text(Q) == module_text(Qi)
+        assert proj.matrix == proji.matrix
+        assert (proj.matrix @ h.matrix).is_zero()
+
+
 def test_kernel_and_image_of_morphism():
     D = weyl_module(F3, 3)
     N = dual_weyl_module(F3, 3)
@@ -291,7 +304,7 @@ def infer_weights(field: CycloField, K, E, F, El, Fl):
     h_mat = comm - correction
     weights = []
     for i in range(dim):
-        val = h_mat[i, i].rational_value()
+        val = rational_value(h_mat[i, i])
         if val is None or val.denominator != 1:
             raise ValueError("torus operator is not integer-diagonal; basis not homogeneous")
         weights.append(residues[i] + ell * int(val))

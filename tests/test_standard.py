@@ -20,21 +20,19 @@ from tiltlab.standard import (
     decompose_tilting_character,
     dual_primitive_counts,
     dual_weyl_module,
-    end_algebra,
     has_delta_flag,
     has_nabla_flag,
-    is_local_end,
     peel_standard_filtration,
     primitive_counts,
-    radical_dimension,
     simple_character,
     simple_module,
+    split_if_tilting,
     tilting_character,
     tilting_module,
     weyl_module,
 )
 
-from oracles import peeled_tilting_module, tilting_parts
+from oracles import end_algebra, is_local_end, peeled_tilting_module, radical_dimension
 
 F3 = CycloField(3)
 F5 = CycloField(5)
@@ -47,7 +45,7 @@ def steinberg_dimension(field, n):
 
 
 def is_tilting(M):
-    """Oracle for the flag counts and tilting_parts: M is tilting iff it has
+    """Oracle for the flag counts and split_if_tilting: M is tilting iff it has
     a Delta- and a Nabla-flag, found by peeling."""
     return (
         peel_standard_filtration(M, "delta") is not None
@@ -244,7 +242,7 @@ def test_a_tilting_character_with_one_flag_is_not_tilting():
     assert has_delta_flag(M)
     assert not has_nabla_flag(M)
     assert not is_tilting(M)
-    assert tilting_parts(M) is None
+    assert split_if_tilting(M) is None
 
 
 def _tilting_candidates():
@@ -262,7 +260,7 @@ def _tilting_candidates():
 
 def test_tilting_parts_agrees_with_flag_peels():
     for M in _tilting_candidates():
-        parts = tilting_parts(M)
+        parts = split_if_tilting(M)
         assert (parts is not None) == is_tilting(M), M.character
         if parts is not None:
             assert sum(p.module.dim for p in parts) == M.dim
@@ -276,7 +274,7 @@ def test_tilting_parts_lets_certification_errors_through(monkeypatch):
 
     monkeypatch.setattr(tiltlab.standard, "_split_tilting_labels", broken)
     with pytest.raises(CertificationError):
-        tilting_parts(tilting_module(F3, 3))
+        split_if_tilting(tilting_module(F3, 3))
 
 
 def test_tilting_parts_raises_when_a_predicted_summand_does_not_split(monkeypatch):
@@ -286,12 +284,29 @@ def test_tilting_parts_raises_when_a_predicted_summand_does_not_split(monkeypatc
     not_tilting = direct_sum(weyl_module(F3, 3), weyl_module(F3, 1))
     monkeypatch.setattr(tiltlab.standard, "_split_pair", lambda R, C: None)
     with pytest.raises(CertificationError, match="does not split"):
-        tilting_parts(T)
+        split_if_tilting(T)
     # the counts reject a module that is not tilting before any split
-    assert tilting_parts(not_tilting) is None
+    assert split_if_tilting(not_tilting) is None
     # T(3) at ell 3 is split off T(2) (x) Delta(1), which is tilting
     monkeypatch.setattr(tiltlab.standard, "_tilting_cache", {})
     with pytest.raises(CertificationError, match="does not split"):
+        tilting_module(F3, 3)
+
+
+def test_a_peeled_remainder_with_ch_T3_that_is_not_tilting_is_rejected(monkeypatch):
+    import tiltlab.standard
+
+    fake = direct_sum(weyl_module(F3, 3), weyl_module(F3, 1))
+    assert fake.character == tilting_character(F3, 3) and has_delta_flag(fake)
+    split = tiltlab.standard._split_tilting_labels
+
+    def leave_fake(M, labels):
+        parts, R = split(M, labels)
+        return parts, fake if R.character == fake.character else R
+
+    monkeypatch.setattr(tiltlab.standard, "_tilting_cache", {})
+    monkeypatch.setattr(tiltlab.standard, "_split_tilting_labels", leave_fake)
+    with pytest.raises(CertificationError, match=r"remainder for T\(3\)"):
         tilting_module(F3, 3)
 
 
