@@ -8,8 +8,9 @@ becomes tilting, (3) join the coresolution to that column by one staircase
 of maps and totalize, verifying that the square vanishes exactly, then
 (4) minimalize.  The result is certified by
 its Euler character, of the terms and of the closed-form tilting characters
-of its labels, both equal to ch M, and by recomputing cohomology: the source
-module in degree zero and nothing else.
+of its labels, both equal to ch M, and by ranks and the map that minimalize
+carries: H^i = 0 for i != 0, and the projection onto the coresolution's
+first term maps H^0 onto the image of M (_certify_cmin).
 
 A tilting module is its own C_min, in degree zero.  Flags are decided by
 counting primitive vectors (standard.primitive_counts): M is tilting exactly
@@ -41,7 +42,6 @@ from tiltlab.linalg import ExactMatrix, RowEchelon, SparseSystem
 from tiltlab.modules import (
     UModule,
     UMorphism,
-    find_isomorphism,
     hom_space,
     kernel_module,
     quotient_module,
@@ -225,18 +225,21 @@ def _prune_factoring(field, components, M):
 
 def _coresolution(M: UModule):
     """0 -> M -> X^0 -> ... -> X^(k-1) -> tail -> 0 with labeled tilting terms
-    X^s and a costandard-filtered tail; returns (terms, parts, maps, tail)
-    with maps[s]: X^s -> X^(s+1), the last of them the projection onto the
-    tail."""
+    X^s and a costandard-filtered tail; returns (terms, parts, maps, tail,
+    iota) with maps[s]: X^s -> X^(s+1), the last of them the projection onto
+    the tail, and iota: M -> X^0 the first embedding (the identity of M, its
+    own tail, when k = 0)."""
     terms, partlists, maps = [], [], []
-    C = M
+    C, iota = M, UMorphism.identity(M)
     for _ in range(CORESOLUTION_CAP):
         if has_nabla_flag(C):
-            return terms, partlists, maps, C
+            return terms, partlists, maps, C, iota
         Q, emb, parts = embed_into_tilting(C)
         coker, proj = quotient_module(Q, emb)
         if maps:
             maps[-1] = UMorphism(terms[-1], Q, emb.matrix @ maps[-1].matrix)
+        else:
+            iota = emb
         terms.append(Q)
         partlists.append(parts)
         maps.append(proj)
@@ -346,8 +349,11 @@ def _lift_over_tiltings(src, src_parts, tgt, tgt_parts, left: ExactMatrix, rhs: 
     return out
 
 
-def tilting_complex_of(M: UModule) -> ChainComplex:
-    """A bounded complex of tiltings quasi-isomorphic to M (degree-0 cohomology).
+def tilting_complex_of(M: UModule):
+    """(X, iota, pi): a bounded complex X of tiltings quasi-isomorphic to M
+    (degree-0 cohomology), the embedding iota: M -> Y of the coresolution and
+    pi: X^0 -> Y, zero off the (0, 0) block.  There pi is the identity of
+    Y = X^0 when k >= 1, and the augmentation P_0 ->> Y = M when k = 0.
 
     X^s of the coresolution sits at (s, 0), and P_(-u) of the tail's column
     at (k, -u), k the number of tilting terms.  The maps d_s: X^s -> X^(s+1)
@@ -361,8 +367,8 @@ def tilting_complex_of(M: UModule) -> ChainComplex:
     """
     field = M.field
     if M.dim == 0:
-        return ChainComplex.zero(field)
-    terms, partlists, maps, tail = _coresolution(M)
+        return ChainComplex.zero(field), UMorphism.identity(M), UMorphism.identity(M)
+    terms, partlists, maps, tail, iota = _coresolution(M)
     column, cparts, cmaps, aug = _left_resolution(tail)
     k = len(terms)
     grid = {(s, 0): X for s, X in enumerate(terms)}
@@ -373,14 +379,13 @@ def tilting_complex_of(M: UModule) -> ChainComplex:
     components = {((k, -u), (k, 1 - u)): d.matrix for u, d in enumerate(cmaps, 1)}
     for s, d in enumerate(maps[:-1]):
         components[((s, 0), (s + 1, 0))] = d.matrix
-    if not k:
-        return total_complex(field, grid, components, gparts)
-    g = maps[-1].matrix
-    if column[0] is not tail:
-        g = _lift_over_tiltings(terms[-1], partlists[-1], column[0], cparts[0], aug.matrix, g)
-        if g is None:
-            raise CertificationError(f"vertical lift at column {k - 1}, level 0 is inconsistent")
-    components[((k - 1, 0), (k, 0))] = g
+    if k:
+        g = maps[-1].matrix
+        if column[0] is not tail:
+            g = _lift_over_tiltings(terms[-1], partlists[-1], column[0], cparts[0], aug.matrix, g)
+            if g is None:
+                raise CertificationError(f"vertical lift at column {k - 1}, level 0 is inconsistent")
+        components[((k - 1, 0), (k, 0))] = g
     for j in range(1, k):
         s = k - 1 - j
         rhs = g @ maps[s].matrix
@@ -393,7 +398,11 @@ def tilting_complex_of(M: UModule) -> ChainComplex:
         if g is None:
             raise CertificationError(f"{where} is inconsistent")
         components[((s, 0), (k, -j))] = g
-    return total_complex(field, grid, components, gparts)
+    X = total_complex(field, grid, components, gparts)
+    # the (0, 0) block comes first in degree 0, and is all of it when k = 0
+    X0, Y = X.term(0), iota.target
+    pi = ExactMatrix(field, Y.dim, X0.dim, [{r: field.one} for r in range(Y.dim)]) if k else aug.matrix
+    return X, iota, UMorphism(X0, Y, pi)
 
 
 class MinimalTiltingComplex:
@@ -429,31 +438,52 @@ def minimal_tilting_complex(M: UModule) -> MinimalTiltingComplex:
         result = MinimalTiltingComplex(M, single)
         _cmin_cache[key] = result
         return result
-    cmin = minimalize(tilting_complex_of(M)).complex
-    _certify_cmin(M, cmin)
+    X, iota, pi = tilting_complex_of(M)
+    res = minimalize(X)
+    cmin = res.complex
+    _certify_cmin(M, cmin, pi.matrix @ res.chain_map[0], iota)
     result = MinimalTiltingComplex(M, cmin)
     _cmin_cache[key] = result
     return result
 
 
-def _certify_cmin(M: UModule, cmin: ChainComplex):
-    """Exact checks on C_min(M): the Euler character of its terms and of its
-    tilting labels equals ch M, and its cohomology is M in degree zero."""
+def _certify_cmin(M: UModule, cmin: ChainComplex, p: ExactMatrix, iota: UMorphism):
+    """Exact checks on C = C_min(M), by linear algebra only: the Euler
+    character of its terms and of its tilting labels equals ch M, and
+    p: C^0 -> Y (pi o f^0, from the construction and minimalize) proves
+    H(C) = M in degree zero against the embedding iota: M -> Y.
+
+    The checks: d o d = 0; dim C^i = rank d^i + rank d^(i-1) for i != 0, so
+    H^i = 0 there; p and iota preserve weights and commute with E, F, E^(l)
+    and F^(l); p o d^(-1) = 0; dim ker d^0 - rank d^(-1) = dim M; and p(Z),
+    Z = ker d^0, has rank dim M and lies in im iota.  Proof of H^0 = M: p is
+    a module map on Z that kills im d^(-1), so it induces H^0 -> Y with
+    image p(Z).  As dim p(Z) = dim M = dim H^0, that map is injective, so
+    H^0 = p(Z).  p(Z) lies in im iota, of dimension at most dim M, so
+    p(Z) = im iota and iota is injective: H^0 = im iota = M.  No check
+    trusts p or iota, so a wrong one can only make the certificate fail.
+    """
     ch = M.character
     if cmin.euler_character() != ch:
         raise CertificationError("Euler character of the minimal complex is not ch M")
     if label_table_character(M.field, cmin.tilting_label_table()) != ch:
         raise CertificationError("tilting labels of the minimal complex do not add up to ch M")
-    coh = cmin.cohomology()
-    if set(coh) - {0}:
-        raise CertificationError(f"minimal complex has cohomology in degrees {sorted(coh)}")
-    h0 = coh.get(0)
-    if M.dim == 0:
-        if h0 is not None:
-            raise CertificationError("expected acyclic complex for the zero module")
-        return
-    if h0 is None or h0.dim != M.dim or find_isomorphism(h0, M) is None:
+    cmin.check()
+    dims = cmin.cohomology_dimensions()
+    if set(dims) - {0} or dims.get(0) != M.dim:
+        raise CertificationError(f"minimal complex has cohomology of dimensions {dims}, not {{0: {M.dim}}}")
+    C0, Y = cmin.term(0), iota.target
+    pZ = p @ cmin.differential(0).matrix.kernel()
+    if not (_intertwines(p, C0, Y) and _intertwines(iota.matrix, M, Y)
+            and (p @ cmin.differential(-1).matrix).is_zero()
+            and pZ.rank() == M.dim and iota.matrix.solve(pZ) is not None):
         raise CertificationError("degree-zero cohomology is not the source module")
+
+
+def _intertwines(m: ExactMatrix, S: UModule, T: UModule) -> bool:
+    """Whether m: S -> T preserves weights and commutes with E, F, E^(l), F^(l)."""
+    return (all(T.weights[r] == S.weights[c] for r, row in enumerate(m.entries) for c in row)
+            and all(getattr(T, g) @ m == m @ getattr(S, g) for g in ("E", "F", "El", "Fl")))
 
 
 def filtration_dimensions(M: UModule):

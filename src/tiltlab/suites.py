@@ -187,18 +187,10 @@ def _tensor_case(args):
     cN = minimal_tilting_complex(N)
     big_table = tensor_label_table(field, cM.label_table(), cN.label_table(), limit)
     contained = multiset_contained(cP, big_table)
-    coh = tensor_complexes(cM.complex, cN.complex).cohomology()
-    concentrated = set(coh) <= {0}
-    h0 = coh.get(0)
-    if P.dim == 0:
-        kunneth = h0 is None
-    else:
-        kunneth = (
-            concentrated
-            and h0 is not None
-            and h0.dim == P.dim
-            and h0.character == P.character
-        )
+    # when H is concentrated in degree 0, ch H^0 is the Euler character
+    tensor = tensor_complexes(cM.complex, cN.complex)
+    dims = tensor.cohomology_dimensions()
+    kunneth = set(dims) <= {0} and dims.get(0, 0) == P.dim and tensor.euler_character() == P.character
     return {
         "case": f"{k1}({n1}) x {k2}({n2})",
         "ok": contained and kunneth,

@@ -331,3 +331,35 @@ def complex_to_json(X):
 
 def content_hash(obj) -> str:
     return hashlib.sha256(canonical_dumps(obj).encode()).hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# closed-form label tables of C_min(Delta(n)), C_min(Nabla(n)) and C_min(L(n))
+#
+# Status: neither proven here nor cited from the literature, so the formula
+# stays a test oracle and never becomes a runtime check.  The tests compare
+# it with the construction (n <= 13 at ell 3, n <= 15 at ell 5, n <= 12 at
+# ell 7) and its Euler character with ch M for n <= 200.  A first step
+# towards a proof: C_min(Delta(n)) would be the minimal tilting
+# coresolution of Delta(n), one T per linked weight below n.
+
+
+def linked_weights(ell, n):
+    """x_0 = n > x_1 > ... >= 0: the dominant weights m <= n linked to n,
+    that is m = n or m = -n-2 (mod 2 ell)."""
+    return [m for m in range(n, -1, -1) if (m - n) % (2 * ell) == 0 or (m + n + 2) % (2 * ell) == 0]
+
+
+def closed_form_label_table(ell, kind, n):
+    """The label table of C_min(M), M = Delta(n), Nabla(n) or L(n) for kind
+    "delta", "nabla" or "L": T(n) in degree 0 when n = -1 (mod ell), and
+    otherwise T(x_i) in degree i for Delta(n), in degree -i for Nabla(n),
+    and, for L(n), T(x_p) in degree j for every p >= |j| with p = j (mod 2)."""
+    if (n + 1) % ell == 0:
+        return {0: [n]}
+    x = linked_weights(ell, n)
+    if kind == "delta":
+        return {i: [m] for i, m in enumerate(x)}
+    if kind == "nabla":
+        return {-i: [m] for i, m in enumerate(x)}
+    return {j: sorted(x[p] for p in range(abs(j), len(x), 2)) for j in range(1 - len(x), len(x))}

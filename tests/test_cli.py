@@ -268,9 +268,20 @@ def test_failed_certification_exits_internal(monkeypatch, capsys):
     import tiltlab.cache
     import tiltlab.minimal
 
+    minimalize = tiltlab.minimal.minimalize
+
+    def corrupted(X):
+        # add one to the first nonzero entry of the carried map in degree 0
+        res = minimalize(X)
+        f = res.chain_map[0]
+        r, row = next((r, row) for r, row in enumerate(f.entries) if row)
+        c = min(row)
+        f[r, c] = row[c] + f.field.one
+        return res
+
     monkeypatch.setattr(tiltlab.cache, "_active_cache", None)
     monkeypatch.setattr(tiltlab.minimal, "_cmin_cache", {})
-    monkeypatch.setattr(tiltlab.minimal, "find_isomorphism", lambda M, N: None)
+    monkeypatch.setattr(tiltlab.minimal, "minimalize", corrupted)
     code = main(["cmin", "--ell", "3", "--module", "L:3"])
     captured = capsys.readouterr()
     assert code == 3

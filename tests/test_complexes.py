@@ -15,7 +15,7 @@ from tiltlab.linalg import ExactMatrix
 from tiltlab.modules import UModule, UMorphism, find_isomorphism, hom_space
 from tiltlab.standard import Part, simple_module, tilting_module, weyl_module
 
-from oracles import complex_direct_sum, cone, is_minimal, is_surjective
+from oracles import complex_direct_sum, cone, is_intertwiner, is_minimal, is_surjective
 
 F = CycloField(3)
 
@@ -66,6 +66,25 @@ def test_minimalize_idempotent_on_minimal():
     assert is_minimal(res.complex)
 
 
+def _assert_chain_map_and_quasi_isomorphism(res, X):
+    """res.chain_map is a chain map C_min -> X of U-modules that induces an
+    isomorphism on every H^i, by ranks: the image of ker d_min^i in H^i(X),
+    of dimension rank [f^i ker d_min^i | im d_X^(i-1)] - rank d_X^(i-1), is
+    dim H^i(C_min) = dim H^i(X)."""
+    C, f = res.complex, res.chain_map
+    assert sorted(f) == X.degrees()
+    assert C.cohomology_dimensions() == X.cohomology_dimensions()
+    for i in X.degrees():
+        assert is_intertwiner(UMorphism(C.term(i), X.terms[i], f[i]))
+        if i + 1 in f:
+            assert X.differential(i).matrix @ f[i] == f[i + 1] @ C.differential(i).matrix
+        incoming = X.differential(i - 1).matrix
+        columns = (f[i] @ C.differential(i).matrix.kernel()).transpose().entries
+        stacked = ExactMatrix(F, len(columns) + incoming.cols, X.terms[i].dim,
+                              columns + incoming.transpose().entries)
+        assert stacked.rank() - incoming.rank() == C.cohomology_dimensions().get(i, 0)
+
+
 def test_minimalize_witnesses_are_chain_maps():
     # pad a minimal complex with a contractible summand and minimalize
     X = _t3_to_t1()
@@ -79,12 +98,29 @@ def test_minimalize_witnesses_are_chain_maps():
     big = complex_direct_sum(X, pad)
     res = minimalize(big)
     assert res.complex.tilting_label_table() == {0: [3], 1: [1]}
+    _assert_chain_map_and_quasi_isomorphism(res, big)
     # minimalization is a homotopy equivalence: cohomology is kept degreewise
     before = big.cohomology()
     after = res.complex.cohomology()
     assert set(before) == set(after) == {0}
     for i in before:
         assert find_isomorphism(after[i], before[i]) is not None
+    # d = [[h, 1], [0, 1]] on T(3) + T(1) -> T(1) + T(1): cancelling the
+    # identity block from the second T(1) to the first moves the map on T(3)
+    # by -h, since h is the block from T(3) to that first T(1)
+    T3, T1 = tilting_module(F, 3), tilting_module(F, 1)
+    (h,) = hom_space(T3, T1)
+    S0, p0 = labeled_direct_sum(F, [(("T", 3), T3), (("T", 1), T1)])
+    S1, p1 = labeled_direct_sum(F, [(("T", 1), T1), (("T", 1), T1)])
+    d = (p1[0].inclusion.matrix @ (h.matrix @ p0[0].projection.matrix + p0[1].projection.matrix)
+         + p1[1].inclusion.matrix @ p0[1].projection.matrix)
+    twisted = ChainComplex(F, {0: S0, 1: S1}, {0: UMorphism(S0, S1, d)}, {0: p0, 1: p1})
+    res = minimalize(twisted)
+    assert res.complex.tilting_label_table() == {0: [3], 1: [1]}
+    assert res.chain_map[0] == p0[0].inclusion.matrix - p0[1].inclusion.matrix @ h.matrix
+    _assert_chain_map_and_quasi_isomorphism(res, twisted)
+    after = res.complex.cohomology()
+    assert set(after) == {0} and find_isomorphism(after[0], twisted.cohomology()[0]) is not None
 
 
 def test_minimalize_preserves_cohomology_on_random_cones():
@@ -100,6 +136,7 @@ def test_minimalize_preserves_cohomology_on_random_cones():
         X.check()
         before = {i: (h.dim, h.character) for i, h in X.cohomology().items()}
         res = minimalize(X)
+        _assert_chain_map_and_quasi_isomorphism(res, X)
         after = {i: (h.dim, h.character) for i, h in res.complex.cohomology().items()}
         assert before == after
 

@@ -3,11 +3,13 @@ from collections import Counter
 
 import pytest
 
-from tiltlab.complexes import labeled_direct_sum, minimalize, tensor_complexes
+from tiltlab.characters import weyl_character
+from tiltlab.complexes import ChainComplex, labeled_direct_sum, minimalize, tensor_complexes
 from tiltlab.cyclotomic import CertificationError, CycloField
 from tiltlab.linalg import ExactMatrix
-from tiltlab.modules import UModule, direct_sum, find_isomorphism, tensor_module
+from tiltlab.modules import UModule, UMorphism, direct_sum, find_isomorphism, tensor_module
 from tiltlab.minimal import (
+    _certify_cmin,
     _lift_over_tiltings,
     cover_by_tilting,
     embed_into_tilting,
@@ -17,14 +19,23 @@ from tiltlab.minimal import (
 )
 from tiltlab.standard import (
     dual_weyl_module,
+    label_table_character,
     peel_standard_filtration,
+    simple_character,
     simple_module,
     split_if_tilting,
     tilting_module,
     weyl_module,
 )
 
-from oracles import is_injective, is_minimal, is_surjective, prune_by_lifting, solve_chain_map
+from oracles import (
+    closed_form_label_table,
+    is_injective,
+    is_minimal,
+    is_surjective,
+    prune_by_lifting,
+    solve_chain_map,
+)
 
 F3 = CycloField(3)
 F5 = CycloField(5)
@@ -185,12 +196,66 @@ def test_ell5_wall_simple():
     assert c.label_table() == {-1: [3], 0: [5], 1: [3]}
 
 
+def _certificate(M):
+    """C_min(M), p = pi o f^0 and iota, as minimal_tilting_complex certifies
+    them."""
+    X, iota, pi = tilting_complex_of(M)
+    res = minimalize(X)
+    return res.complex, pi.matrix @ res.chain_map[0], iota
+
+
+def _refused(*args):
+    with pytest.raises(CertificationError):
+        _certify_cmin(*args)
+
+
 def test_construction_certificate_rejects_corruption():
-    # tilting_complex_of postcondition: concentrated cohomology
-    big = tilting_complex_of(weyl_module(F3, 6))
-    coh = big.cohomology()
-    assert set(coh) == {0}
-    assert find_isomorphism(coh[0], weyl_module(F3, 6)) is not None
+    # Nabla(6) is its own tail (k = 0): there iota is the identity and p the
+    # augmentation; the other four have a tilting term X^0 = Y and a d^0
+    modules = (simple_module(F3, 3), weyl_module(F3, 6), simple_module(F5, 10), weyl_module(F5, 7),
+               dual_weyl_module(F3, 6))
+    for M in modules:
+        field = M.field
+        cmin, p, iota = _certificate(M)
+        Y = iota.target
+        assert (Y is M) == (M is modules[-1])
+        _certify_cmin(M, cmin, p, iota)
+        # tilting_complex_of postcondition: concentrated cohomology
+        coh = cmin.cohomology()
+        assert set(coh) == {0}
+        assert find_isomorphism(coh[0], M) is not None
+        r, row = next((r, row) for r, row in enumerate(p.entries) if row)
+        c = min(row)
+        changed, zeroed = p.copy(), p.copy()
+        changed[r, c] = row[c] + field.one
+        zeroed.entries[r] = {}
+        _refused(M, cmin, changed, iota)
+        _refused(M, cmin, zeroed, iota)
+        if Y is not M:
+            # a wrong iota: the first dim M coordinate vectors of Y
+            coordinates = [{j: field.one} for j in range(M.dim)] + [{} for _ in range(Y.dim - M.dim)]
+            _refused(M, cmin, p, UMorphism(M, Y, ExactMatrix(field, Y.dim, M.dim, coordinates)))
+            assert 0 in cmin.differentials
+        # one differential zeroed; zeroing d^0 makes H^1 nonzero
+        for i in cmin.differentials:
+            kept = {j: d for j, d in cmin.differentials.items() if j != i}
+            _refused(M, ChainComplex(field, cmin.terms, kept, cmin.parts), p, iota)
+
+
+@pytest.mark.parametrize("field, table", [
+    (F3, {-1: [1], 0: [3, 4], 1: [0, 1]}),
+    (F5, {-1: [3], 0: [5, 6], 1: [2, 3]}),
+], ids=["ell3", "ell5"])
+def test_decomposable_source_is_certified(monkeypatch, field, table):
+    """L(ell) + Delta(ell+1) is certified with no extra step: p maps H^0 onto
+    the image of the whole sum."""
+    import tiltlab.minimal
+
+    ell = field.ell
+    M = direct_sum(simple_module(field, ell), weyl_module(field, ell + 1))
+    monkeypatch.setattr(tiltlab.minimal, "_cmin_cache", {})
+    assert minimal_tilting_complex(M).label_table() == table
+    _certify_cmin(M, *_certificate(M))
 
 
 def test_total_complex_route_for_delta3():
@@ -199,7 +264,7 @@ def test_total_complex_route_for_delta3():
     from tiltlab.minimal import _coresolution
 
     D3 = weyl_module(F3, 3)
-    terms, _, maps, tail = _coresolution(D3)
+    terms, _, maps, tail, _ = _coresolution(D3)
     assert len(terms) == 1 and len(maps) == 1
     grid = {(0, 0): terms[0], (1, 0): tail}
     tot = total_complex(F3, grid, {((0, 0), (1, 0)): maps[0].matrix})
@@ -370,3 +435,24 @@ def test_prune_never_factors_through_a_dropped_component():
     components = [(3, A), (3, B)]
     kept = _prune_factoring(F3, components, T)
     assert kept == prune_by_lifting(F3, components, T) == [(3, B)]
+
+
+KINDS = (("delta", weyl_module), ("nabla", dual_weyl_module), ("L", simple_module))
+
+
+@pytest.mark.parametrize("ell, top", [(3, 13), (5, 15), (7, 12)], ids=["ell3", "ell5", "ell7"])
+def test_closed_form_label_tables_match_the_construction(ell, top):
+    field = CycloField(ell)
+    for n in range(top + 1):
+        for kind, build in KINDS:
+            table = minimal_tilting_complex(build(field, n)).label_table()
+            assert table == closed_form_label_table(ell, kind, n), (kind, n)
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7], ids=["ell3", "ell5", "ell7"])
+def test_closed_form_label_tables_have_the_euler_character(ell):
+    field = CycloField(ell)
+    for n in range(201):
+        for kind, ch in (("delta", weyl_character(n)), ("nabla", weyl_character(n)),
+                         ("L", simple_character(field, n))):
+            assert label_table_character(field, closed_form_label_table(ell, kind, n)) == ch, (kind, n)
