@@ -9,8 +9,9 @@ of maps and totalize, verifying that the square vanishes exactly, then
 (4) minimalize.  The result is certified by
 its Euler character, of the terms and of the closed-form tilting characters
 of its labels, both equal to ch M, and by ranks and the map that minimalize
-carries: H^i = 0 for i != 0, and the projection onto the coresolution's
-first term maps H^0 onto the image of M (_certify_cmin).
+carries: H^i = 0 for i != 0, and the map of degree 0 onto the
+coresolution's first term, or onto M when M is its own tail, maps H^0 onto
+the image of M (_certify_cmin).
 
 A tilting module is its own C_min, in degree zero.  Flags are decided by
 counting primitive vectors (standard.primitive_counts): M is tilting exactly

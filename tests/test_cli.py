@@ -280,6 +280,7 @@ def test_failed_certification_exits_internal(monkeypatch, capsys):
         return res
 
     monkeypatch.setattr(tiltlab.cache, "_active_cache", None)
+    monkeypatch.delenv("TILTLAB_CACHE", raising=False)
     monkeypatch.setattr(tiltlab.minimal, "_cmin_cache", {})
     monkeypatch.setattr(tiltlab.minimal, "minimalize", corrupted)
     code = main(["cmin", "--ell", "3", "--module", "L:3"])
