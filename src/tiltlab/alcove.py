@@ -8,7 +8,7 @@ carrying simple-root, fundamental-weight and coroot coordinates side by side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 CLASSICAL_DATA = {
     # type -> (positive root count, Coxeter number) as functions of rank
@@ -117,10 +117,6 @@ class RootSystemData:
     rho: tuple
     highest_coroot: Root
     coxeter_number: int
-    simple_reflections: list = dataclass_field(default_factory=list)
-
-    def pairing(self, lam, root: Root) -> int:
-        return root.pairing(lam)
 
     def is_dominant(self, lam) -> bool:
         return all(x >= 0 for x in lam)
@@ -186,12 +182,6 @@ def build_root_system(label: str) -> RootSystemData:
     h = sum(highest.coroot_coords) + 1
     if h != expected_h(rank):
         raise ArithmeticError(f"{label}: Coxeter number {h} != {expected_h(rank)}")
-    refl_mats = []
-    for i in range(n):
-        mat = [[1 if a == bcol else 0 for bcol in range(n)] for a in range(n)]
-        for a in range(n):
-            mat[a][i] -= C[a][i]
-        refl_mats.append(tuple(tuple(row) for row in mat))
     return RootSystemData(
         label=f"{kind}{rank}",
         kind=kind,
@@ -201,7 +191,6 @@ def build_root_system(label: str) -> RootSystemData:
         rho=rho,
         highest_coroot=highest,
         coxeter_number=h,
-        simple_reflections=refl_mats,
     )
 
 

@@ -39,7 +39,7 @@ from tiltlab.ideals import (
     is_prime_on_window,
 )
 from tiltlab.minimal import WindowError
-from tiltlab.serialize import canonical_dumps
+from tiltlab.serialize import canonical_dumps, degrees_json
 from tiltlab.suites import SUITE_NAMES, run_suite
 
 EXIT_PASS = 0
@@ -60,6 +60,9 @@ DEFAULTS = {
 
 # smallest accepted value of each numeric setting
 MINIMUM = {"window": 0, "budget": 1, "workers": 1}
+
+# the dominant weights `alcove orbit` reduces, unless --bound is given
+ORBIT_BOUND = 48
 
 
 def load_config_file(path):
@@ -156,7 +159,7 @@ def cmd_cmin(args):
         {
             "ell": cfg["ell"],
             "module": f"{pretty_kind}({n})",
-            "degrees": {str(k): v for k, v in sorted(table.items())},
+            "degrees": degrees_json(table),
         },
         args.output,
     )
@@ -208,6 +211,10 @@ def cmd_verify(args):
 
 
 def cmd_alcove(args):
+    if args.bound is not None and args.action != "orbit":
+        raise ValueError(f"alcove {args.action} does not use --bound")
+    if args.lam is not None and args.action == "twist":
+        raise ValueError("alcove twist chooses its own weight; remove --lambda")
     rs = root_system(args.type)
     out = {"type": rs.label, "p": args.p}
     lam = None
@@ -227,8 +234,9 @@ def cmd_alcove(args):
     elif args.action == "negligible":
         out["negligible"] = is_negligible_weight(rs, lam, args.p)
     elif args.action == "orbit":
-        out["bound"] = args.bound
-        out["orbit"] = [list(m) for m in dot_orbit(rs, lam, args.p, args.bound)]
+        bound = ORBIT_BOUND if args.bound is None else args.bound
+        out["bound"] = bound
+        out["orbit"] = [list(m) for m in dot_orbit(rs, lam, args.p, bound)]
     elif args.action == "twist":
         out.update(steinberg_twist_example(rs, args.p))
     emit(out, args.output)
@@ -256,7 +264,7 @@ def build_parser():
     p_cmin.set_defaults(func=cmd_cmin)
 
     p_ideals = sub.add_parser("ideals", help="enumerate or generate tensor ideals of tiltings")
-    common(p_ideals)
+    # the settings follow the action; each action parser holds them
     sub_i = p_ideals.add_subparsers(dest="action", required=True)
     p_enum = sub_i.add_parser("enumerate", help="all thick tensor ideals in the window")
     p_enum.set_defaults(func=cmd_ideals, action="enumerate")
@@ -279,7 +287,7 @@ def build_parser():
     p_alcove.add_argument("--type", required=True, help="root system type, e.g. A2 or G2")
     p_alcove.add_argument("--p", type=int, required=True)
     p_alcove.add_argument("--lambda", dest="lam", default=None, help="comma-separated fundamental coordinates")
-    p_alcove.add_argument("--bound", type=int, default=48, help="orbit truncation bound")
+    p_alcove.add_argument("--bound", type=int, default=None, help=f"orbit truncation bound (orbit only, default {ORBIT_BOUND})")
     p_alcove.add_argument("--output", default=None)
     p_alcove.set_defaults(func=cmd_alcove)
     return top

@@ -10,17 +10,9 @@ membership test: every term of the minimal tilting complex lies in I.
 
 from __future__ import annotations
 
-import random
-
 from tiltlab.cyclotomic import CycloField
-from tiltlab.modules import UModule, submodule_generated, quotient_module, tensor_module
-from tiltlab.standard import (
-    decompose_tilting_character,
-    simple_module,
-    tilting_character,
-    tilting_module,
-    weyl_module,
-)
+from tiltlab.modules import UModule
+from tiltlab.standard import decompose_tilting_character, tilting_character, tilting_module
 
 
 class WindowOverflowError(RuntimeError):
@@ -217,10 +209,12 @@ def intersect_with_tilt(handle: RepIdealHandle, window: int) -> TiltIdeal:
 
 
 # ---------------------------------------------------------------------------
-# short exact sequence sampling
+# short exact sequences
 
 
 class SampledSES:
+    """0 -> sub -> total -> quotient -> 0, with a one-line description."""
+
     __slots__ = ("sub", "total", "quotient", "description")
 
     def __init__(self, sub, total, quotient, description):
@@ -228,170 +222,3 @@ class SampledSES:
         self.total = total
         self.quotient = quotient
         self.description = description
-
-
-def sample_ses(field: CycloField, rng: random.Random, max_weight: int = 4):
-    """One random short exact sequence 0 -> A -> B -> C -> 0.
-
-    B is a tensor product of two standard-family modules with bounded highest
-    weights; A is generated by a random vector of small support and height
-    (sparse vectors make proper submodules much more likely).
-    """
-    kinds = ("Delta", "L", "T")
-    for _ in range(60):
-        k1, k2 = rng.choice(kinds), rng.choice(kinds)
-        n1, n2 = rng.randint(0, max_weight), rng.randint(0, max_weight)
-        f1 = {"Delta": weyl_module, "L": simple_module, "T": tilting_module}[k1]
-        f2 = {"Delta": weyl_module, "L": simple_module, "T": tilting_module}[k2]
-        B = tensor_module(f1(field, n1), f2(field, n2))
-        if B.dim < 2:
-            continue
-        support = rng.choice((1, 1, 2, min(3, B.dim)))
-        idx = rng.sample(range(B.dim), support)
-        vec = {i: field.scalar(rng.choice((-2, -1, 1, 2))) for i in idx}
-        A, incl = submodule_generated(B, [vec])
-        if A.dim == 0 or A.dim == B.dim:
-            continue
-        C, _ = quotient_module(B, incl)
-        desc = (
-            f"{k1}({n1})x{k2}({n2}) dim {B.dim}; sub dim {A.dim}; "
-            f"support {sorted(idx)}"
-        )
-        return SampledSES(A, B, C, desc)
-    return None
-
-
-def verify_two_out_of_three(handle: RepIdealHandle, budget: int, seed: int, max_weight: int = 4):
-    """Sample short exact sequences and check the 2/3 property of the handle.
-
-    Returns a report dict with every sampled sequence and its membership
-    pattern; violations would appear in 'failures'.
-    """
-    field = handle.ideal.field
-    rng = random.Random(seed)
-    cases = []
-    failures = []
-    produced = 0
-    dry_runs = 0
-    while produced < budget and dry_runs < 10:
-        ses = sample_ses(field, rng, max_weight=max_weight)
-        if ses is None:
-            dry_runs += 1
-            continue
-        pattern = (
-            handle.membership(ses.sub),
-            handle.membership(ses.total),
-            handle.membership(ses.quotient),
-        )
-        ok = not (sum(pattern) == 2)
-        case = {
-            "ses": ses.description,
-            "pattern": list(pattern),
-            "ok": ok,
-        }
-        cases.append(case)
-        if not ok:
-            failures.append(case)
-        produced += 1
-    return {
-        "ideal": handle.ideal.sorted_members(),
-        "budget": budget,
-        "seed": seed,
-        "cases": cases,
-        "failures": failures,
-    }
-
-
-# ---------------------------------------------------------------------------
-# the bijection verifier
-
-
-def default_module_pool(field: CycloField, max_weight: int = 6):
-    """L, Delta, Nabla and T modules up to a weight bound."""
-    from tiltlab.standard import dual_weyl_module
-
-    pool = []
-    for n in range(max_weight + 1):
-        pool.append((f"L({n})", simple_module(field, n)))
-        pool.append((f"Delta({n})", weyl_module(field, n)))
-        pool.append((f"Nabla({n})", dual_weyl_module(field, n)))
-        pool.append((f"T({n})", tilting_module(field, n)))
-    return pool
-
-
-def verify_bijection(field: CycloField, window: int, pool=None):
-    """Desk-scale verification that I -> <I> is inverted by J -> J cap Tilt.
-
-    (a) round trip on every enumerated ideal, (b) separating tilting witnesses
-    for distinct ideals, (c) membership in <I cap I'> agrees with the
-    conjunction on the pool, (d) monotone minimality probe on the pool.
-    """
-    if pool is None:
-        pool = default_module_pool(field)
-    ideals = enumerate_tilt_ideals(field, window)
-    handles = [RepIdealHandle(i) for i in ideals]
-    report = {"ell": field.ell, "window": window, "n_ideals": len(ideals), "cases": [], "failures": []}
-
-    def record(name, ok, detail):
-        case = {"case": name, "ok": bool(ok), "detail": detail}
-        report["cases"].append(case)
-        if not ok:
-            report["failures"].append(case)
-
-    # (a) round trip
-    for h in handles:
-        back = intersect_with_tilt(h, window)
-        record(
-            f"roundtrip members={h.ideal.sorted_members()}",
-            back == h.ideal,
-            {"members": h.ideal.sorted_members()},
-        )
-    # (b) separation witnesses
-    for i, hi in enumerate(handles):
-        for hj in handles[i + 1 :]:
-            diff = hi.ideal.members ^ hj.ideal.members
-            if not diff:
-                record("separation", False, {"reason": "distinct ideals with equal members"})
-                continue
-            witness = min(diff)
-            Tw = tilting_module(field, witness)
-            separated = hi.membership(Tw) != hj.membership(Tw)
-            record(
-                f"separation {hi.ideal.sorted_members()} vs {hj.ideal.sorted_members()}",
-                separated,
-                {"witness": f"T({witness})"},
-            )
-    # (c) intersections agree with conjunction of memberships
-    for i, hi in enumerate(handles):
-        for hj in handles[i + 1 :]:
-            meet = TiltIdeal(field, window, hi.ideal.members & hj.ideal.members)
-            hmeet = RepIdealHandle(meet)
-            for name, M in pool:
-                lhs = hmeet.membership(M)
-                rhs = hi.membership(M) and hj.membership(M)
-                if lhs != rhs:
-                    record(
-                        f"intersection {name}",
-                        False,
-                        {"lhs": lhs, "rhs": rhs, "ideals": [hi.ideal.sorted_members(), hj.ideal.sorted_members()]},
-                    )
-            record(
-                f"intersection {hi.ideal.sorted_members()} & {hj.ideal.sorted_members()}",
-                True,
-                {"pool": len(pool)},
-            )
-    # (d) minimality probe: members of <I> lie in every sampled 2/3 ideal above I
-    for hi in handles:
-        for hj in handles:
-            if hi.ideal.members <= hj.ideal.members and hi is not hj:
-                bad = [
-                    name
-                    for name, M in pool
-                    if hi.membership(M) and not hj.membership(M)
-                ]
-                record(
-                    f"minimality {hi.ideal.sorted_members()} <= {hj.ideal.sorted_members()}",
-                    not bad,
-                    {"violations": bad},
-                )
-    return report

@@ -450,7 +450,9 @@ def quotient_module(M: UModule, phi: UMorphism):
 
 
 def image_module(phi: UMorphism):
-    """Image of an intertwiner as a submodule of the target."""
+    """Image of an intertwiner as a submodule of the target.  Nothing in the
+    library calls it; it stays here for the benchmark's tracer, which times
+    it by name."""
     return submodule_generated(phi.target, phi.matrix.transpose().entries, close=False)
 
 

@@ -63,6 +63,11 @@ def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def degrees_json(table):
+    """A label table {degree: labels} with string keys in degree order."""
+    return {str(k): v for k, v in sorted(table.items())}
+
+
 def _scalar_text(field):
     """The memoized canonical text of a scalar of field."""
     memo = _scalar_texts.setdefault(field, {})

@@ -39,7 +39,6 @@ from tiltlab.modules import (
     dual_module,
     frobenius_twist,
     hom_space,
-    image_module,
     kernel_module,
     quotient_module,
     submodule_generated,
@@ -91,16 +90,20 @@ def dual_weyl_module(field: CycloField, n: int) -> UModule:
 
 
 def simple_module(field: CycloField, n: int) -> UModule:
-    """L(n) as the image of the one-dimensional Hom(Delta(n), Nabla(n))."""
+    """L(n) as the submodule of Nabla(n) generated by its weight-n vector.
+
+    The socle of Nabla(n) is L(n) and holds the one-dimensional weight-n
+    space, so that vector generates L(n) (the image of Delta(n) -> Nabla(n));
+    the result is certified by its closed-form character.
+    """
     key = (field.ell, n)
     if key in _simple_cache:
         return _simple_cache[key]
-    delta = weyl_module(field, n)
     nabla = dual_weyl_module(field, n)
-    homs = hom_space(delta, nabla)
-    if len(homs) != 1:
-        raise CertificationError(f"Hom(Delta({n}), Nabla({n})) has dimension {len(homs)}")
-    L, _ = image_module(homs[0])
+    (top,) = nabla.weight_blocks()[n]
+    L, _ = submodule_generated(nabla, [{top: field.one}])
+    if L.character != simple_character(field, n):
+        raise CertificationError(f"the weight-{n} vector of Nabla({n}) does not generate L({n})")
     _simple_cache[key] = L
     return L
 

@@ -1,7 +1,8 @@
 """Verification suites: the lemma-level properties of minimal tilting
-complexes, the two-out-of-three property, the ideal bijection, and the
-alcove cross-checks.  Every suite returns a JSON-ready report with one entry
-per case and a (hopefully empty) list of failures.
+complexes, the two-out-of-three property of <I>, the bijection I -> <I>
+(inverted by J -> J cap Tilt), and the alcove cross-checks.  Every suite
+returns a JSON-ready report with one entry per case and a (hopefully empty)
+list of failures.
 """
 
 from __future__ import annotations
@@ -14,20 +15,21 @@ from tiltlab.alcove import (
     root_system,
     separating_hyperplane_count,
 )
+from tiltlab.cache import active_cache, active_cmin_labels, set_active_cache
 from tiltlab.cyclotomic import CycloField
 from tiltlab.ideals import (
     RepIdealHandle,
-    default_module_pool,
+    SampledSES,
+    TiltIdeal,
     enumerate_tilt_ideals,
+    intersect_with_tilt,
     is_prime_on_window,
     negligible_ideal,
-    sample_ses,
     tensor_labels,
-    verify_bijection,
-    verify_two_out_of_three,
 )
 from tiltlab.minimal import filtration_dimensions, minimal_tilting_complex
-from tiltlab.modules import direct_sum, tensor_module
+from tiltlab.modules import direct_sum, quotient_module, submodule_generated, tensor_module
+from tiltlab.serialize import degrees_json
 from tiltlab.standard import (
     dual_weyl_module,
     simple_module,
@@ -42,12 +44,24 @@ KIND_BUILDERS = {
     "T": tilting_module,
 }
 
+# the factors of a sampled middle term: kinds, in draw order, and the
+# largest highest weight
+SES_KINDS = ("Delta", "L", "T")
+SES_MAX_WEIGHT = 4
+# draws of sample_ses before it gives up, and empty draws before a stream stops
+SES_TRIES = 60
+SES_DRY_RUNS = 10
+# the bijection's module pool: every kind up to this highest weight
+POOL_MAX_WEIGHT = 6
+# labels of the tensor lemma's products above this abort the case
+TENSOR_LABEL_LIMIT = 200
+
 
 def build_module(field, kind, n):
     return KIND_BUILDERS[kind](field, n)
 
 
-def random_pool_pairs(field, rng, count, max_n=8):
+def random_pool_pairs(rng, count, max_n=8):
     kinds = sorted(KIND_BUILDERS)
     out = []
     for _ in range(count):
@@ -57,12 +71,6 @@ def random_pool_pairs(field, rng, count, max_n=8):
     return out
 
 
-def cmin_labels(M):
-    from tiltlab.cache import active_cmin_labels
-
-    return active_cmin_labels(M)
-
-
 def pmap(fn, items, workers=1):
     """Order-preserving map, optionally through a process pool.  The
     workers share the active disk cache whatever the start method."""
@@ -70,10 +78,8 @@ def pmap(fn, items, workers=1):
         return [fn(x) for x in items]
     import multiprocessing
 
-    from tiltlab import cache
-
-    with multiprocessing.Pool(workers, initializer=cache.set_active_cache,
-                              initargs=(cache.active_cache(),)) as pool:
+    with multiprocessing.Pool(workers, initializer=set_active_cache,
+                              initargs=(active_cache(),)) as pool:
         return pool.map(fn, items)
 
 
@@ -102,6 +108,54 @@ def shift_table(table, k):
 
 
 # ---------------------------------------------------------------------------
+# short exact sequence sampling
+
+
+def sample_ses(field: CycloField, rng: random.Random):
+    """One random short exact sequence 0 -> A -> B -> C -> 0, or None after
+    SES_TRIES draws that gave none.
+
+    B is a tensor product of two standard-family modules with bounded highest
+    weights; A is generated by a random vector of small support and height
+    (sparse vectors make proper submodules much more likely).
+    """
+    for _ in range(SES_TRIES):
+        k1, k2 = rng.choice(SES_KINDS), rng.choice(SES_KINDS)
+        n1, n2 = rng.randint(0, SES_MAX_WEIGHT), rng.randint(0, SES_MAX_WEIGHT)
+        B = tensor_module(build_module(field, k1, n1), build_module(field, k2, n2))
+        if B.dim < 2:
+            continue
+        support = rng.choice((1, 1, 2, min(3, B.dim)))
+        idx = rng.sample(range(B.dim), support)
+        vec = {i: field.scalar(rng.choice((-2, -1, 1, 2))) for i in idx}
+        A, incl = submodule_generated(B, [vec])
+        if A.dim == 0 or A.dim == B.dim:
+            continue
+        C, _ = quotient_module(B, incl)
+        desc = (
+            f"{k1}({n1})x{k2}({n2}) dim {B.dim}; sub dim {A.dim}; "
+            f"support {sorted(idx)}"
+        )
+        return SampledSES(A, B, C, desc)
+    return None
+
+
+def sampled_sequences(field, count, seed):
+    """Up to `count` sampled sequences from one seeded stream, which stops
+    early after SES_DRY_RUNS draws of sample_ses that gave none."""
+    rng = random.Random(seed)
+    produced = 0
+    dry_runs = 0
+    while produced < count and dry_runs < SES_DRY_RUNS:
+        ses = sample_ses(field, rng)
+        if ses is None:
+            dry_runs += 1
+            continue
+        yield ses
+        produced += 1
+
+
+# ---------------------------------------------------------------------------
 # lemma suite
 
 
@@ -110,13 +164,13 @@ def _direct_sum_case(args):
     field = CycloField(ell)
     M = build_module(field, k1, n1)
     N = build_module(field, k2, n2)
-    left = cmin_labels(direct_sum(M, N))
-    right = multiset_union(cmin_labels(M), cmin_labels(N))
+    left = active_cmin_labels(direct_sum(M, N))
+    right = multiset_union(active_cmin_labels(M), active_cmin_labels(N))
     return {
         "case": f"{k1}({n1}) + {k2}({n2})",
         "ok": left == right,
-        "sum": {str(k): v for k, v in sorted(left.items())},
-        "expected": {str(k): v for k, v in sorted(right.items())},
+        "sum": degrees_json(left),
+        "expected": degrees_json(right),
     }
 
 
@@ -125,20 +179,14 @@ def check_direct_sums(field, pairs, workers=1):
     items = [(field.ell, a, b) for a, b in pairs]
     return pmap(_direct_sum_case, items, workers)
 
-def check_ses_containments(field, count, seed, max_weight=4):
+
+def check_ses_containments(field, count, seed):
     """Termwise split-embedding containments for sampled short exact sequences."""
-    rng = random.Random(seed)
     cases = []
-    produced = 0
-    dry_runs = 0
-    while produced < count and dry_runs < 10:
-        ses = sample_ses(field, rng, max_weight=max_weight)
-        if ses is None:
-            dry_runs += 1
-            continue
-        a = cmin_labels(ses.sub)
-        b = cmin_labels(ses.total)
-        c = cmin_labels(ses.quotient)
+    for ses in sampled_sequences(field, count, seed):
+        a = active_cmin_labels(ses.sub)
+        b = active_cmin_labels(ses.total)
+        c = active_cmin_labels(ses.quotient)
         checks = [
             multiset_contained(a, multiset_union(b, shift_table(c, 1))),
             multiset_contained(b, multiset_union(a, c)),
@@ -149,18 +197,13 @@ def check_ses_containments(field, count, seed, max_weight=4):
                 "case": ses.description,
                 "ok": all(checks),
                 "containments": checks,
-                "labels": {
-                    "A": {str(k): v for k, v in sorted(a.items())},
-                    "B": {str(k): v for k, v in sorted(b.items())},
-                    "C": {str(k): v for k, v in sorted(c.items())},
-                },
+                "labels": {"A": degrees_json(a), "B": degrees_json(b), "C": degrees_json(c)},
             }
         )
-        produced += 1
     return cases
 
 
-def tensor_label_table(field, table_x, table_y, limit):
+def tensor_label_table(field, table_x, table_y):
     """Labels of the tensor product complex, degreewise, by exact character
     arithmetic on tilting labels."""
     out = {}
@@ -169,7 +212,7 @@ def tensor_label_table(field, table_x, table_y, limit):
             acc = out.setdefault(i + j, [])
             for a in labs_x:
                 for b in labs_y:
-                    for k, mult in tensor_labels(field, a, b, limit).items():
+                    for k, mult in tensor_labels(field, a, b, TENSOR_LABEL_LIMIT).items():
                         acc.extend([k] * mult)
     return {deg: sorted(v) for deg, v in out.items()}
 
@@ -177,15 +220,15 @@ def tensor_label_table(field, table_x, table_y, limit):
 def _tensor_case(args):
     from tiltlab.complexes import tensor_complexes
 
-    ell, (k1, n1), (k2, n2), limit = args
+    ell, (k1, n1), (k2, n2) = args
     field = CycloField(ell)
     M = build_module(field, k1, n1)
     N = build_module(field, k2, n2)
     P = tensor_module(M, N)
-    cP = cmin_labels(P)
+    cP = active_cmin_labels(P)
     cM = minimal_tilting_complex(M)
     cN = minimal_tilting_complex(N)
-    big_table = tensor_label_table(field, cM.label_table(), cN.label_table(), limit)
+    big_table = tensor_label_table(field, cM.label_table(), cN.label_table())
     contained = multiset_contained(cP, big_table)
     # when H is concentrated in degree 0, ch H^0 is the Euler character
     tensor = tensor_complexes(cM.complex, cN.complex)
@@ -196,15 +239,15 @@ def _tensor_case(args):
         "ok": contained and kunneth,
         "containment": contained,
         "kunneth_concentrated": kunneth,
-        "cmin_labels": {str(k): v for k, v in sorted(cP.items())},
-        "tensor_labels": {str(k): v for k, v in sorted(big_table.items())},
+        "cmin_labels": degrees_json(cP),
+        "tensor_labels": degrees_json(big_table),
     }
 
 
-def check_tensor_lemma(field, pairs, limit=200, workers=1):
+def check_tensor_lemma(field, pairs, workers=1):
     """C_min(M (x) N) embeds termwise into C_min(M) (x) C_min(N), and the
     tensor complex has cohomology M (x) N concentrated in degree zero."""
-    items = [(field.ell, a, b, limit) for a, b in pairs]
+    items = [(field.ell, a, b) for a, b in pairs]
     return pmap(_tensor_case, items, workers)
 
 
@@ -215,9 +258,9 @@ def suite_lemmas(ell, window, budget, seed, workers=1):
     n_ses = budget
     n_tensor = max(1, budget // 3)
     cases = []
-    cases += check_direct_sums(field, random_pool_pairs(field, rng, n_sum, max_n=6), workers=workers)
+    cases += check_direct_sums(field, random_pool_pairs(rng, n_sum, max_n=6), workers=workers)
     cases += check_ses_containments(field, n_ses, rng.randint(0, 10**6))
-    cases += check_tensor_lemma(field, random_pool_pairs(field, rng, n_tensor, max_n=4), workers=workers)
+    cases += check_tensor_lemma(field, random_pool_pairs(rng, n_tensor, max_n=4), workers=workers)
     failures = [c for c in cases if not c["ok"]]
     return {
         "suite": "lemmas",
@@ -231,7 +274,18 @@ def suite_lemmas(ell, window, budget, seed, workers=1):
 
 
 # ---------------------------------------------------------------------------
-# two-out-of-three and bijection suites
+# two-out-of-three suite
+
+
+def verify_two_out_of_three(handle: RepIdealHandle, budget: int, seed: int):
+    """One case per sampled short exact sequence, with the membership pattern
+    of its three terms in <I>; a pattern with exactly two members fails."""
+    members = handle.ideal.sorted_members()
+    cases = []
+    for ses in sampled_sequences(handle.ideal.field, budget, seed):
+        pattern = [handle.membership(ses.sub), handle.membership(ses.total), handle.membership(ses.quotient)]
+        cases.append({"ideal": members, "ses": ses.description, "pattern": pattern, "ok": sum(pattern) != 2})
+    return cases
 
 
 def suite_two_out_of_three(ell, window, budget, seed):
@@ -242,14 +296,8 @@ def suite_two_out_of_three(ell, window, budget, seed):
         if i.is_proper()
     ]
     cases = []
-    failures = []
     for k, handle in enumerate(handles):
-        rep = verify_two_out_of_three(handle, budget, seed + k)
-        for case in rep["cases"]:
-            entry = dict(case)
-            entry["ideal"] = rep["ideal"]
-            cases.append(entry)
-        failures.extend(rep["failures"])
+        cases += verify_two_out_of_three(handle, budget, seed + k)
     return {
         "suite": "two-out-of-three",
         "ell": ell,
@@ -258,15 +306,102 @@ def suite_two_out_of_three(ell, window, budget, seed):
         "seed": seed,
         "handles": [h.ideal.sorted_members() for h in handles],
         "cases": cases,
-        "failures": failures,
+        "failures": [c for c in cases if not c["ok"]],
     }
+
+
+# ---------------------------------------------------------------------------
+# bijection suite
+
+
+def default_module_pool(field: CycloField):
+    """(name, module) for every kind of KIND_BUILDERS up to POOL_MAX_WEIGHT."""
+    return [
+        (f"{kind}({n})", build(field, n))
+        for n in range(POOL_MAX_WEIGHT + 1)
+        for kind, build in KIND_BUILDERS.items()
+    ]
+
+
+def verify_bijection(field: CycloField, window: int):
+    """Desk-scale verification that I -> <I> is inverted by J -> J cap Tilt.
+
+    (a) round trip on every enumerated ideal, (b) separating tilting witnesses
+    for distinct ideals, (c) membership in <I cap I'> agrees with the
+    conjunction on the pool, (d) monotone minimality probe on the pool.
+    Returns the list of cases.
+    """
+    pool = default_module_pool(field)
+    handles = [RepIdealHandle(i) for i in enumerate_tilt_ideals(field, window)]
+    cases = []
+
+    def record(name, ok, detail):
+        cases.append({"case": name, "ok": bool(ok), "detail": detail})
+
+    # (a) round trip
+    for h in handles:
+        back = intersect_with_tilt(h, window)
+        record(
+            f"roundtrip members={h.ideal.sorted_members()}",
+            back == h.ideal,
+            {"members": h.ideal.sorted_members()},
+        )
+    # (b) separation witnesses
+    for i, hi in enumerate(handles):
+        for hj in handles[i + 1 :]:
+            diff = hi.ideal.members ^ hj.ideal.members
+            if not diff:
+                record("separation", False, {"reason": "distinct ideals with equal members"})
+                continue
+            witness = min(diff)
+            Tw = tilting_module(field, witness)
+            separated = hi.membership(Tw) != hj.membership(Tw)
+            record(
+                f"separation {hi.ideal.sorted_members()} vs {hj.ideal.sorted_members()}",
+                separated,
+                {"witness": f"T({witness})"},
+            )
+    # (c) intersections agree with conjunction of memberships
+    for i, hi in enumerate(handles):
+        for hj in handles[i + 1 :]:
+            meet = TiltIdeal(field, window, hi.ideal.members & hj.ideal.members)
+            hmeet = RepIdealHandle(meet)
+            for name, M in pool:
+                lhs = hmeet.membership(M)
+                rhs = hi.membership(M) and hj.membership(M)
+                if lhs != rhs:
+                    record(
+                        f"intersection {name}",
+                        False,
+                        {"lhs": lhs, "rhs": rhs, "ideals": [hi.ideal.sorted_members(), hj.ideal.sorted_members()]},
+                    )
+            record(
+                f"intersection {hi.ideal.sorted_members()} & {hj.ideal.sorted_members()}",
+                True,
+                {"pool": len(pool)},
+            )
+    # (d) minimality probe: members of <I> lie in every sampled 2/3 ideal above I
+    for hi in handles:
+        for hj in handles:
+            if hi.ideal.members <= hj.ideal.members and hi is not hj:
+                bad = [
+                    name
+                    for name, M in pool
+                    if hi.membership(M) and not hj.membership(M)
+                ]
+                record(
+                    f"minimality {hi.ideal.sorted_members()} <= {hj.ideal.sorted_members()}",
+                    not bad,
+                    {"violations": bad},
+                )
+    return cases
 
 
 def suite_bijection(ell, window, budget, seed):
     field = CycloField(ell)
     ideals = enumerate_tilt_ideals(field, window)
     neg = negligible_ideal(field, window)
-    lattice_cases = [
+    cases = [
         {
             "case": "ideal count",
             "ok": len(ideals) == 3,
@@ -283,22 +418,19 @@ def suite_bijection(ell, window, budget, seed):
         },
         {
             "case": "empty ideal is prime on the window",
-            "ok": is_prime_on_window(enumerate_tilt_ideals(field, window)[0]),
+            "ok": is_prime_on_window(ideals[0]),
         },
     ]
-    pool = default_module_pool(field, max_weight=6)
-    rep = verify_bijection(field, window, pool)
-    cases = lattice_cases + rep["cases"]
-    failures = [c for c in cases if not c.get("ok", True)]
+    cases += verify_bijection(field, window)
     return {
         "suite": "bijection",
         "ell": ell,
         "window": window,
         "budget": budget,
         "seed": seed,
-        "pool_size": len(pool),
+        "pool_size": len(KIND_BUILDERS) * (POOL_MAX_WEIGHT + 1),
         "cases": cases,
-        "failures": failures,
+        "failures": [c for c in cases if not c["ok"]],
     }
 
 
@@ -344,7 +476,7 @@ def suite_alcove_cross(ell, window):
                     "d": d,
                 }
             )
-        labels = cmin_labels(simple_module(field, lam))
+        labels = active_cmin_labels(simple_module(field, lam))
         bound_ok = []
         linkage_ok = []
         home = linkage_class(rs, (lam,), ell)

@@ -58,6 +58,32 @@ def test_ideals_generate(capsys):
     assert json.loads(out)["ideals"][0]["members"] == list(range(13))
 
 
+@pytest.mark.parametrize("flag", [["--ell", "5"], ["--window", "4"]])
+def test_ideals_settings_before_the_action_are_rejected(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ideals", *flag, "enumerate"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_alcove_rejects_bound_outside_orbit(capsys):
+    code = main(["alcove", "d", "--type", "A2", "--p", "5", "--lambda", "3,3", "--bound", "7"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--bound" in captured.err
+    code, out = run_cli(capsys, "alcove", "orbit", "--type", "A1", "--p", "3", "--lambda", "0")
+    assert code == 0 and json.loads(out)["bound"] == 48
+
+
+def test_alcove_twist_rejects_lambda(capsys):
+    code = main(["alcove", "twist", "--type", "A2", "--p", "5", "--lambda", "1,1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--lambda" in captured.err
+
+
 def test_alcove_commands(capsys):
     code, out = run_cli(capsys, "alcove", "d", "--type", "A2", "--p", "5", "--lambda", "3,3")
     assert code == 0 and json.loads(out)["d"] == 1
@@ -474,12 +500,14 @@ def test_internal_invariant_failure_exits_internal(monkeypatch, capsys):
     monkeypatch.setattr(tiltlab.cache, "_active_cache", None)
     monkeypatch.delenv("TILTLAB_CACHE", raising=False)
     monkeypatch.setattr(tiltlab.standard, "_simple_cache", {})
-    monkeypatch.setattr(tiltlab.standard, "hom_space", lambda M, N: [])
+    # the weight-5 vector of Nabla(5) is lost, so it generates nothing
+    generated = tiltlab.standard.submodule_generated
+    monkeypatch.setattr(tiltlab.standard, "submodule_generated", lambda M, vectors: generated(M, []))
     code = main(["cmin", "--ell", "3", "--module", "L:5"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
-    assert "Hom(Delta(5), Nabla(5)) has dimension 0" in captured.err
+    assert "the weight-5 vector of Nabla(5) does not generate L(5)" in captured.err
 
 
 def test_a_lost_cover_solution_exits_internal(monkeypatch, capsys):

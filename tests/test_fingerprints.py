@@ -326,6 +326,15 @@ CLI_CASES = {
         ["verify", "--suite", "two-out-of-three", "--ell", "3", "--window", "12", "--budget", "20", "--seed", "1"],
         "b3f3bf28e48d6a1c9b3132decea4cba26e0c31be0a99e116db3a28a3f75404d3",
     ),
+    # the sampled short exact sequences at ell 5
+    "verify lemmas ell 5 seed 2": (
+        ["verify", "--suite", "lemmas", "--ell", "5", "--budget", "10", "--seed", "2"],
+        "efdfbf57ce81b0247c55dbeeaeb001c6ebc5c7932443e4381ecb2c35cc28bd77",
+    ),
+    "verify two-out-of-three ell 5 seed 3": (
+        ["verify", "--suite", "two-out-of-three", "--ell", "5", "--window", "12", "--budget", "30", "--seed", "3"],
+        "65117a1641239035f764d5551d47e85603280b62ff678f406f2625296a2cb3df",
+    ),
     # C_min(L(lam)) for lam = 0..12, most of it in the tilting covers
     "verify alcove-cross ell 3": (
         ["verify", "--suite", "alcove-cross", "--ell", "3", "--window", "12"],

@@ -14,14 +14,12 @@ from tiltlab.ideals import (
     is_negligible_window,
     is_prime_on_window,
     negligible_ideal,
-    sample_ses,
     tensor_labels,
-    verify_bijection,
-    verify_two_out_of_three,
 )
 from tiltlab.modules import UModule
 from tiltlab.modules import tensor_module
 from tiltlab.standard import simple_module, tilting_module, weyl_module
+from tiltlab.suites import sample_ses, verify_bijection, verify_two_out_of_three
 
 from oracles import peeled_tilting_module, search_peel
 
@@ -134,10 +132,10 @@ def test_monotonicity_of_membership():
 
 def test_two_out_of_three_sampled():
     handle = RepIdealHandle(negligible_ideal(F3, 12))
-    rep = verify_two_out_of_three(handle, 15, seed=5)
-    assert len(rep["cases"]) >= 10
-    assert rep["failures"] == []
-    patterns = {tuple(c["pattern"]) for c in rep["cases"]}
+    cases = verify_two_out_of_three(handle, 15, seed=5)
+    assert len(cases) >= 10
+    assert all(c["ok"] for c in cases)
+    patterns = {tuple(c["pattern"]) for c in cases}
     assert all(sum(p) != 2 for p in patterns)
 
 
@@ -150,9 +148,9 @@ def test_sample_ses_is_exact():
 
 
 def test_bijection_report():
-    rep = verify_bijection(F3, 12)
-    assert rep["failures"] == []
-    assert rep["n_ideals"] == 3
+    cases = verify_bijection(F3, 12)
+    assert all(c["ok"] for c in cases)
+    assert len([c for c in cases if c["case"].startswith("roundtrip")]) == 3
 
 
 def test_tensor_labels_window_guard():

@@ -5,7 +5,6 @@ import pytest
 
 from tiltlab.characters import Character, weyl_character
 from tiltlab.cyclotomic import CertificationError, CycloField
-from tiltlab.ideals import sample_ses
 from tiltlab.modules import (
     check_relations,
     direct_sum,
@@ -31,6 +30,7 @@ from tiltlab.standard import (
     tilting_module,
     weyl_module,
 )
+from tiltlab.suites import sample_ses
 
 from oracles import end_algebra, is_local_end, peeled_tilting_module, radical_dimension
 
