@@ -53,7 +53,7 @@ SES_TRIES = 60
 SES_DRY_RUNS = 10
 # the bijection's module pool: every kind up to this highest weight
 POOL_MAX_WEIGHT = 6
-# labels of the tensor lemma's products above this abort the case
+# a label above this in the tensor lemma's products raises WindowOverflowError
 TENSOR_LABEL_LIMIT = 200
 
 
