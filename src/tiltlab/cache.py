@@ -9,6 +9,12 @@ zeta^weight, that fail their defining relations or that are not the module
 their key names (`_check_named_module`), and label tables with a negative
 label or whose Euler character is not ch M are rebuilt with a warning, never
 trusted.
+
+A `CacheDir` keeps in memory every label table it has stored, or has read
+and validated, so a C_min lookup asks this directory's memory first, then
+its file, validated once, and only then builds and stores the table.  Each
+CLI command opens a new `CacheDir`, so a file changed between two commands
+is validated again.
 """
 
 from __future__ import annotations
@@ -32,17 +38,26 @@ _tmp_ids = itertools.count()
 class CacheDir:
     def __init__(self, path: str):
         self.path = path
+        # fingerprint -> label table that this instance stored, or read and
+        # validated (`cmin_label_table_cached`)
+        self._cmin_tables = {}
+
+    def __reduce__(self):
+        # a pickled copy, such as a spawned pool worker's, starts with an
+        # empty memory and validates what it reads itself
+        return CacheDir, (self.path,)
 
     def _ensure(self):
         os.makedirs(self.path, exist_ok=True)
 
     def _read(self, name):
-        fp = os.path.join(self.path, name)
-        if not os.path.exists(fp):
-            return None
+        """The entry's JSON, or None when it is absent or unreadable (the
+        latter with a warning)."""
         try:
-            with open(fp) as fh:
+            with open(os.path.join(self.path, name)) as fh:
                 return json.load(fh)
+        except FileNotFoundError:
+            return None
         except (json.JSONDecodeError, OSError) as exc:
             print(f"warning: cache entry {name} unreadable ({exc}); rebuilding", file=sys.stderr)
             return None
@@ -162,8 +177,12 @@ def _check_named_module(M, kind: str, n: int):
 def cmin_label_table_cached(cache: CacheDir | None, M):
     """Label table of C_min(M), consulting the disk cache when available.
 
-    A cached table is used only when its Euler character equals ch M;
-    otherwise it is rebuilt and overwritten with a warning.
+    With a cache, the table comes from the directory's memory when this
+    `CacheDir` has stored or validated it before, else from its file, used
+    only when well formed and its Euler character equals ch M, else it is
+    built, certified and stored (overwriting a bad file with a warning).
+    The table is kept in the directory's memory either way, so repeated
+    lookups return the same dict: callers read it and never change it.
     """
     from tiltlab.minimal import minimal_tilting_complex
     from tiltlab.standard import label_table_character
@@ -171,16 +190,20 @@ def cmin_label_table_cached(cache: CacheDir | None, M):
     if cache is None:
         return minimal_tilting_complex(M).label_table()
     fp = M.fingerprint()
-    hit = cache.load_cmin_labels(fp)
-    if hit is not None:
-        if label_table_character(M.field, hit) == M.character:
-            return hit
+    table = cache._cmin_tables.get(fp)
+    if table is not None:
+        return table
+    table = cache.load_cmin_labels(fp)
+    if table is not None and label_table_character(M.field, table) != M.character:
         print(
             f"warning: cache entry {cache.cmin_key(fp)} does not add up to ch M; rebuilding",
             file=sys.stderr,
         )
-    table = minimal_tilting_complex(M).label_table()
-    cache.store_cmin_labels(fp, table)
+        table = None
+    if table is None:
+        table = minimal_tilting_complex(M).label_table()
+        cache.store_cmin_labels(fp, table)
+    cache._cmin_tables[fp] = table
     return table
 
 

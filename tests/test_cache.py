@@ -123,3 +123,77 @@ def test_a_tilting_character_that_is_not_tilting_is_rebuilt(tmp_path, capsys):
     assert _same_module(cached_standard_module(cache, F, "T", 3), tilting_module(F, 3))
     assert "warning: cache module T(3) invalid (not tilting); rebuilding" in capsys.readouterr().err
     assert _same_module(cache.load_module(3, "T", 3), tilting_module(F, 3))
+
+
+L3_LABELS = {-1: [1], 0: [3], 1: [1]}  # C_min(L(3)) at ell 3
+
+
+def test_cmin_table_is_read_and_validated_once_per_cache_dir(tmp_path, monkeypatch, capsys):
+    """A `CacheDir` answers a repeated C_min lookup from its memory: it opens
+    no file, so a file changed under it does not change the answer, while a
+    fresh `CacheDir` on the same path validates the file and rebuilds."""
+    from tiltlab.cache import cmin_label_table_cached
+    from tiltlab.standard import simple_module
+
+    M = simple_module(CycloField(3), 3)
+    cache = CacheDir(str(tmp_path))
+    assert cmin_label_table_cached(cache, M) == L3_LABELS
+    path = tmp_path / cache.cmin_key(M.fingerprint())
+    right = path.read_text()
+
+    reads = []
+    real_read = CacheDir._read
+
+    def counted(self, name):
+        reads.append(name)
+        return real_read(self, name)
+
+    monkeypatch.setattr(CacheDir, "_read", counted)
+    assert cmin_label_table_cached(cache, M) == L3_LABELS
+    assert reads == []
+
+    path.write_text(json.dumps({"degrees": {"-1": [1], "0": [4], "1": [1]}}))
+    assert cmin_label_table_cached(cache, M) == L3_LABELS
+    assert reads == []
+    capsys.readouterr()
+    assert cmin_label_table_cached(CacheDir(str(tmp_path)), M) == L3_LABELS
+    assert reads == [path.name]
+    assert f"cache entry {path.name} does not add up to ch M; rebuilding" in capsys.readouterr().err
+    assert path.read_text() == right
+
+
+def test_cmin_table_built_without_a_cache_is_still_stored(tmp_path, monkeypatch):
+    """A C_min built while no cache was active is written to the directory
+    the first time it is asked for through one."""
+    import tiltlab.minimal
+    from tiltlab.cache import cmin_label_table_cached
+    from tiltlab.minimal import minimal_tilting_complex
+    from tiltlab.standard import simple_module
+
+    monkeypatch.setattr(tiltlab.minimal, "_cmin_cache", {})
+    M = simple_module(CycloField(3), 3)
+    assert minimal_tilting_complex(M).label_table() == L3_LABELS
+    cache = CacheDir(str(tmp_path))
+    assert cmin_label_table_cached(cache, M) == L3_LABELS
+    assert os.listdir(tmp_path) == [cache.cmin_key(M.fingerprint())]
+
+
+def test_absent_entry_reads_as_none_without_a_warning(tmp_path, monkeypatch, capsys):
+    """An absent entry is None with nothing on stderr, also when it was
+    removed after a check said it existed (another process pruning the
+    directory), since the read only opens the file."""
+    cache = CacheDir(str(tmp_path))
+    assert cache.load_cmin_labels(FINGERPRINT) is None
+    monkeypatch.setattr(tiltlab.cache.os.path, "exists", lambda path: True)
+    assert cache.load_cmin_labels(FINGERPRINT) is None
+    assert capsys.readouterr().err == ""
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_pickled_cache_dir_starts_with_an_empty_memory(tmp_path):
+    import pickle
+
+    cache = CacheDir(str(tmp_path))
+    cache._cmin_tables[FINGERPRINT] = {0: [3]}
+    copy = pickle.loads(pickle.dumps(cache))
+    assert copy.path == cache.path and copy._cmin_tables == {}
