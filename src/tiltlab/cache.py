@@ -58,7 +58,7 @@ class CacheDir:
                 return json.load(fh)
         except FileNotFoundError:
             return None
-        except (json.JSONDecodeError, OSError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
             print(f"warning: cache entry {name} unreadable ({exc}); rebuilding", file=sys.stderr)
             return None
 

@@ -24,8 +24,12 @@ resolution, is already tilting; each count is kept on its module, so the
 short path and the construction share the source module's counts.
 Every kernel is costandard-filtered, which the Nabla-count checks, so each
 tilting cover is exact: one Hom(T(mu), X) per (X:Nabla(mu)) > 0.  The
-embeddings are exact too: one window of Hom(M, T(mu)), mu at most 2(ell-1)
-above the top weight of M, always holds an embedding.
+embeddings are exact too: the maps into T(mu), mu at most 2(ell-1) above the
+top weight of M, always hold an embedding.  Of that window only the T(mu)
+whose simple socle L(s(mu)) is a composition factor of M can receive a
+nonzero map, so only those are solved, read off ch M; they are solved and
+built one at a time, smallest first, and none after the first injective
+selection.
 
 Every grid term is a sum of T(mu) with known parts, so maps between them are
 solved over the cached bases of Hom(T(a), T(b)) (standard.tilting_hom_basis):
@@ -48,14 +52,17 @@ from tiltlab.modules import (
     quotient_module,
 )
 from tiltlab.standard import (
+    composition_multiplicities,
     decompose_tilting_character,
     has_nabla_flag,
     is_tilting,
     label_table_character,
     split_if_tilting,
+    tilting_character,
     tilting_hom_basis,
     tilting_hom_dimension,
     tilting_module,
+    tilting_socle,
 )
 
 CORESOLUTION_CAP = 60
@@ -91,16 +98,12 @@ def _stack_from_sum(field, component_homs, target):
 
 
 def _greedy_embedding(components, M):
-    """Select maps h: M -> T (small targets first) until the stacked map is
-    injective; returns the selection or None."""
-    order = sorted(
-        range(len(components)),
-        key=lambda i: (components[i][1].target.dim, components[i][0], i),
-    )
+    """Take the maps h: M -> T(mu) in the order given, keeping each that
+    grows the rank, until the stacked map is injective; returns the
+    selection, mu descending, or None when the maps run out first."""
     ech = RowEchelon(M.field)
     chosen = []
-    for i in order:
-        mu, h = components[i]
+    for mu, h in components:
         grew = False
         for row in h.matrix.entries:
             if ech.insert(row) is not None:
@@ -127,14 +130,32 @@ def embed_into_tilting(M: UModule):
     in Hom(M, T(mu)), mu in the window, are jointly injective; a greedy
     selection from them that is not injective contradicts this and raises
     CertificationError.
+
+    Only the mu with [M:L(s(mu))] > 0 are solved.  T(mu) has the simple
+    socle L(s(mu)) (standard.tilting_socle, where the proof is), and
+    Hom(-, T(mu)) is left exact, so along a composition series of M,
+    dim Hom(M, T(mu)) <= sum_c [M:L(c)] dim Hom(L(c), T(mu)) = [M:L(s(mu))].
+    The multiplicities are read off ch M (standard.composition_multiplicities);
+    a negative one is an internal fault and raises CertificationError.
+
+    The greedy selection takes the maps by (dim T(mu), mu, basis index) and
+    stops at the first injective selection.  dim T(mu) is read off the
+    closed-form character, so the kept mu are walked in that order and each
+    Hom(M, T(mu)) is solved, and T(mu) built, only when the walk reaches it.
     """
     field = M.field
-    top = M.character.max_weight()
+    ch = M.character
+    top = ch.max_weight()
     if top is None:
         raise ValueError("cannot embed the zero module")
     bound = top + 2 * (field.ell - 1)
-    components = [(mu, h) for mu in range(bound, -1, -1)
-                  for h in hom_space(M, tilting_module(field, mu))]
+    try:
+        mults = composition_multiplicities(field, ch)
+    except ValueError as exc:
+        raise CertificationError(str(exc)) from exc
+    window = sorted((mu for mu in range(bound + 1) if tilting_socle(field, mu) in mults),
+                    key=lambda mu: (tilting_character(field, mu).dimension(), mu))
+    components = ((mu, h) for mu in window for h in hom_space(M, tilting_module(field, mu)))
     chosen = _greedy_embedding(components, M)
     if chosen is None:
         raise CertificationError(

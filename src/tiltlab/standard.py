@@ -26,6 +26,10 @@ tilting module is determined by its character.
 
 Hom(T(a), T(b)) is solved once per (ell, a, b) (tilting_hom_basis) and its
 dimension certified against sum_c (T(a):Delta(c)) (T(b):Nabla(c)).
+
+T(n) has a simple socle L(s(n)) with s(n) in closed form (tilting_socle),
+and the composition multiplicities [M:L(c)] are read off ch M by the same
+top-down subtraction that reads tilting labels (composition_multiplicities).
 """
 
 from __future__ import annotations
@@ -395,28 +399,73 @@ def label_table_character(field: CycloField, table) -> Character:
     return Character(acc)
 
 
-def decompose_tilting_character(field: CycloField, ch: Character):
-    """Multiset {n: multiplicity} with ch = sum of tilting characters.
+def _unitriangular_decomposition(ch: Character, basis, what: str):
+    """{n: multiplicity} with ch = sum of multiplicity * basis(n), by top-down
+    subtraction.
 
-    Characters of the T(n) are unitriangular against the weight order, so the
-    greedy top-down subtraction is exact; a negative multiplicity means the
-    input was not a tilting character and raises.
+    basis(n) must have top weight n with multiplicity 1, so the basis is
+    unitriangular against the weight order and each multiplicity is the
+    coefficient of the top weight left over.  Subtracting nonnegative
+    multiples only lowers coefficients, so a negative coefficient stays
+    until it is the top one: a negative multiplicity, or a top weight below
+    zero, means that ch is not a nonnegative sum of basis characters and
+    raises ValueError.
     """
-    rest = Character(dict(ch.coeffs))
+    rest = dict(ch.coeffs)
     out = {}
-    while not rest.is_zero():
-        top = rest.max_weight()
-        if top is None or top < 0:
-            raise ValueError("character is not a nonnegative sum of tilting characters")
-        mult = rest.multiplicity(top)
-        if mult <= 0:
-            raise ValueError("character is not a nonnegative sum of tilting characters")
-        tch = tilting_character(field, top)
-        rest = rest - Character({w: mult * m for w, m in tch.coeffs.items()})
-        out[top] = out.get(top, 0) + mult
-        if any(m < 0 for m in rest.coeffs.values()):
-            raise ValueError("character is not a nonnegative sum of tilting characters")
+    while rest:
+        top = max(rest)
+        mult = rest[top]
+        if top < 0 or mult < 0:
+            raise ValueError(f"character is not a nonnegative sum of {what} characters"
+                             f" (multiplicity {mult} at weight {top})")
+        for w, m in basis(top).coeffs.items():
+            left = rest.get(w, 0) - mult * m
+            if left:
+                rest[w] = left
+            else:
+                del rest[w]
+        out[top] = mult
     return out
+
+
+def decompose_tilting_character(field: CycloField, ch: Character):
+    """Multiset {n: multiplicity} with ch = sum of tilting characters; raises
+    ValueError when ch is not a nonnegative sum of them."""
+    return _unitriangular_decomposition(ch, lambda n: tilting_character(field, n), "tilting")
+
+
+def composition_multiplicities(field: CycloField, ch: Character):
+    """{c: [M:L(c)]} for a module M of character ch, read off ch by the
+    closed-form simple characters; builds no module.  Raises ValueError when
+    ch is not a nonnegative sum of simple characters, which no module's
+    character is."""
+    return _unitriangular_decomposition(ch, lambda c: simple_character(field, c), "simple")
+
+
+def tilting_socle(field: CycloField, n: int) -> int:
+    """s(n), the label of the simple socle L(s(n)) of T(n).
+
+    s(n) = n when T(n) is simple: for n < ell-1, where T(n) = Delta(n), and
+    for n = ell-1+ell*a, where T(n) = St (x) L(a)^[1] = L(n).  Otherwise
+    n = ell-1+b+ell*a with 0 < b < ell, and s(n) = ell-1-b+ell*a.
+
+    Proof.  For 0 < b < ell, T(ell-1+b) restricted to the small quantum
+    group u is the projective cover of the simple u-module L(ell-1-b), of
+    dimension 2 ell, and u is a Frobenius algebra, so its u-socle is
+    L(ell-1-b), once.  Write c = c0 + ell*c1 with 0 <= c0 < ell, so that
+    L(c) = L(c0) (x) L(c1)^[1], and T(n) = T(ell-1+b) (x) L(a)^[1] (Donkin's
+    tensor product theorem; Andersen-Tubbenhauer, Transform. Groups 22,
+    2017).  Then Hom(L(c), T(n)) = Hom(L(c1), Hom_u(L(c0), T(ell-1+b))
+    (x) L(a)) over the Frobenius quotient, and Hom_u(L(c0), T(ell-1+b)) is
+    zero unless c0 = ell-1-b, where it is the trivial module.  So
+    dim Hom(L(c), T(n)) is 1 for c = ell-1-b+ell*a and 0 for every other c.
+    """
+    ell = field.ell
+    if n < ell - 1:
+        return n
+    a, b = divmod(n - (ell - 1), ell)
+    return n if b == 0 else ell - 1 - b + ell * a
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,17 @@ from fractions import Fraction
 
 from tiltlab.complexes import ChainComplex, _find_cancellable, _part_blocks, total_complex
 from tiltlab.cyclotomic import CertificationError
-from tiltlab.linalg import ExactMatrix
-from tiltlab.minimal import _stack_from_sum
+from tiltlab.linalg import ExactMatrix, RowEchelon
+from tiltlab.minimal import _stack_from_sum, _stack_into_sum
 from tiltlab.modules import UModule, hom_space, intertwiner_equations, tensor_module, unknowns_to_matrix
 from tiltlab.serialize import canonical_dumps
-from tiltlab.standard import _complement_of_idempotent, _split_pair, _trace_of_product, weyl_module
+from tiltlab.standard import (
+    _complement_of_idempotent,
+    _split_pair,
+    _trace_of_product,
+    tilting_module,
+    weyl_module,
+)
 
 _peeled_tilting_cache = {}
 
@@ -74,6 +80,29 @@ def prune_by_lifting(field, components, M):
         if solve_chain_map(h_i.source, P_rest, surj_rest.matrix, h_i.matrix) is not None:
             kept[i] = None
     return [c for c in kept if c is not None]
+
+
+def embed_full_window(M):
+    """The eager embedding of M: Hom(M, T(mu)) solved, and T(mu) built, for
+    every mu <= top + 2(ell-1), then maps taken by (dim T(mu), mu, basis
+    index) until the stacked map is injective.  Returns ((Q, emb, parts),
+    {mu: basis of Hom(M, T(mu))}), or (None, solved) when the window holds
+    no embedding."""
+    field = M.field
+    bound = M.character.max_weight() + 2 * (field.ell - 1)
+    solved = {mu: hom_space(M, tilting_module(field, mu)) for mu in range(bound, -1, -1)}
+    components = [(mu, h) for mu in range(bound, -1, -1) for h in solved[mu]]
+    order = sorted(range(len(components)), key=lambda i: (components[i][1].target.dim, components[i][0], i))
+    ech = RowEchelon(field)
+    chosen = []
+    for i in order:
+        mu, h = components[i]
+        grew = [ech.insert(row) is not None for row in h.matrix.entries]
+        if any(grew):
+            chosen.append((mu, h))
+        if len(ech.rows) == M.dim:
+            return _stack_into_sum(field, sorted(chosen, key=lambda c: -c[0]), M), solved
+    return None, solved
 
 
 def search_peel(M, below):

@@ -200,6 +200,23 @@ def test_cache_corruption_rebuilds(tmp_path, capsys):
     assert captured.err.count("; rebuilding") == len(names)
 
 
+@pytest.mark.parametrize("prefix", ["cmin_", "module_"])
+def test_non_utf8_cache_entry_rebuilds(prefix, tmp_path, capsys):
+    cache = str(tmp_path / "cache")
+    args = ["cmin", "--ell", "3", "--module", "L:3", "--cache", cache]
+    _, cold = run_cli(capsys, *args)
+    (name,) = [n for n in os.listdir(cache) if n.startswith(prefix)]
+    path = os.path.join(cache, name)
+    right = open(path, "rb").read()
+    with open(path, "wb") as fh:
+        fh.write(b"\xff\xfe\x00")
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 0 and captured.out.strip() == cold
+    assert f"warning: cache entry {name} unreadable" in captured.err
+    assert open(path, "rb").read() == right
+
+
 def _doubled_e(M):
     return module_to_json(UModule(M.field, M.weights, M.E.scale(M.field.scalar(2)), M.F, M.El, M.Fl))
 

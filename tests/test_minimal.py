@@ -18,6 +18,7 @@ from tiltlab.minimal import (
     tilting_complex_of,
 )
 from tiltlab.standard import (
+    composition_multiplicities,
     dual_weyl_module,
     label_table_character,
     peel_standard_filtration,
@@ -25,11 +26,13 @@ from tiltlab.standard import (
     simple_module,
     split_if_tilting,
     tilting_module,
+    tilting_socle,
     weyl_module,
 )
 
 from oracles import (
     closed_form_label_table,
+    embed_full_window,
     is_injective,
     is_minimal,
     is_surjective,
@@ -189,6 +192,67 @@ def test_cover_refuses_exactly_the_inputs_without_a_nabla_flag(field):
 def test_embed_zero_raises():
     with pytest.raises(ValueError):
         embed_into_tilting(UModule.zero_module(F3))
+
+
+@pytest.mark.parametrize("ell, top", [(3, 13), (5, 15), (7, 12)], ids=["ell3", "ell5", "ell7"])
+def test_embedding_matches_the_full_window(ell, top):
+    """The socle filter and the lazy walk select the maps that the eager
+    full window selects, and drop only Hom spaces that are zero."""
+    field = CycloField(ell)
+    for n in range(top + 1):
+        for kind, build in KINDS:
+            M = build(field, n)
+            (Q, emb, parts), solved = embed_full_window(M)
+            got_Q, got_emb, got_parts = embed_into_tilting(M)
+            assert [p.label for p in got_parts] == [p.label for p in parts], (kind, n)
+            assert got_Q.dim == Q.dim and got_emb.matrix == emb.matrix, (kind, n)
+            mults = composition_multiplicities(field, M.character)
+            assert all(tilting_socle(field, mu) in mults for mu, basis in solved.items() if basis), (kind, n)
+
+
+def test_embedding_solves_only_nonzero_hom_spaces(monkeypatch):
+    """Over C_min(L(0..13)) at ell 3 and C_min(L(0..15)) at ell 5 the
+    embeddings solve 89 Hom(M, T(mu)), each nonzero; the full windows
+    solved 686, 597 of them zero."""
+    import tiltlab.minimal
+
+    solves = []
+    inside = []
+    solve, embed = tiltlab.minimal.hom_space, tiltlab.minimal.embed_into_tilting
+
+    def counting_solve(M, N):
+        basis = solve(M, N)
+        if inside:
+            solves.append(len(basis))
+        return basis
+
+    def marked_embed(M):
+        inside.append(M)
+        try:
+            return embed(M)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(tiltlab.minimal, "_cmin_cache", {})
+    monkeypatch.setattr(tiltlab.minimal, "hom_space", counting_solve)
+    monkeypatch.setattr(tiltlab.minimal, "embed_into_tilting", marked_embed)
+    for field, top in ((F3, 13), (F5, 15)):
+        for n in range(top + 1):
+            minimal_tilting_complex(simple_module(field, n))
+    assert len(solves) == 89
+    assert all(solves)
+
+
+def test_a_negative_composition_multiplicity_is_an_internal_fault(monkeypatch):
+    import tiltlab.standard
+
+    # ch L(3) at ell 3 is x^3 + x^-3; a simple character that is too large,
+    # chi(3) + chi(1), leaves -2x - 2x^-1
+    M = simple_module(F3, 3)
+    monkeypatch.setattr(tiltlab.standard, "simple_character",
+                        lambda field, c: weyl_character(c) + weyl_character(c - 2))
+    with pytest.raises(CertificationError, match="multiplicity -2 at weight 1"):
+        embed_into_tilting(M)
 
 
 def test_ell5_wall_simple():

@@ -15,6 +15,7 @@ from tiltlab.modules import (
 )
 from tiltlab.standard import (
     NonSplitError,
+    composition_multiplicities,
     decompose_indecomposables,
     decompose_tilting_character,
     dual_primitive_counts,
@@ -28,6 +29,7 @@ from tiltlab.standard import (
     split_if_tilting,
     tilting_character,
     tilting_module,
+    tilting_socle,
     weyl_module,
 )
 from tiltlab.suites import sample_ses
@@ -338,6 +340,35 @@ def test_simple_character_matches_simple_module():
     for F, top in ((F3, 14), (F5, 16)):
         for n in range(top + 1):
             assert simple_character(F, n) == simple_module(F, n).character, (F.ell, n)
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7], ids=["ell3", "ell5", "ell7"])
+def test_the_socle_of_a_tilting_module_is_simple_and_closed_form(ell):
+    # dim Hom(L(c), T(mu)) solved for every c <= mu: 1 at c = s(mu), else 0
+    field = CycloField(ell)
+    for mu in range(3 * ell + 1):
+        T = tilting_module(field, mu)
+        for c in range(mu + 1):
+            expected = 1 if c == tilting_socle(field, mu) else 0
+            assert len(hom_space(simple_module(field, c), T)) == expected, (mu, c)
+
+
+def test_composition_multiplicities_add_up_to_the_character():
+    for F in (F3, F5):
+        for n in range(3 * F.ell):
+            mults = composition_multiplicities(F, weyl_character(n))
+            assert mults[n] == 1 and all(m > 0 for m in mults.values())
+            total = Character()
+            for c, m in mults.items():
+                total = total + Character({w: m * v for w, v in simple_character(F, c).coeffs.items()})
+            assert total == weyl_character(n), (F.ell, n)
+            assert composition_multiplicities(F, simple_character(F, n)) == {n: 1}
+    # Delta(4) at ell 3 is L(4) over L(0)
+    assert composition_multiplicities(F3, weyl_character(4)) == {4: 1, 0: 1}
+    with pytest.raises(ValueError, match="simple characters"):
+        composition_multiplicities(F3, Character({0: -1}))
+    with pytest.raises(ValueError, match="simple characters"):
+        composition_multiplicities(F3, Character({1: 1}))
 
 
 def test_tilting_character_rejects_negative_weight():
