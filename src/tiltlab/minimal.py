@@ -26,8 +26,8 @@ Every kernel is costandard-filtered, which the Nabla-count checks, so each
 tilting cover is exact: one Hom(T(mu), X) per (X:Nabla(mu)) > 0.  The
 embeddings are exact too: the maps into T(mu), mu at most 2(ell-1) above the
 top weight of M, always hold an embedding.  Of that window only the T(mu)
-whose simple socle L(s(mu)) is a composition factor of M can receive a
-nonzero map, so only those are solved, read off ch M; they are solved and
+whose simple socle L(s(mu)) is a composition factor of M, read off ch M,
+can receive a nonzero map, so only those are solved; they are solved and
 built one at a time, smallest first, and none after the first injective
 selection.
 

@@ -450,10 +450,11 @@ def tilting_socle(field: CycloField, n: int) -> int:
     for n = ell-1+ell*a, where T(n) = St (x) L(a)^[1] = L(n).  Otherwise
     n = ell-1+b+ell*a with 0 < b < ell, and s(n) = ell-1-b+ell*a.
 
-    Proof.  For 0 < b < ell, T(ell-1+b) restricted to the small quantum
-    group u is the projective cover of the simple u-module L(ell-1-b), of
-    dimension 2 ell, and u is a Frobenius algebra, so its u-socle is
-    L(ell-1-b), once.  Write c = c0 + ell*c1 with 0 <= c0 < ell, so that
+    Proof.  For 0 < b < ell, T(ell-1+b), of dimension 2 ell, restricts to
+    the small quantum group u as an indecomposable projective, hence
+    injective, u-module, so its u-socle is simple.  It contains
+    Delta(ell-1+b), whose socle is L(ell-1-b), so that simple is
+    L(ell-1-b).  Write c = c0 + ell*c1 with 0 <= c0 < ell, so that
     L(c) = L(c0) (x) L(c1)^[1], and T(n) = T(ell-1+b) (x) L(a)^[1] (Donkin's
     tensor product theorem; Andersen-Tubbenhauer, Transform. Groups 22,
     2017).  Then Hom(L(c), T(n)) = Hom(L(c1), Hom_u(L(c0), T(ell-1+b))

@@ -86,8 +86,8 @@ def embed_full_window(M):
     """The eager embedding of M: Hom(M, T(mu)) solved, and T(mu) built, for
     every mu <= top + 2(ell-1), then maps taken by (dim T(mu), mu, basis
     index) until the stacked map is injective.  Returns ((Q, emb, parts),
-    {mu: basis of Hom(M, T(mu))}), or (None, solved) when the window holds
-    no embedding."""
+    {mu: basis of Hom(M, T(mu))}); raises CertificationError when the
+    window holds no embedding."""
     field = M.field
     bound = M.character.max_weight() + 2 * (field.ell - 1)
     solved = {mu: hom_space(M, tilting_module(field, mu)) for mu in range(bound, -1, -1)}
@@ -102,7 +102,7 @@ def embed_full_window(M):
             chosen.append((mu, h))
         if len(ech.rows) == M.dim:
             return _stack_into_sum(field, sorted(chosen, key=lambda c: -c[0]), M), solved
-    return None, solved
+    raise CertificationError(f"the maps into T(mu), mu <= {bound}, do not embed a dim-{M.dim} module")
 
 
 def search_peel(M, below):
