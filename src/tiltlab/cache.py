@@ -29,7 +29,8 @@ from tiltlab.serialize import canonical_dumps, module_from_json, module_text
 # Bump whenever a cached module basis or entry format changes.  Version 2:
 # T(n) above 2ell-2 is T(ell-1+b) (x) L(a)^[1] instead of tensor-and-peel.
 # Version 3: T(n) files no longer carry a delta_filtration list.
-CACHE_VERSION = 3
+# Version 4: T(ell-1+b) glued.
+CACHE_VERSION = 4
 
 # numbers this process's temporary files, so that no two writers share one
 _tmp_ids = itertools.count()

@@ -187,10 +187,10 @@ def cmd_ideals(args):
     return EXIT_PASS
 
 
-# settings each suite would ignore: alcove-cross and bijection draw no
-# samples, and only lemmas dispatches its cases to worker processes
+# settings each suite would ignore: lemmas has no window, alcove-cross and
+# bijection draw no samples, and only lemmas dispatches to worker processes
 UNUSED_BY_SUITE = {
-    "lemmas": (),
+    "lemmas": ("window",),
     "two-out-of-three": ("workers",),
     "bijection": ("budget", "seed", "workers"),
     "alcove-cross": ("budget", "seed", "workers"),

@@ -1,11 +1,11 @@
 """Standard, costandard, simple and indecomposable tilting modules.
 
-Constructors are memoized per (ell, kind, n).  Tilting modules and their
-characters are closed-form above 2ell-2 (Donkin's tensor product theorem,
-T(ell-1+b+ell*a) = T(ell-1+b) (x) L(a)^[1]); only T(n) for n <= 2ell-2 is
-built by tensor-and-peel.  Tilting characters never build a module, so
-character arithmetic on tiltings, such as tensor ideals and Euler-character
-checks, costs only dictionary operations.
+Constructors are memoized per (ell, kind, n).  T(n) is built with no search:
+Delta(n) below ell, Delta(ell-1+b) glued to Delta(ell-1-b) for T(ell-1+b),
+0 < b < ell, and T(ell-1+b) (x) L(a)^[1] above 2ell-2 (Donkin's tensor
+product theorem).  Tilting characters are closed-form and never build a
+module, so character arithmetic on tiltings, such as tensor ideals and
+Euler-character checks, costs only dictionary operations.
 
 Nabla-flags, Delta-flags and tilting-ness are decided by counting primitive
 vectors (primitive_counts): M has a Nabla-flag exactly when
@@ -21,7 +21,7 @@ some composite M -> C -> M ... C -> M -> C is invertible, which for C with
 local endomorphism ring is detected by a nonzero trace.  split_if_tilting(M)
 is that split when is_tilting(M) and None otherwise, so a predicted summand
 that does not split there is an internal fault (CertificationError).  A
-peeled T(n) is certified by its character and its flag counts, since a
+glued T(n) is certified by its character and its flag counts, since a
 tilting module is determined by its character.
 
 Hom(T(a), T(b)) is solved once per (ell, a, b) (tilting_hom_basis) and its
@@ -40,6 +40,7 @@ from tiltlab.linalg import ExactMatrix, RowEchelon
 from tiltlab.modules import (
     UModule,
     UMorphism,
+    direct_sum,
     dual_module,
     frobenius_twist,
     hom_space,
@@ -185,14 +186,17 @@ def _complement_of_idempotent(R: UModule, e_mat: ExactMatrix):
     return K, incl, retr
 
 
-def _split_tilting_labels(M: UModule, labels):
-    """Split T(mu) off M for every mu of the multiset `labels` ({mu: mult}),
-    top down with multiplicity.
+def decompose_indecomposables(M: UModule):
+    """Krull-Schmidt decomposition of a tilting module into parts T(n), with
+    witness inclusions and projections.
 
-    Each label is split against the canonical tilting_module(mu).  Returns
-    the parts and the remainder.
+    The labels are read off ch M (decompose_tilting_character) and each is
+    split, top down with multiplicity, against the canonical tilting_module;
+    a character that is not a sum of tilting characters raises ValueError, a
+    module whose predicted summands do not split raises NonSplitError.
     """
     field = M.field
+    labels = decompose_tilting_character(field, M.character)
     R, incl, proj = M, UMorphism.identity(M), UMorphism.identity(M)
     parts = []
     for mu in sorted(labels, reverse=True):
@@ -209,19 +213,6 @@ def _split_tilting_labels(M: UModule, labels):
                 continue
             R, kincl, kretr = _complement_of_idempotent(R, phi.matrix @ psi.matrix)
             incl, proj = incl.compose(kincl), kretr.compose(proj)
-    return parts, R
-
-
-def decompose_indecomposables(M: UModule):
-    """Krull-Schmidt decomposition of a tilting module into parts T(n), with
-    witness inclusions and projections.
-
-    The labels are read off ch M (decompose_tilting_character); a character
-    that is not a sum of tilting characters raises ValueError, a module whose
-    predicted summands do not split raises NonSplitError.
-    """
-    labels = decompose_tilting_character(M.field, M.character)
-    parts, R = _split_tilting_labels(M, labels)
     if R.dim:
         raise CertificationError("decomposition lost dimensions")
     return parts
@@ -247,28 +238,22 @@ def split_if_tilting(M: UModule):
 
 
 def tilting_module(field: CycloField, n: int) -> UModule:
-    """T(n), closed-form above 2ell-2.
-
-    For n = ell-1+b+ell*a with 0 <= b < ell and a >= 1, Donkin's tensor
-    product theorem gives T(n) = T(ell-1+b) (x) L(a)^[1], built as one tensor
-    product with the Frobenius twist; its character is certified against
-    tilting_character.  For n <= 2ell-2, T(n) is the summand of
-    T(n-1) (x) Delta(1) at weight n, left after the other labels its
-    character predicts are split off (tensor-and-peel).
-    """
+    """T(n), built with no search: Delta(n) below ell; _glued_tilting_module
+    up to 2ell-2, certified by its character and flag counts; above that
+    T(ell-1+b) (x) L(a)^[1] for n = ell-1+b+ell*a, one tensor product with the
+    Frobenius twist, certified by its character."""
     if n < 0:
         raise ValueError("highest weight must be nonnegative")
     ell = field.ell
     key = (ell, n)
     if key in _tilting_cache:
         return _tilting_cache[key]
-    if n == 0:
-        T = UModule.trivial(field)
-    elif n == 1:
-        T = weyl_module(field, 1)
+    if n < ell:
+        T = weyl_module(field, n)
     elif n <= 2 * ell - 2:
-        big = tensor_module(tilting_module(field, n - 1), weyl_module(field, 1))
-        T = _extract_top_summand(big, n)
+        T = _glued_tilting_module(field, n - (ell - 1))
+        if T.character != tilting_character(field, n) or not is_tilting(T):
+            raise CertificationError(f"the glued T({n}) is not a tilting module of character ch T({n})")
     else:
         a, b = divmod(n - (ell - 1), ell)
         T = tensor_module(tilting_module(field, ell - 1 + b), frobenius_twist(field, a))
@@ -276,6 +261,36 @@ def tilting_module(field: CycloField, n: int) -> UModule:
             raise CertificationError(f"T({n}) = T({ell - 1 + b}) (x) L({a})^[1] has the wrong character")
     _tilting_cache[key] = T
     return T
+
+
+def _glued_tilting_module(field: CycloField, b: int) -> UModule:
+    """T(n) for n = ell-1+b, 0 < b < ell: the non-split extension of
+    Delta(m), m = ell-1-b, by Delta(n) (Ringel, Math. Z. 208, 1991;
+    Andersen-Tubbenhauer, Transform. Groups 22, 2017).
+
+    On the basis m_0..m_n of Delta(n) then u_0..u_m of Delta(m), E u_0 gains
+    m_(b-1) and F u_j gains -[b+j choose j+1] m_(b+j+1); E^(ell) and F^(ell)
+    are those of the direct sum, as weights leave them no room for glue.
+    Proof that the relations hold, with e_j, f_j the glue of E u_j, F u_j:
+      1. The glue maps the u-part into the m-part, so a product with two glue
+         factors is 0: every defining relation is linear in the glue.
+      2. On u_j the [E, F] relation reads [j+1](e_(j+1) - f_j) =
+         [b+j](e_j - f_(j-1)), using [ell-k] = -[k].  Modulo the coboundaries
+         u_j -> u_j + h_j m_(b+j) its solutions form a line, as
+         Hom(Delta(m), Delta(n)) is one-dimensional.
+      3. A coboundary leaves e_0 unchanged ([n-b+1] = [ell] = 0), so e_0 = 1
+         and the f_j above span that line.
+      4. T(n) realises a nonzero class in that line.  The relations are
+         linear in the glue and hold on coboundaries, so they hold here.
+    """
+    ell = field.ell
+    n, m = ell - 1 + b, ell - 1 - b
+    S = direct_sum(weyl_module(field, n), weyl_module(field, m))
+    E, F = S.E.copy(), S.F.copy()
+    E[b - 1, n + 1] = field.one
+    for j in range(m + 1):
+        F[b + j + 1, n + 1 + j] = -field.quantum_binomial(b + j, j + 1)
+    return UModule(field, S.weights, E, F, S.El, S.Fl)
 
 
 def tilting_hom_basis(field: CycloField, a: int, b: int):
@@ -317,29 +332,6 @@ def tilting_weyl_multiplicities(field: CycloField, n: int):
     if mults is None:
         mults = _tilting_weyl_cache[key] = decompose_into_weyl(tilting_character(field, n))
     return mults
-
-
-def _extract_top_summand(M: UModule, n: int) -> UModule:
-    """Split every T(mu) but the single T(n) off the tilting module M and
-    certify that the remainder R is T(n) by its character and flag counts.
-
-    A tilting module is the direct sum of indecomposable tilting modules,
-    and each of those is T(mu) for its top weight mu (Ringel, Math. Z. 208,
-    1991).  Tilting characters are unitriangular, so the character of a
-    tilting module fixes the multiset of its summands: if R is tilting and
-    ch R = ch T(n), then R = T(n).  Otherwise CertificationError is raised.
-    """
-    labels = decompose_tilting_character(M.field, M.character)
-    if labels.get(n) != 1:
-        raise CertificationError(f"T({n}) has multiplicity {labels.get(n, 0)}, not 1")
-    del labels[n]
-    try:
-        _, R = _split_tilting_labels(M, labels)
-    except NonSplitError as exc:
-        raise CertificationError(f"T({n - 1}) (x) Delta(1) does not split: {exc}") from exc
-    if R.character != tilting_character(M.field, n) or not is_tilting(R):
-        raise CertificationError(f"the remainder for T({n}) is not a tilting module of character ch T({n})")
-    return R
 
 
 def tilting_character(field: CycloField, n: int) -> Character:

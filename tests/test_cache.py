@@ -125,6 +125,24 @@ def test_a_tilting_character_that_is_not_tilting_is_rebuilt(tmp_path, capsys):
     assert _same_module(cache.load_module(3, "T", 3), tilting_module(F, 3))
 
 
+def test_a_tilting_module_of_the_previous_cache_version_is_not_read(tmp_path):
+    """A version-3 T(4) at ell 3 is the tensor-and-peel summand: a valid T(4)
+    in another basis, which the loader accepts, so only the version in the
+    key keeps it from being read."""
+    from oracles import peeled_tilting_module
+
+    F = CycloField(3)
+    old, fresh = peeled_tilting_module(F, 4), tilting_module(F, 4)
+    assert old.fingerprint() != fresh.fingerprint()
+    cache = CacheDir(str(tmp_path))
+    cache.store_module(3, "T", 4, old)
+    assert _same_module(cache.load_module(3, "T", 4), old)
+    os.replace(tmp_path / cache.module_key(3, "T", 4), tmp_path / "module_v3_3_T_4.json")
+    assert cached_standard_module(cache, F, "T", 4).fingerprint() == fresh.fingerprint()
+    assert sorted(os.listdir(tmp_path)) == ["module_v3_3_T_4.json", "module_v4_3_T_4.json"]
+    assert _same_module(cache.load_module(3, "T", 4), fresh)
+
+
 L3_LABELS = {-1: [1], 0: [3], 1: [1]}  # C_min(L(3)) at ell 3
 
 

@@ -121,7 +121,7 @@ def test_alcove_orbit_nonpositive_p(capsys):
 def test_verify_suite_exit_codes(capsys):
     code, out = run_cli(
         capsys, "verify", "--suite", "lemmas", "--ell", "3",
-        "--window", "12", "--budget", "4", "--seed", "11",
+        "--budget", "4", "--seed", "11",
     )
     assert code == 0
     report = json.loads(out)
@@ -142,7 +142,7 @@ def test_config_file_and_flag_override(tmp_path, capsys):
     cfg.write_text("ell = 3\nbudget = 2  # small\nseed = 9\n")
     code, out = run_cli(
         capsys, "verify", "--suite", "lemmas", "--config", str(cfg),
-        "--window", "12", "--seed", "4",
+        "--seed", "4",
     )
     assert code == 0
     report = json.loads(out)
@@ -282,7 +282,7 @@ def test_entry_point_subprocess():
 
 
 def test_workers_flag_matches_serial(capsys):
-    base = ["verify", "--suite", "lemmas", "--ell", "3", "--window", "12",
+    base = ["verify", "--suite", "lemmas", "--ell", "3",
             "--budget", "3", "--seed", "2"]
     _, serial = run_cli(capsys, *base)
     _, parallel = run_cli(capsys, *base, "--workers", "2")
@@ -299,7 +299,7 @@ def test_even_ell_rejected(capsys):
 def test_cross_process_byte_identical():
     cmd = [
         sys.executable, "-m", "tiltlab.cli", "verify", "--suite", "lemmas",
-        "--ell", "3", "--window", "12", "--budget", "2", "--seed", "5",
+        "--ell", "3", "--budget", "2", "--seed", "5",
     ]
     a = subprocess.run(cmd, capture_output=True, text=True, timeout=590)
     b = subprocess.run(cmd, capture_output=True, text=True, timeout=590)
@@ -458,6 +458,8 @@ def test_serial_suites_reject_workers(suite, tmp_path, capsys):
     (["verify", "--suite", "two-out-of-three", "--ell", "3", "--budget", "-3"], None, "budget must be at least 1"),
     (["verify", "--suite", "lemmas", "--ell", "3", "--workers", "-1"], None, "workers must be at least 1"),
     (["verify", "--suite", "lemmas", "--ell", "3"], "budget = 0\n", "budget must be at least 1"),
+    (["verify", "--suite", "lemmas", "--ell", "3", "--window", "12"], None, "window is not used"),
+    (["verify", "--suite", "lemmas", "--ell", "3"], "window = 6\n", "window is not used"),
 ])
 def test_ignored_or_out_of_range_settings_exit_resource(argv, config, message, tmp_path, capsys):
     if config is not None:

@@ -10,6 +10,7 @@ from tiltlab.linalg import ExactMatrix
 from tiltlab.modules import UModule, UMorphism, direct_sum, find_isomorphism, tensor_module
 from tiltlab.minimal import (
     _certify_cmin,
+    _intertwines,
     _lift_over_tiltings,
     cover_by_tilting,
     embed_into_tilting,
@@ -63,7 +64,7 @@ def test_tilting_inputs_peel_no_flag(monkeypatch):
               tensor_module(tilting_module(F3, 2), tilting_module(F3, 1)))
     monkeypatch.setattr(tiltlab.minimal, "_cmin_cache", {})
     monkeypatch.setattr(tiltlab.standard, "peel_standard_filtration", refuse)
-    monkeypatch.setattr(tiltlab.standard, "_split_tilting_labels", refuse)
+    monkeypatch.setattr(tiltlab.standard, "_split_pair", refuse)
     assert minimal_tilting_complex(inputs[0]).label_table() == {0: [2, 4]}
     assert minimal_tilting_complex(inputs[1]).label_table() == {0: [3]}
 
@@ -296,9 +297,14 @@ def test_construction_certificate_rejects_corruption():
         _refused(M, cmin, changed, iota)
         _refused(M, cmin, zeroed, iota)
         if Y is not M:
-            # a wrong iota: the first dim M coordinate vectors of Y
-            coordinates = [{j: field.one} for j in range(M.dim)] + [{} for _ in range(Y.dim - M.dim)]
-            _refused(M, cmin, p, UMorphism(M, Y, ExactMatrix(field, Y.dim, M.dim, coordinates)))
+            # a wrong iota: the true one with one entry changed, so that it no
+            # longer commutes with the generators, which is wrong in any basis
+            r, row = next((r, row) for r, row in enumerate(iota.matrix.entries) if row)
+            c = min(row)
+            wrong = iota.matrix.copy()
+            wrong[r, c] = row[c] + field.one
+            assert not _intertwines(wrong, M, Y)
+            _refused(M, cmin, p, UMorphism(M, Y, wrong))
             assert 0 in cmin.differentials
         # one differential zeroed; zeroing d^0 makes H^1 nonzero
         for i in cmin.differentials:

@@ -274,9 +274,10 @@ def test_tilting_parts_lets_certification_errors_through(monkeypatch):
     def broken(*args):
         raise CertificationError("broken split")
 
-    monkeypatch.setattr(tiltlab.standard, "_split_tilting_labels", broken)
+    T = tilting_module(F3, 3)
+    monkeypatch.setattr(tiltlab.standard, "_split_pair", broken)
     with pytest.raises(CertificationError):
-        split_if_tilting(tilting_module(F3, 3))
+        split_if_tilting(T)
 
 
 def test_tilting_parts_raises_when_a_predicted_summand_does_not_split(monkeypatch):
@@ -289,27 +290,45 @@ def test_tilting_parts_raises_when_a_predicted_summand_does_not_split(monkeypatc
         split_if_tilting(T)
     # the counts reject a module that is not tilting before any split
     assert split_if_tilting(not_tilting) is None
-    # T(3) at ell 3 is split off T(2) (x) Delta(1), which is tilting
-    monkeypatch.setattr(tiltlab.standard, "_tilting_cache", {})
-    with pytest.raises(CertificationError, match="does not split"):
-        tilting_module(F3, 3)
 
 
-def test_a_peeled_remainder_with_ch_T3_that_is_not_tilting_is_rejected(monkeypatch):
+@pytest.mark.parametrize("ell", [3, 5, 7, 9, 11, 13])
+def test_glued_tilting_modules_satisfy_the_relations(ell):
     import tiltlab.standard
 
-    fake = direct_sum(weyl_module(F3, 3), weyl_module(F3, 1))
-    assert fake.character == tilting_character(F3, 3) and has_delta_flag(fake)
-    split = tiltlab.standard._split_tilting_labels
+    F = CycloField(ell)
+    for b in range(1, ell):
+        n = ell - 1 + b
+        T = tiltlab.standard._glued_tilting_module(F, b)
+        assert check_relations(T).ok, (ell, b)
+        assert T.character == tilting_character(F, n), (ell, b)
+        assert has_delta_flag(T) and has_nabla_flag(T), (ell, b)
 
-    def leave_fake(M, labels):
-        parts, R = split(M, labels)
-        return parts, fake if R.character == fake.character else R
 
-    monkeypatch.setattr(tiltlab.standard, "_tilting_cache", {})
-    monkeypatch.setattr(tiltlab.standard, "_split_tilting_labels", leave_fake)
-    with pytest.raises(CertificationError, match=r"remainder for T\(3\)"):
-        tilting_module(F3, 3)
+@pytest.mark.parametrize("ell", [3, 5])
+def test_a_glue_set_to_zero_is_refused(ell, monkeypatch):
+    # Delta(ell-1+b) + Delta(ell-1-b) has the character of T(ell-1+b) but no
+    # Nabla-flag, so the flag counts refuse it
+    import tiltlab.standard
+
+    F = CycloField(ell)
+
+    def split_glue(field, b):
+        return direct_sum(weyl_module(field, ell - 1 + b), weyl_module(field, ell - 1 - b))
+
+    monkeypatch.setattr(tiltlab.standard, "_glued_tilting_module", split_glue)
+    for b in range(1, ell):
+        n = ell - 1 + b
+        monkeypatch.setattr(tiltlab.standard, "_tilting_cache", {})
+        assert split_glue(F, b).character == tilting_character(F, n)
+        with pytest.raises(CertificationError, match=rf"the glued T\({n}\) is not a tilting module"):
+            tilting_module(F, n)
+
+
+def test_tilting_modules_below_ell_are_weyl_modules():
+    for F in (F3, F5, CycloField(7)):
+        for n in range(F.ell):
+            assert tilting_module(F, n).fingerprint() == weyl_module(F, n).fingerprint(), (F.ell, n)
 
 
 def test_tilting_character_decomposition():
