@@ -278,8 +278,9 @@ def _glued_tilting_module(field: CycloField, b: int) -> UModule:
          [b+j](e_j - f_(j-1)), using [ell-k] = -[k].  Modulo the coboundaries
          u_j -> u_j + h_j m_(b+j) its solutions form a line, as
          Hom(Delta(m), Delta(n)) is one-dimensional.
-      3. A coboundary leaves e_0 unchanged ([n-b+1] = [ell] = 0), so e_0 = 1
-         and the f_j above span that line.
+      3. A coboundary leaves e_0 unchanged ([n-b+1] = [ell] = 0).  This glue
+         (e_0 = 1, the other e_j 0, f_j from 2 by induction) has e_0 != 0,
+         so it spans that line.
       4. T(n) realises a nonzero class in that line.  The relations are
          linear in the glue and hold on coboundaries, so they hold here.
     """
