@@ -9,6 +9,7 @@ carrying simple-root, fundamental-weight and coroot coordinates side by side.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 CLASSICAL_DATA = {
     # type -> (positive root count, Coxeter number) as functions of rank
@@ -312,15 +313,70 @@ def dot_orbit(rs: RootSystemData, lam, p: int, bound: int):
     """Dominant weights in the affine dot orbit of lam, with
     (mu, highest coroot) <= bound, sorted.
 
-    Exact linkage classes: the dominant weights under the bound, enumerated
-    in lexicographic order, are kept when their linkage class equals that
-    of lam.
+    A walk up the orbit from its alcove point.  In y = mu + rho the orbit is
+    W_p(home), home = linkage_class(lam), and the output is y - rho over its
+    points y with every y_i >= 1 in the closed region R = {y : y_i >= 0,
+    (y, theta^vee) <= top}, top = bound + (rho, theta^vee).  One step from
+    y reflects it, for a positive root beta, in the first wall above it,
+    H_{beta, rp} with rp the least multiple of p greater than (y, beta^vee):
+    z = y + (rp - (y, beta^vee)) beta.  The walk starts at home and keeps
+    each z in R.
+
+    It reaches every orbit point of R.  Such a point y lies in the closure
+    of a dominant alcove A, and y = w_A(home).  If A is the fundamental
+    alcove C, then y = home, since the closure of C is a fundamental domain.
+    Otherwise some facet wall H = H_{beta, rp} of A (beta > 0, r >= 1)
+    separates A from C.  Then s_H(y) lies in the closure of s_H(A), a
+    dominant alcove nearer C, and its level is lower by
+    ((y, beta^vee) - rp)(beta, theta^vee) >= 0, so s_H(y) is in R and, by
+    induction on the distance to C, is reached.  Since s_H(A) lies between
+    H_{beta, (r-1)p} and H, (s_H y, beta^vee) is in [(r-1)p, rp]: the
+    step from s_H(y) for beta reflects in H and retraces y, unless
+    s_H(y) = y.  The same descent shows that no orbit point of R has a
+    level below home's, so a home above top leaves the orbit empty.
+
+    The cost grows with the orbit points in R, not with bound^rank.  For
+    p-regular lam every visited point is output; a singular lam also visits
+    its orbit points on the chamber's walls y_i = 0.
     """
     home = linkage_class(rs, _check_dominant(rs, lam), p)
-    box = [((), bound)]  # (leading coordinates, what the bound leaves for the rest)
-    for c in rs.highest_coroot.coroot_coords:
-        box = [(mu + (x,), rest - c * x) for mu, rest in box for x in range(rest // c + 1)]
-    return [mu for mu, _ in box if linkage_class(rs, mu, p) == home]
+    theta = rs.highest_coroot
+    top = bound + theta.pairing(rs.rho)
+    if theta.pairing(home) > top:
+        return []
+    roots = rs.positive_roots
+    # per positive root beta: beta in omega coordinates, (beta, theta^vee),
+    # (beta, gamma^vee) for every positive root gamma, and (i, -beta_i) for
+    # the coordinates that beta lowers
+    steps = [
+        (
+            b.weight_coords,
+            theta.pairing(b.weight_coords),
+            [g.pairing(b.weight_coords) for g in roots],
+            [(i, -x) for i, x in enumerate(b.weight_coords) if x < 0],
+        )
+        for b in roots
+    ]
+    seen = {home}
+    # a point carries its level and its pairings with every positive coroot,
+    # so a step costs no pairing and z is built only once it is known to be
+    # in R
+    stack = [(home, theta.pairing(home), [b.pairing(home) for b in roots])]
+    while stack:
+        y, level, pairs = stack.pop()
+        for (beta, rise, col, falls), v in zip(steps, pairs):
+            d = p - v % p
+            if level + d * rise > top:
+                continue
+            for i, f in falls:
+                if y[i] < d * f:  # z_i < 0
+                    break
+            else:
+                z = tuple(map(add, y, map(d.__mul__, beta)))
+                if z not in seen:
+                    seen.add(z)
+                    stack.append((z, level + d * rise, list(map(add, pairs, map(d.__mul__, col)))))
+    return sorted(tuple(x - r for x, r in zip(y, rs.rho)) for y in seen if min(y) >= 1)
 
 
 def steinberg_twist_example(rs: RootSystemData, p: int):

@@ -61,7 +61,8 @@ DEFAULTS = {
 # smallest accepted value of each numeric setting
 MINIMUM = {"window": 0, "budget": 1, "workers": 1}
 
-# the dominant weights `alcove orbit` reduces, unless --bound is given
+# the level (mu, highest coroot) up to which `alcove orbit` walks the orbit,
+# unless --bound is given
 ORBIT_BOUND = 48
 
 

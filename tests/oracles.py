@@ -8,6 +8,7 @@ surjectivity through its own exact invariants.
 import hashlib
 from fractions import Fraction
 
+from tiltlab.alcove import _check_dominant, linkage_class
 from tiltlab.complexes import ChainComplex, _find_cancellable, _part_blocks, total_complex
 from tiltlab.cyclotomic import CertificationError
 from tiltlab.linalg import ExactMatrix, RowEchelon
@@ -392,3 +393,17 @@ def closed_form_label_table(ell, kind, n):
     if kind == "nabla":
         return {-i: [m] for i, m in enumerate(x)}
     return {j: sorted(x[p] for p in range(abs(j), len(x), 2)) for j in range(1 - len(x), len(x))}
+
+
+def filter_dot_orbit(rs, lam, p, bound):
+    """Dominant weights in the affine dot orbit of lam, with
+    (mu, highest coroot) <= bound, sorted: the dominant weights under the
+    bound, enumerated in lexicographic order, kept when their linkage class
+    equals that of lam.  Its cost grows like bound^rank; the test oracle
+    for alcove.dot_orbit.
+    """
+    home = linkage_class(rs, _check_dominant(rs, lam), p)
+    box = [((), bound)]  # (leading coordinates, what the bound leaves for the rest)
+    for c in rs.highest_coroot.coroot_coords:
+        box = [(mu + (x,), rest - c * x) for mu, rest in box for x in range(rest // c + 1)]
+    return [mu for mu, _ in box if linkage_class(rs, mu, p) == home]

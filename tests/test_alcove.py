@@ -17,6 +17,8 @@ from tiltlab.alcove import (
     steinberg_twist_example,
 )
 
+from oracles import filter_dot_orbit
+
 
 def test_root_counts_and_coxeter_numbers():
     expected = {
@@ -213,6 +215,19 @@ def test_dot_orbit_matches_bfs(label):
                 for mu in orbit:
                     assert dot_orbit(rs, mu, p, bound) == orbit, (p, bound, mu)
                 seen.update(orbit)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2", "A3", "C3"])
+def test_dot_orbit_matches_filter(label):
+    # every weight of a box, against the filter over all dominant weights
+    # under the bound; bounds below home's level leave the orbit empty, and
+    # the box reaches weights above every bound but the largest
+    rs = root_system(label)
+    radius, bounds = {1: (12, (-3, -1, 0, 4, 10, 24)), 2: (7, (-3, -1, 0, 4, 10, 18)), 3: (3, (-2, 0, 3, 8))}[rs.rank]
+    for p in (1, 2, 3, 5, 7):
+        for bound in bounds:
+            for lam in itertools.product(range(radius + 1), repeat=rs.rank):
+                assert dot_orbit(rs, lam, p, bound) == filter_dot_orbit(rs, lam, p, bound), (p, bound, lam)
 
 
 def _dot_reflect(rs, lam, beta, shift):
