@@ -101,8 +101,8 @@ def test_alcove_commands(capsys):
 
 
 def test_alcove_orbit_a4_walks_only_the_orbit(capsys):
-    # the filter over every dominant weight under the default bound 48
-    # reduced 270725 candidates here; the walk visits only the orbit
+    # a filter over every dominant weight under the default bound 48 would
+    # reduce 270725 candidates; the walk visits only the orbit
     code, out = run_cli(capsys, "alcove", "orbit", "--type", "A4", "--p", "5", "--lambda", "0,0,0,0")
     orbit = json.loads(out)["orbit"]
     assert code == 0 and len(orbit) == 12100
