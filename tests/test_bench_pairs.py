@@ -1,9 +1,7 @@
-"""Verdicts of tools/bench_pairs.py's compare() on fixed paired runs, and
-the pair count of tools/scale_probe.py."""
+"""Verdicts of tools/bench_pairs.py's compare() on fixed paired runs."""
 
 import importlib.util
 import os
-import sys
 
 import pytest
 
@@ -11,10 +9,6 @@ _PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "bench_pairs
 _spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
-sys.modules.setdefault("bench_pairs", bench_pairs)  # scale_probe imports it by name
-_spec = importlib.util.spec_from_file_location("scale_probe", os.path.join(os.path.dirname(_PATH), "scale_probe.py"))
-scale_probe = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(scale_probe)
 
 WALL = {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}
 OK = {"name": "ok_ratio", "unit": "1", "better": "higher", "bound": 0.005}
@@ -52,13 +46,3 @@ def test_compare_verdicts(metric, parent, change, fails_more, verdicts):
     got = bench_pairs.compare(metric, parent, change, fails_more)
     assert {k: got[k] for k in verdicts} == verdicts
     assert got["change_wins"] + got["parent_wins"] + got["ties"] == len(parent)
-
-
-def test_scale_probe_needs_two_pairs(tmp_path, capsys):
-    # one pair has no quartiles; the default is the least a claim may cite
-    assert scale_probe.MIN_CLAIM_PAIRS == 5
-    out = tmp_path / "scale.json"
-    with pytest.raises(SystemExit) as exc:
-        scale_probe.main(["--parent", str(tmp_path), "--change", str(tmp_path), "--out", str(out), "--pairs", "1"])
-    assert exc.value.code == 2 and "--pairs" in capsys.readouterr().err
-    assert not out.exists()

@@ -4,7 +4,7 @@ one SCALE_<pr>.json.
 
     git clone --quiet . ../parent && git -C ../parent checkout --quiet <parent-commit>
     git clone --quiet . ../change && git -C ../change checkout --quiet <change-commit>
-    python3 tools/scale_probe.py --parent ../parent --change ../change --out SCALE_24.json [--pairs 5]
+    python3 tools/scale_probe.py --parent ../parent --change ../change --out SCALE_24.json
 
 The benchmark's modules are small (n <= 15); this probe measures the regime
 past them: C_min(L(24)) and C_min(L(30)) at ell 3 and C_min(L(40)) at ell 7.
@@ -17,8 +17,8 @@ tests/oracles.py::closed_form_label_table; a run whose table differs is
 recorded as incorrect and the probe exits 1.  For each case the output holds
 each side's runs, median and quartiles, and how many pairs each side won.
 The file is rewritten after every case, so an interrupted probe keeps what
-it measured.  --pairs sets the number of pairs per case; its default, five,
-is the least that a scale claim may cite.
+it measured.  It runs five pairs per case, the least that a scale claim may
+cite.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 from oracles import closed_form_label_table  # noqa: E402
 
 CASES = [(3, 24), (3, 30), (7, 40)]
-MIN_CLAIM_PAIRS = 5
+PAIRS = 5
 
 # run in the checkout, with its src/ first on sys.path; prints one JSON line
 CHILD = """
@@ -76,11 +76,7 @@ def main(argv=None):
     parser.add_argument("--parent", required=True, help="clean git checkout of the parent commit")
     parser.add_argument("--change", required=True, help="clean git checkout of the change")
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--pairs", type=int, default=MIN_CLAIM_PAIRS,
-                        help=f"pairs per case (default {MIN_CLAIM_PAIRS}, the least for a claim)")
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2, for the quartiles")
     try:
         commits = {side: checkout_commit(getattr(args, side)) for side in ("parent", "change")}
     except RuntimeError as exc:
@@ -89,7 +85,7 @@ def main(argv=None):
     out = {
         "command": "tools/scale_probe.py",
         "commits": commits,
-        "pairs": args.pairs,
+        "pairs": PAIRS,
         "order": "parent first in even pairs, change first in odd pairs",
         "machine": {"python": platform.python_version(), "nproc": os.cpu_count(), "platform": platform.platform()},
         "cases": {},
@@ -98,7 +94,7 @@ def main(argv=None):
     for ell, n in CASES:
         runs = {"parent": [], "change": []}
         correct = {"parent": [], "change": []}
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 metrics, ok = run_once(getattr(args, side), ell, n)
