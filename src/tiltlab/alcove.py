@@ -131,7 +131,13 @@ def _parse_type(label: str):
 
 
 def build_root_system(label: str) -> RootSystemData:
-    """Roots and coroots by reflection closure from the Cartan matrix."""
+    """Positive roots and coroots by reflection closure from the Cartan matrix.
+
+    s_i permutes the positive roots other than alpha_i (Humphreys,
+    Introduction to Lie Algebras, 10.2 Lemma B), and every positive root is
+    reached from a simple root by such steps, so the closure starts at the
+    simple roots and never reflects alpha_i by s_i.
+    """
     kind, rank = _parse_type(label)
     C = cartan_matrix(kind, rank)
     n = rank
@@ -150,27 +156,24 @@ def build_root_system(label: str) -> RootSystemData:
         c2[i] -= pair_c
         return (tuple(b2), tuple(w2), tuple(c2))
 
-    seen = set()
-    queue = []
+    simple = []
     for k in range(n):
         b = tuple(1 if j == k else 0 for j in range(n))
         w = tuple(C[j][k] for j in range(n))
-        c = b
-        queue.append((b, w, c))
-    all_roots = set()
+        simple.append((b, w, b))
+    queue = list(simple)
+    found = set()
     while queue:
         triple = queue.pop()
-        if triple in all_roots:
+        if triple in found:
             continue
-        all_roots.add(triple)
+        found.add(triple)
         for i in range(n):
-            nxt = reflect(i, triple)
-            if nxt not in all_roots:
-                queue.append(nxt)
-    positive = sorted(
-        (t for t in all_roots if all(x >= 0 for x in t[0])),
-        key=lambda t: (sum(t[0]), t[0]),
-    )
+            if triple != simple[i]:
+                nxt = reflect(i, triple)
+                if nxt not in found:
+                    queue.append(nxt)
+    positive = sorted(found, key=lambda t: (sum(t[0]), t[0]))
     roots = [Root(b, w, c) for b, w, c in positive]
     expected_count, expected_h = CLASSICAL_DATA[kind]
     if len(roots) != expected_count(rank):

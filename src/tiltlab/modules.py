@@ -329,16 +329,16 @@ def _homogeneous_components(M: UModule, vec):
     return out.items()
 
 
-def _apply_block(M: UModule, gen_name, m, comp):
-    """Apply a generator to a weight-m vector; returns (m', image) or None."""
-    shift = dict(_shifts(M.field.ell))[gen_name]
+def _apply_block(M: UModule, gen_name, shift, m, comp):
+    """Apply a generator, which moves weights by shift, to a weight-m vector;
+    returns the weight-(m + shift) image, empty when it is zero."""
     rows = getattr(M, gen_name).entries
     out = {}
     for r in M.weight_blocks().get(m + shift, ()):
         acc = sum_of_products((gv, comp[c]) for c, gv in rows[r].items() if c in comp)
         if acc is not None:
             out[r] = acc
-    return (m + shift, out) if out else None
+    return out
 
 
 def submodule_generated(M: UModule, vectors, close: bool = True):
@@ -348,7 +348,17 @@ def submodule_generated(M: UModule, vectors, close: bool = True):
     Returns (S, inclusion).  With close=False the span must already be stable
     (images and kernels of intertwiners); stability is still verified when the
     induced action is computed.
+
+    The span of each weight space is kept in reduced echelon form.  A weight
+    space is full when its form holds one row per basis vector of the space;
+    the form is then the identity, every vector of that weight reduces to a
+    zero residual, and no insertion there can change the span.  So no vector
+    is inserted into a full weight space and the closure applies no generator
+    whose target weight space is full or absent: the skipped eliminations
+    would all have found a zero residual, and the span is the one that
+    elimination into every weight space finds.
     """
+    blocks = M.weight_blocks()
     echs = weight_echelons(M)
     work = []
     for vec in vectors:
@@ -358,27 +368,54 @@ def submodule_generated(M: UModule, vectors, close: bool = True):
                 raise ValueError(f"vector of length {len(vec)} does not lie in dim-{M.dim} module")
             vec = {i: v for i, v in enumerate(vec) if not v.is_zero()}
         for m, comp in _homogeneous_components(M, vec):
-            if echs[m].insert(comp) is not None:
+            ech = echs[m]
+            if len(ech.rows) < len(blocks[m]) and ech.insert(comp) is not None:
                 work.append((m, comp))
     if close:
         # worklist closure under the four ladder generators
-        queue = list(work)
+        shifts = _shifts(M.field.ell)
+        queue = work
         while queue:
             m, comp = queue.pop()
-            for name, _ in _shifts(M.field.ell):
-                res = _apply_block(M, name, m, comp)
-                if res is None:
+            for name, shift in shifts:
+                m2 = m + shift
+                ech = echs.get(m2)
+                if ech is None or len(ech.rows) == len(blocks[m2]):
                     continue
-                m2, comp2 = res
-                if echs[m2].insert(comp2) is not None:
+                comp2 = _apply_block(M, name, shift, m, comp)
+                if comp2 and ech.insert(comp2) is not None:
                     queue.append((m2, comp2))
     return _subspace_to_module(M, echs)
 
 
 def _subspace_to_module(M: UModule, echs):
+    """(S, inclusion) for the span of the per-weight echelon forms.
+
+    S's basis is the stored rows, weights descending and pivots ascending,
+    and its action holds the coefficients of each generator image in that
+    basis.  In a full weight space the form is the identity, so an image
+    there is its own coefficient vector with a zero residual and is not
+    reduced; an image in any other weight space is reduced, and a nonzero
+    residual means the span is not stable.  When every weight space is full,
+    S is M with its basis re-indexed in that order.
+    """
     field = M.field
+    blocks = M.weight_blocks()
+    order = sorted(blocks, reverse=True)
+    full = {m for m, ech in echs.items() if len(ech.rows) == len(blocks[m])}
+    if len(full) == len(blocks):
+        basis = [i for m in order for i in blocks[m]]
+        position = {i: j for j, i in enumerate(basis)}
+        mats = [
+            ExactMatrix(field, M.dim, M.dim,
+                        [{position[c]: v for c, v in g.entries[i].items()} for i in basis])
+            for g in (M.E, M.F, M.El, M.Fl)
+        ]
+        S = UModule(field, tuple(M.weights[i] for i in basis), *mats)
+        incl = ExactMatrix.from_columns(field, [{i: field.one} for i in basis], M.dim)
+        return S, UMorphism(S, M, incl)
     basis = []  # (weight, pivot, vector) in deterministic order
-    for m in sorted(echs, reverse=True):
+    for m in order:
         rows = echs[m].rows
         for pivot in sorted(rows):
             basis.append((m, pivot, rows[pivot]))
@@ -388,15 +425,17 @@ def _subspace_to_module(M: UModule, echs):
     # induced action: the coefficients of each image in the echelon basis
     mats = {name: ExactMatrix(field, sdim, sdim) for name in ("E", "F", "El", "Fl")}
     position = {pivot: j for j, (_, pivot, _) in enumerate(basis)}
+    shifts = _shifts(field.ell)
     for j, (m, _, vec) in enumerate(basis):
-        for name, shift in _shifts(field.ell):
-            res = _apply_block(M, name, m, vec)
-            if res is None:
+        for name, shift in shifts:
+            m2 = m + shift
+            if m2 not in echs:
                 continue
-            m2, comp2 = res
-            residual, coeffs = echs[m2].reduce(comp2)
-            if residual:
-                raise ValueError("subspace is not stable under the generators")
+            coeffs = _apply_block(M, name, shift, m, vec)
+            if m2 not in full:
+                residual, coeffs = echs[m2].reduce(coeffs)
+                if residual:
+                    raise ValueError("subspace is not stable under the generators")
             rows = mats[name].entries
             for pivot, c in coeffs.items():
                 rows[position[pivot]][j] = c
@@ -409,39 +448,55 @@ def quotient_module(M: UModule, phi: UMorphism):
 
     The complement and the projection are read off the per-weight reduced
     echelon form of phi's columns, which depends only on their span, so the
-    quotient is the one by the image of phi.  Returns (Q, projection) with
-    projection o phi = 0.
+    quotient is the one by the image of phi.  Once the columns fill a weight
+    space, its form is the identity: a later column of that weight reduces to
+    a zero residual and is not inserted, and every unit vector of that weight
+    reduces to zero, so its projection column is zero and is not computed.
+    When the columns fill every weight space, phi is onto and the quotient is
+    the zero module.  Returns (Q, projection) with projection o phi = 0.
     """
     if phi.target is not M:
         raise ValueError("map does not land in the module")
     field = M.field
     blocks = M.weight_blocks()
     echs = weight_echelons(M)
+    rank = 0
     for vec in phi.matrix.transpose().entries:
         parts = _homogeneous_components(M, vec)
         if len(parts) > 1:
             raise ValueError("map columns must be weight-homogeneous")
         for m, comp in parts:
-            echs[m].insert(comp)
+            ech = echs[m]
+            if len(ech.rows) < len(blocks[m]) and ech.insert(comp) is not None:
+                rank += 1
+    if rank == M.dim:
+        Q = UModule.zero_module(field)
+        return Q, UMorphism(M, Q, ExactMatrix(field, 0, M.dim))
     # complement per weight: the coordinates that are not pivots
     basis = [i for m in sorted(blocks, reverse=True) for i in blocks[m] if i not in echs[m].rows]
     qdim = len(basis)
     weights = tuple(M.weights[i] for i in basis)
-    # projection: reduce each basis vector of M, read complement coords
+    # projection: reduce each basis vector of a weight space that is not
+    # full, read complement coords
     proj = ExactMatrix(field, qdim, M.dim)
     pos = {i: r for r, i in enumerate(basis)}
-    for i, m in enumerate(M.weights):
-        residual, _ = echs[m].reduce({i: field.one})
-        for k, v in residual.items():
-            proj.entries[pos[k]][i] = v
-    # section: complement unit vectors as columns
-    sect = ExactMatrix.from_columns(field, [{i: field.one} for i in basis], M.dim)
+    for m, ech in echs.items():
+        if len(ech.rows) == len(blocks[m]):
+            continue
+        for i in blocks[m]:
+            residual, _ = ech.reduce({i: field.one})
+            for k, v in residual.items():
+                proj.entries[pos[k]][i] = v
+    # the induced action is projection o g o section, and the section's
+    # columns are the complement's unit vectors: the complement columns of
+    # projection o g
     mats = {}
     for name in ("E", "F", "El", "Fl"):
-        g = getattr(M, name)
-        if not (proj @ g @ phi.matrix).is_zero():
+        pg = proj @ getattr(M, name)
+        if not (pg @ phi.matrix).is_zero():
             raise ValueError(f"image is not stable under {name}; quotient undefined")
-        mats[name] = proj @ g @ sect
+        mats[name] = ExactMatrix(field, qdim, qdim, [
+            {pos[k]: v for k, v in row.items() if k in pos} for row in pg.entries])
     Q = UModule(field, weights, mats["E"], mats["F"], mats["El"], mats["Fl"])
     pr = UMorphism(M, Q, proj)
     if not (proj @ phi.matrix).is_zero():

@@ -10,10 +10,20 @@ from fractions import Fraction
 
 from tiltlab.alcove import _check_dominant, linkage_class
 from tiltlab.complexes import ChainComplex, _find_cancellable, _part_blocks, total_complex
-from tiltlab.cyclotomic import CertificationError
+from tiltlab.cyclotomic import CertificationError, sum_of_products
 from tiltlab.linalg import ExactMatrix, RowEchelon
 from tiltlab.minimal import _stack_from_sum, _stack_into_sum
-from tiltlab.modules import UModule, hom_space, intertwiner_equations, tensor_module, unknowns_to_matrix
+from tiltlab.modules import (
+    UModule,
+    UMorphism,
+    _homogeneous_components,
+    _shifts,
+    hom_space,
+    intertwiner_equations,
+    tensor_module,
+    unknowns_to_matrix,
+    weight_echelons,
+)
 from tiltlab.serialize import canonical_dumps
 from tiltlab.standard import (
     _complement_of_idempotent,
@@ -407,3 +417,104 @@ def filter_dot_orbit(rs, lam, p, bound):
     for c in rs.highest_coroot.coroot_coords:
         box = [(mu + (x,), rest - c * x) for mu, rest in box for x in range(rest // c + 1)]
     return [mu for mu, _ in box if linkage_class(rs, mu, p) == home]
+
+
+# ---------------------------------------------------------------------------
+# submodules and quotients by elimination into every weight space: the test
+# oracle for modules.submodule_generated and modules.quotient_module, which
+# skip the weight spaces that are already full
+
+
+def _eliminating_apply(M, gen_name, m, comp):
+    """A generator applied to a weight-m vector; (m', image) or None."""
+    shift = dict(_shifts(M.field.ell))[gen_name]
+    rows = getattr(M, gen_name).entries
+    out = {}
+    for r in M.weight_blocks().get(m + shift, ()):
+        acc = sum_of_products((gv, comp[c]) for c, gv in rows[r].items() if c in comp)
+        if acc is not None:
+            out[r] = acc
+    return (m + shift, out) if out else None
+
+
+def eliminating_submodule(M, vectors, close=True):
+    """(S, inclusion) as submodule_generated returns them: every generator
+    image is inserted into its weight space's echelon form."""
+    echs = weight_echelons(M)
+    work = []
+    for vec in vectors:
+        if not isinstance(vec, dict):
+            vec = {i: v for i, v in enumerate(vec) if not v.is_zero()}
+        for m, comp in _homogeneous_components(M, vec):
+            if echs[m].insert(comp) is not None:
+                work.append((m, comp))
+    if close:
+        queue = list(work)
+        while queue:
+            m, comp = queue.pop()
+            for name, _ in _shifts(M.field.ell):
+                res = _eliminating_apply(M, name, m, comp)
+                if res is None:
+                    continue
+                m2, comp2 = res
+                if echs[m2].insert(comp2) is not None:
+                    queue.append((m2, comp2))
+    return eliminating_subspace_module(M, echs)
+
+
+def eliminating_subspace_module(M, echs):
+    """The submodule spanned by per-weight echelon forms, every image reduced."""
+    field = M.field
+    basis = []
+    for m in sorted(echs, reverse=True):
+        rows = echs[m].rows
+        for pivot in sorted(rows):
+            basis.append((m, pivot, rows[pivot]))
+    sdim = len(basis)
+    weights = tuple(m for m, _, _ in basis)
+    incl = ExactMatrix.from_columns(field, [vec for _, _, vec in basis], M.dim)
+    mats = {name: ExactMatrix(field, sdim, sdim) for name in ("E", "F", "El", "Fl")}
+    position = {pivot: j for j, (_, pivot, _) in enumerate(basis)}
+    for j, (m, _, vec) in enumerate(basis):
+        for name, _ in _shifts(field.ell):
+            res = _eliminating_apply(M, name, m, vec)
+            if res is None:
+                continue
+            m2, comp2 = res
+            residual, coeffs = echs[m2].reduce(comp2)
+            if residual:
+                raise ValueError("subspace is not stable under the generators")
+            rows = mats[name].entries
+            for pivot, c in coeffs.items():
+                rows[position[pivot]][j] = c
+    S = UModule(field, weights, mats["E"], mats["F"], mats["El"], mats["Fl"])
+    return S, UMorphism(S, M, incl)
+
+
+def eliminating_quotient(M, phi):
+    """(Q, projection) as quotient_module returns them: every column of phi
+    inserted, every unit vector reduced, every product formed."""
+    field = M.field
+    blocks = M.weight_blocks()
+    echs = weight_echelons(M)
+    for vec in phi.matrix.transpose().entries:
+        for m, comp in _homogeneous_components(M, vec):
+            echs[m].insert(comp)
+    basis = [i for m in sorted(blocks, reverse=True) for i in blocks[m] if i not in echs[m].rows]
+    qdim = len(basis)
+    weights = tuple(M.weights[i] for i in basis)
+    proj = ExactMatrix(field, qdim, M.dim)
+    pos = {i: r for r, i in enumerate(basis)}
+    for i, m in enumerate(M.weights):
+        residual, _ = echs[m].reduce({i: field.one})
+        for k, v in residual.items():
+            proj.entries[pos[k]][i] = v
+    sect = ExactMatrix.from_columns(field, [{i: field.one} for i in basis], M.dim)
+    mats = {}
+    for name in ("E", "F", "El", "Fl"):
+        g = getattr(M, name)
+        if not (proj @ g @ phi.matrix).is_zero():
+            raise ValueError(f"image is not stable under {name}; quotient undefined")
+        mats[name] = proj @ g @ sect
+    Q = UModule(field, weights, mats["E"], mats["F"], mats["El"], mats["Fl"])
+    return Q, UMorphism(M, Q, proj)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -25,6 +26,8 @@ from tiltlab.standard import dual_weyl_module, simple_module, tilting_module, we
 
 from oracles import (
     binomial_k_operator_value,
+    eliminating_quotient,
+    eliminating_submodule,
     from_dense,
     is_intertwiner,
     kron_tensor_module,
@@ -362,6 +365,84 @@ def test_quotient_by_unstable_subspace_raises():
     S_line = UModule(F3, (3,), *(ExactMatrix.zero(F3, 1, 1) for _ in range(4)))
     with pytest.raises(ValueError, match="stable"):
         quotient_module(D, UMorphism(S_line, D, line))
+
+
+def test_close_false_refuses_a_line_sent_into_a_weight_space_that_is_not_full():
+    # the top weight space of Delta(3) is one line, so it is full, but F
+    # sends the line into the weight-1 space, which it does not reach
+    D = weyl_module(F3, 3)
+    with pytest.raises(ValueError, match="not stable"):
+        submodule_generated(D, [{0: F3.one}], close=False)
+
+
+def test_quotient_by_an_onto_map_is_zero():
+    for M in (weyl_module(F3, 3), tensor_module(tilting_module(F3, 2), simple_module(F3, 2))):
+        _, everything = submodule_generated(M, [{i: F3.one} for i in range(M.dim)])
+        for phi in (UMorphism.identity(M), everything):
+            Q, proj = quotient_module(M, phi)
+            assert Q.dim == 0
+            assert proj.matrix.shape == (0, M.dim)
+            assert (proj.matrix @ phi.matrix).is_zero()
+
+
+def _assert_same_submodule(got, want):
+    (S, incl), (S0, incl0) = got, want
+    assert module_text(S) == module_text(S0)
+    assert incl.matrix == incl0.matrix
+
+
+def _assert_same_quotient(M, phi):
+    Q, proj = quotient_module(M, phi)
+    Q0, proj0 = eliminating_quotient(M, phi)
+    assert module_text(Q) == module_text(Q0)
+    assert proj.matrix == proj0.matrix
+    return Q.dim
+
+
+def _seeded_vectors(field, dim, rng, sizes):
+    for size in sizes:
+        idx = rng.sample(range(dim), min(size, dim))
+        yield {i: field.scalar(rng.choice((-2, -1, 1, 2))) for i in idx}
+
+
+def test_submodules_and_quotients_match_elimination_into_every_weight_space():
+    rng = random.Random(27)
+    builders = (weyl_module, simple_module, tilting_module)
+    kinds = {"whole": 0, "proper": 0, "zero": 0}
+    cases = [
+        (F3, [(b, n) for b in builders for n in (1, 2)], (0, 1, 2, 3)),
+        (F5, [(weyl_module, 3), (simple_module, 6), (tilting_module, 5), (tilting_module, 7)], (1, 2, 3)),
+    ]
+    for field, factors, sizes in cases:
+        for (b1, n1), (b2, n2) in itertools.product(factors, repeat=2):
+            B = tensor_module(b1(field, n1), b2(field, n2))
+            for vec in _seeded_vectors(field, B.dim, rng, sizes):
+                got = submodule_generated(B, [vec])
+                _assert_same_submodule(got, eliminating_submodule(B, [vec]))
+                A, incl = got
+                _assert_same_quotient(B, incl)
+                kinds["zero" if A.dim == 0 else "whole" if A.dim == B.dim else "proper"] += 1
+    assert all(kinds.values()), kinds
+
+
+def test_kernels_and_images_of_hom_maps_match_elimination():
+    pairs = [
+        (F3, weyl_module(F3, 3), dual_weyl_module(F3, 3)),
+        (F3, tilting_module(F3, 4), tilting_module(F3, 4)),
+        (F3, weyl_module(F3, 4), tilting_module(F3, 4)),
+        (F5, weyl_module(F5, 7), dual_weyl_module(F5, 7)),
+        (F5, tilting_module(F5, 6), tilting_module(F5, 6)),
+    ]
+    for field, M, N in pairs:
+        homs = hom_space(M, N)
+        assert homs
+        for h in homs:
+            kernel_vectors = h.matrix.kernel().transpose().entries
+            _assert_same_submodule(kernel_module(h),
+                                   eliminating_submodule(M, kernel_vectors, close=False))
+            _assert_same_submodule(image_module(h),
+                                   eliminating_submodule(N, h.matrix.transpose().entries, close=False))
+            _assert_same_quotient(N, h)
 
 
 def test_submodule_vector_length_validated():
