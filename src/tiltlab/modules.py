@@ -452,26 +452,21 @@ def quotient_module(M: UModule, phi: UMorphism):
     space, its form is the identity: a later column of that weight reduces to
     a zero residual and is not inserted, and every unit vector of that weight
     reduces to zero, so its projection column is zero and is not computed.
-    When the columns fill every weight space, phi is onto and the quotient is
-    the zero module.  Returns (Q, projection) with projection o phi = 0.
+    Returns (Q, projection) with projection o phi = 0.
     """
     if phi.target is not M:
         raise ValueError("map does not land in the module")
     field = M.field
     blocks = M.weight_blocks()
     echs = weight_echelons(M)
-    rank = 0
     for vec in phi.matrix.transpose().entries:
         parts = _homogeneous_components(M, vec)
         if len(parts) > 1:
             raise ValueError("map columns must be weight-homogeneous")
         for m, comp in parts:
             ech = echs[m]
-            if len(ech.rows) < len(blocks[m]) and ech.insert(comp) is not None:
-                rank += 1
-    if rank == M.dim:
-        Q = UModule.zero_module(field)
-        return Q, UMorphism(M, Q, ExactMatrix(field, 0, M.dim))
+            if len(ech.rows) < len(blocks[m]):
+                ech.insert(comp)
     # complement per weight: the coordinates that are not pivots
     basis = [i for m in sorted(blocks, reverse=True) for i in blocks[m] if i not in echs[m].rows]
     qdim = len(basis)

@@ -381,6 +381,7 @@ def test_quotient_by_an_onto_map_is_zero():
         for phi in (UMorphism.identity(M), everything):
             Q, proj = quotient_module(M, phi)
             assert Q.dim == 0
+            assert module_text(Q) == module_text(UModule.zero_module(F3))
             assert proj.matrix.shape == (0, M.dim)
             assert (proj.matrix @ phi.matrix).is_zero()
 
