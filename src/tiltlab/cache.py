@@ -10,6 +10,13 @@ their key names (`_check_named_module`), and label tables with a negative
 label or whose Euler character is not ch M are rebuilt with a warning, never
 trusted.
 
+Module files and label tables share one version, so a bump orphans both.  A
+label table is addressed by its module's content, so a new basis of T(n)
+already changes the key of each table it reaches, and a bump orphans the
+tables that did not change as well.  The version is bumped only when the
+bytes of a module file or of an entry's format change; a new split of a
+tilting module into Parts writes neither and keeps it.
+
 A `CacheDir` keeps in memory every label table it has stored, or has read
 and validated, so a C_min lookup asks this directory's memory first, then
 its file, validated once, and only then builds and stores the table.  Each

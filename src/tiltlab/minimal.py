@@ -34,8 +34,9 @@ selection.
 Every grid term is a sum of T(mu) with known parts, so maps between them are
 solved over the cached bases of Hom(T(a), T(b)) (standard.tilting_hom_basis):
 a cover component is dropped when it lies in the span of the other
-components composed with those bases, and the maps of the staircase solve
-only for coefficients in them.
+components composed with those bases (standard._prune_factoring, which
+splits a tilting module too), and the maps of the staircase solve only for
+coefficients in them.
 """
 
 from __future__ import annotations
@@ -52,6 +53,9 @@ from tiltlab.modules import (
     quotient_module,
 )
 from tiltlab.standard import (
+    _flatten,
+    _prune_factoring,
+    _stack_maps,
     composition_multiplicities,
     decompose_tilting_character,
     has_nabla_flag,
@@ -88,13 +92,7 @@ def _stack_from_sum(field, component_homs, target):
     """Build sum of sources -> M from maps h_i: T_i -> M; returns (P, surj, parts)."""
     labeled = [(("T", mu), h.source) for mu, h in component_homs]
     P, parts = labeled_direct_sum(field, labeled)
-    mat = ExactMatrix(field, target.dim, P.dim)
-    off = 0
-    for _, h in component_homs:
-        for row, hrow in zip(mat.entries, h.matrix.entries):
-            row.update((off + c, v) for c, v in hrow.items())
-        off += h.source.dim
-    return P, UMorphism(P, target, mat), parts
+    return P, UMorphism(P, target, _stack_maps(field, [h for _, h in component_homs], target.dim)), parts
 
 
 def _greedy_embedding(components, M):
@@ -203,46 +201,6 @@ def _is_onto(components, M):
             if ech.insert(col) is not None and len(ech.rows) == M.dim:
                 return True
     return False
-
-
-def _flatten(mat: ExactMatrix):
-    """The entries of a matrix as one sparse vector, entry (r, c) at r * cols + c."""
-    n = mat.cols
-    return {r * n + c: v for r, row in enumerate(mat.entries) for c, v in row.items()}
-
-
-def _prune_factoring(field, components, M):
-    """Drop cover components that factor through the remaining ones.
-
-    h_i: T(mu_i) -> M factors through the other kept components exactly when
-    it lies in the span of the h_j o phi, phi in the basis of
-    Hom(T(mu_i), T(mu_j)) (a right approximation is minimal once no
-    component does; Auslander-Smalo 1980).  Components are tested from the
-    largest source down, each against the components still kept.
-    """
-    kept = list(components)
-    order = sorted(
-        range(len(kept)), key=lambda i: kept[i][1].source.dim, reverse=True
-    )
-    composites = {}  # (j, mu) -> the h_j o phi over the basis of Hom(T(mu), T(mu_j))
-    for i in order:
-        mu_i, h_i = kept[i]
-        ech = RowEchelon(field)
-        for j, comp in enumerate(kept):
-            if j == i or comp is None:
-                continue
-            vecs = composites.get((j, mu_i))
-            if vecs is None:
-                mu_j, h_j = comp
-                vecs = [_flatten(h_j.matrix @ phi.matrix)
-                        for phi in tilting_hom_basis(field, mu_i, mu_j)]
-                composites[(j, mu_i)] = vecs
-            for vec in vecs:
-                ech.insert(vec)
-        residual, _ = ech.reduce(_flatten(h_i.matrix))
-        if not residual:
-            kept[i] = None
-    return [c for c in kept if c is not None]
 
 
 def _coresolution(M: UModule):

@@ -16,13 +16,13 @@ Each count is taken once per module and kept on it.
 
 Krull-Schmidt decomposition of a tilting module reads its summand labels off
 the closed-form character (tilting characters are unitriangular) and splits
-each predicted T(n) off by the split-pair test: C splits off M as soon as
-some composite M -> C -> M ... C -> M -> C is invertible, which for C with
-local endomorphism ring is detected by a nonzero trace.  split_if_tilting(M)
-is that split when is_tilting(M) and None otherwise, so a predicted summand
-that does not split there is an internal fault (CertificationError).  A
-glued T(n) is certified by its character and its flag counts, since a
-tilting module is determined by its character.
+M by its minimal tilting cover, with no search: the maps T(mu) -> M, mu a
+label, pruned of those that factor through the rest, are the inclusions of
+the parts, and one inverse of their sum gives every projection.
+split_if_tilting(M) is that split when is_tilting(M) and None otherwise, so
+a cover that does not split M there is an internal fault
+(CertificationError).  A glued T(n) is certified by its character and its
+flag counts, since a tilting module is determined by its character.
 
 Hom(T(a), T(b)) is solved once per (ell, a, b) (tilting_hom_basis) and its
 dimension certified against sum_c (T(a):Delta(c)) (T(b):Nabla(c)).
@@ -34,8 +34,10 @@ top-down subtraction that reads tilting labels (composition_multiplicities).
 
 from __future__ import annotations
 
+from collections import Counter
+
 from tiltlab.characters import Character, decompose_into_weyl, is_nonneg_weyl_sum, weyl_character
-from tiltlab.cyclotomic import CertificationError, CycloField, sum_of_products
+from tiltlab.cyclotomic import CertificationError, CycloField
 from tiltlab.linalg import ExactMatrix, RowEchelon
 from tiltlab.modules import (
     UModule,
@@ -44,7 +46,6 @@ from tiltlab.modules import (
     dual_module,
     frobenius_twist,
     hom_space,
-    kernel_module,
     quotient_module,
     submodule_generated,
     tensor_module,
@@ -117,19 +118,10 @@ def simple_module(field: CycloField, n: int) -> UModule:
 # splitting machinery
 
 
-def _trace_of_product(a: ExactMatrix, b: ExactMatrix):
-    """tr(a b) = sum of a[i, j] b[j, i] over the nonzero entries."""
-    brows = b.entries
-    acc = sum_of_products((x, brows[j][i]) for i, arow in enumerate(a.entries)
-                          for j, x in arow.items() if i in brows[j])
-    return a.field.zero if acc is None else acc
-
-
 class NonSplitError(ArithmeticError):
-    """A tilting summand that the character predicts does not split off.
-
-    Raised when ch M is a sum of tilting characters but M is not the
-    matching sum of T(n), so M is not tilting; reported, never guessed.
+    """A module whose character is a sum of tilting characters but which is
+    not the matching sum of T(n), so it is not tilting; reported, never
+    guessed.
     """
 
 
@@ -146,75 +138,112 @@ class Part:
         return f"Part({self.label}, dim={self.module.dim})"
 
 
-def _split_pair(R: UModule, C: UModule):
-    """Find phi: C -> R, psi: R -> C with psi o phi = id_C, or None.
+def _flatten(mat: ExactMatrix):
+    """The entries of a matrix as one sparse vector, entry (r, c) at r * cols + c."""
+    n = mat.cols
+    return {r * n + c: v for r, row in enumerate(mat.entries) for c, v in row.items()}
 
-    Valid when End(C) is local and split: the composite g o f is invertible
-    iff its trace is nonzero, and the trace pairing is bilinear, so scanning
-    basis pairs is exhaustive.
+
+def _prune_factoring(field, components, M):
+    """Drop cover components that factor through the remaining ones.
+
+    h_i: T(mu_i) -> M factors through the other kept components exactly when
+    it lies in the span of the h_j o phi, phi in the basis of
+    Hom(T(mu_i), T(mu_j)) (a right approximation is minimal once no
+    component does; Auslander-Smalo 1980).  Components are tested from the
+    largest source down, each against the components still kept.
     """
-    if C.dim == 0 or R.dim < C.dim:
-        return None
-    homs_in = hom_space(C, R)
-    if not homs_in:
-        return None
-    homs_out = homs_in if R is C else hom_space(R, C)
-    if not homs_out:
-        return None
-    for f in homs_in:
-        for g in homs_out:
-            if not _trace_of_product(g.matrix, f.matrix).is_zero():
-                gf = g.matrix @ f.matrix
-                try:
-                    inv = gf.inverse()
-                except ZeroDivisionError:  # g o f is singular
-                    continue
-                return f, UMorphism(R, C, inv @ g.matrix)
-    return None
+    kept = list(components)
+    order = sorted(range(len(kept)), key=lambda i: kept[i][1].source.dim, reverse=True)
+    composites = {}  # (j, mu) -> the h_j o phi over the basis of Hom(T(mu), T(mu_j))
+    for i in order:
+        mu_i, h_i = kept[i]
+        ech = RowEchelon(field)
+        for j, comp in enumerate(kept):
+            if j == i or comp is None:
+                continue
+            vecs = composites.get((j, mu_i))
+            if vecs is None:
+                mu_j, h_j = comp
+                vecs = [_flatten(h_j.matrix @ phi.matrix)
+                        for phi in tilting_hom_basis(field, mu_i, mu_j)]
+                composites[(j, mu_i)] = vecs
+            for vec in vecs:
+                ech.insert(vec)
+        residual, _ = ech.reduce(_flatten(h_i.matrix))
+        if not residual:
+            kept[i] = None
+    return [c for c in kept if c is not None]
 
 
-def _complement_of_idempotent(R: UModule, e_mat: ExactMatrix):
-    """Kernel of an idempotent endomorphism, with inclusion and retraction."""
-    field = R.field
-    K, incl = kernel_module(UMorphism(R, R, e_mat))
-    # retraction: x -> coordinates of (1 - e)x in the kernel basis
-    one_minus = ExactMatrix.identity(field, R.dim) - e_mat
-    sol = incl.matrix.solve(one_minus)
-    if sol is None:
-        raise CertificationError("idempotent complement failed to solve")
-    retr = UMorphism(R, K, sol)
-    return K, incl, retr
+def _stack_maps(field, maps, target_dim: int) -> ExactMatrix:
+    """The matrix of the sum of sources -> target of maps h_i into one
+    target: the columns of each h_i, after those of the maps before it."""
+    mat = ExactMatrix(field, target_dim, sum(h.source.dim for h in maps))
+    off = 0
+    for h in maps:
+        for row, hrow in zip(mat.entries, h.matrix.entries):
+            row.update((off + c, v) for c, v in hrow.items())
+        off += h.source.dim
+    return mat
 
 
 def decompose_indecomposables(M: UModule):
     """Krull-Schmidt decomposition of a tilting module into parts T(n), with
-    witness inclusions and projections.
+    witness inclusions and projections, read off its minimal tilting cover.
 
-    The labels are read off ch M (decompose_tilting_character) and each is
-    split, top down with multiplicity, against the canonical tilting_module;
-    a character that is not a sum of tilting characters raises ValueError, a
-    module whose predicted summands do not split raises NonSplitError.
+    The labels S are read off ch M (decompose_tilting_character; a character
+    that is no sum of tilting characters raises ValueError).  For each mu in
+    S, descending, Hom(T(mu), M) is solved once and its dimension checked
+    against tilting_hom_dimension with the Nabla-multiplicities of ch M.  The
+    components over those bases are pruned (_prune_factoring), the kept
+    labels must be those of ch M, and the kept h_i, stacked into one map
+    h: P = sum_i T(mu_i) -> M, must be invertible.  Part i is T(mu_i) with
+    inclusion h_i and projection block i of the rows of h^-1.  A failed check
+    raises NonSplitError; what passes is a decomposition, as h is invertible.
+
+    Proof that a tilting M passes.  M is Nabla-filtered, so each dimension is
+    the formula's.
+      1. h is a right add(T_S)-approximation: each map T(mu) -> M, mu in S,
+         is a sum of components, and a component is dropped only when it is
+         a sum of h_j o phi over components then kept, each of which is kept
+         or is such a sum itself.  M is in add(T_S), so id_M factors through
+         h: h is split onto, and K = ker h is a summand of P.
+      2. h is right minimal (Auslander-Smalo, J. Algebra 66, 1980): K = 0.
+         Otherwise K has a summand T(nu), with kappa: T(nu) -> P, rho:
+         P -> T(nu), rho kappa = 1 and h kappa = 0.  With kappa_i, rho_i the
+         blocks at T(mu_i), 1 = sum_i rho_i kappa_i in the local ring
+         End(T(nu)), so some rho_i kappa_i is a unit, and kappa_i, split into
+         the indecomposable T(mu_i), is an isomorphism.  Then h kappa = 0
+         gives h_i = -sum_(j != i) h_j kappa_j kappa_i^-1, a sum of h_j o phi,
+         so h_i was dropped: it was tested against a superset of the kept.
+    So h is an isomorphism (a right minimal approximation of a module in
+    add(T) is one; Ringel, Math. Z. 208, 1991), and the kept labels are S.
     """
     field = M.field
     labels = decompose_tilting_character(field, M.character)
-    R, incl, proj = M, UMorphism.identity(M), UMorphism.identity(M)
-    parts = []
+    nabla = decompose_into_weyl(M.character)
+    components = []
     for mu in sorted(labels, reverse=True):
-        C = tilting_module(field, mu)
-        for _ in range(labels[mu]):
-            split = _split_pair(R, C)
-            if split is None:
-                raise NonSplitError(f"T({mu}) is predicted by the character but does not split off (dim {R.dim})")
-            phi, psi = split
-            parts.append(Part(("T", mu), C, incl.compose(phi), psi.compose(proj)))
-            if R.dim == C.dim:
-                # phi is an isomorphism: this was the last label
-                R = UModule.zero_module(field)
-                continue
-            R, kincl, kretr = _complement_of_idempotent(R, phi.matrix @ psi.matrix)
-            incl, proj = incl.compose(kincl), kretr.compose(proj)
-    if R.dim:
-        raise CertificationError("decomposition lost dimensions")
+        homs = hom_space(tilting_module(field, mu), M)
+        expected = tilting_hom_dimension(field, mu, nabla)
+        if len(homs) != expected:
+            raise NonSplitError(f"Hom(T({mu}), M) has dimension {len(homs)}, not {expected}")
+        components += [(mu, h) for h in homs]
+    kept = _prune_factoring(field, components, M)
+    kept_labels = Counter(mu for mu, _ in kept)
+    if kept_labels != labels:
+        raise NonSplitError(f"the minimal tilting cover has labels {dict(kept_labels)}, not {labels}")
+    try:
+        inverse = _stack_maps(field, [h for _, h in kept], M.dim).inverse()
+    except ZeroDivisionError as exc:
+        raise NonSplitError(f"the minimal tilting cover of a dim-{M.dim} module is singular") from exc
+    parts, off = [], 0
+    for mu, h in kept:
+        d = h.source.dim
+        proj = ExactMatrix(field, d, M.dim, inverse.entries[off:off + d])
+        parts.append(Part(("T", mu), h.source, h, UMorphism(M, h.source, proj)))
+        off += d
     return parts
 
 

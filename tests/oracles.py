@@ -20,18 +20,13 @@ from tiltlab.modules import (
     _shifts,
     hom_space,
     intertwiner_equations,
+    kernel_module,
     tensor_module,
     unknowns_to_matrix,
     weight_echelons,
 )
 from tiltlab.serialize import canonical_dumps
-from tiltlab.standard import (
-    _complement_of_idempotent,
-    _split_pair,
-    _trace_of_product,
-    tilting_module,
-    weyl_module,
-)
+from tiltlab.standard import tilting_module, weyl_module
 
 _peeled_tilting_cache = {}
 
@@ -116,6 +111,47 @@ def embed_full_window(M):
     raise CertificationError(f"the maps into T(mu), mu <= {bound}, do not embed a dim-{M.dim} module")
 
 
+def _trace_of_product(a: ExactMatrix, b: ExactMatrix):
+    """tr(a b) = sum of a[i, j] b[j, i] over the nonzero entries."""
+    brows = b.entries
+    acc = sum_of_products((x, brows[j][i]) for i, arow in enumerate(a.entries)
+                          for j, x in arow.items() if i in brows[j])
+    return a.field.zero if acc is None else acc
+
+
+def _split_pair(R, C):
+    """Find phi: C -> R, psi: R -> C with psi o phi = id_C, or None.
+
+    Valid when End(C) is local and split: the composite g o f is invertible
+    iff its trace is nonzero, and the trace pairing is bilinear, so scanning
+    basis pairs is exhaustive.
+    """
+    if C.dim == 0 or R.dim < C.dim:
+        return None
+    homs_in = hom_space(C, R)
+    if not homs_in:
+        return None
+    homs_out = homs_in if R is C else hom_space(R, C)
+    if not homs_out:
+        return None
+    for f in homs_in:
+        for g in homs_out:
+            if not _trace_of_product(g.matrix, f.matrix).is_zero():
+                gf = g.matrix @ f.matrix
+                try:
+                    inv = gf.inverse()
+                except ZeroDivisionError:  # g o f is singular
+                    continue
+                return f, UMorphism(R, C, inv @ g.matrix)
+    return None
+
+
+def _complement_of_idempotent(R, e_mat: ExactMatrix):
+    """Kernel of an idempotent endomorphism of R, as a module."""
+    K, _ = kernel_module(UMorphism(R, R, e_mat))
+    return K
+
+
 def search_peel(M, below):
     """Split T(mu), mu < below, off M by search: try every weight of what is
     left from the top down, and start over after each split.
@@ -132,7 +168,7 @@ def search_peel(M, below):
             split = _split_pair(R, peeled_tilting_module(field, mu))
             if split is not None:
                 phi, psi = split
-                R, _, _ = _complement_of_idempotent(R, phi.matrix @ psi.matrix)
+                R = _complement_of_idempotent(R, phi.matrix @ psi.matrix)
                 labels.append(mu)
                 break
         else:

@@ -22,7 +22,14 @@ first diverges at such a draw.  Every case of both still passes.
 The witnesses of decompose_indecomposables are pinned too: the labels of the
 Parts, in order, with their inclusion and projection matrices.  minimalize
 cancels through these maps, so a reorder or basis change of the split must
-fail here before it can move a complex or CLI digest.
+fail here before it can move a complex or CLI digest.  They were re-pinned
+when the split became the minimal tilting cover: each inclusion is now a
+basis element of Hom(T(mu), M) and each projection a block of one inverse,
+where the split-pair search found every part after the first inside a
+complement.  Only the two tensor products with more than one part moved,
+T(3) x T(3) at ell 3 and T(4) x T(2) at ell 5; the parts of the direct sums,
+whose complements were coordinate ones, and every complex and CLI digest
+stayed the same.
 """
 
 import hashlib
@@ -190,11 +197,11 @@ PART_CASES = {
     ),
     "T(3) x T(3), ell 3": (
         lambda: tensor_module(_tilting(3, 3), _tilting(3, 3)),
-        "6835e6f4da183ae03727c062209189f9865a64c1cd2badc6aa1521fc0945995c",
+        "ee2e4657a22394a672fc8d1a251ae4e4b179929a99697792b5e807105e402b5f",
     ),
     "T(4) x T(2), ell 5": (
         lambda: tensor_module(_tilting(5, 4), _tilting(5, 2)),
-        "d98568721a7e0528ca346b05c98f8b2549324280fbeb15249abe3ee1e22b3517",
+        "cb1d991362bcbd14a16b296ab5c7927a52c3a43a2016757269313e727d2830b2",
     ),
     "T(6) + T(2), ell 5": (
         lambda: direct_sum(_tilting(5, 6), _tilting(5, 2)),

@@ -54,6 +54,7 @@ def test_tilting_inputs_are_one_term_complexes():
 def test_tilting_inputs_peel_no_flag(monkeypatch):
     """The short path counts primitive vectors: it peels no flag and splits
     no summand."""
+    import tiltlab.complexes
     import tiltlab.minimal
     import tiltlab.standard
 
@@ -64,7 +65,8 @@ def test_tilting_inputs_peel_no_flag(monkeypatch):
               tensor_module(tilting_module(F3, 2), tilting_module(F3, 1)))
     monkeypatch.setattr(tiltlab.minimal, "_cmin_cache", {})
     monkeypatch.setattr(tiltlab.standard, "peel_standard_filtration", refuse)
-    monkeypatch.setattr(tiltlab.standard, "_split_pair", refuse)
+    monkeypatch.setattr(tiltlab.standard, "decompose_indecomposables", refuse)
+    monkeypatch.setattr(tiltlab.complexes, "decompose_indecomposables", refuse)
     assert minimal_tilting_complex(inputs[0]).label_table() == {0: [2, 4]}
     assert minimal_tilting_complex(inputs[1]).label_table() == {0: [3]}
 

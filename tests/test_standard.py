@@ -128,16 +128,25 @@ def test_decomposition_witnesses_are_orthogonal_idempotents():
     (7, lambda F: tilting_module(F, 8)),
     (3, lambda F: direct_sum(tilting_module(F, 5), tilting_module(F, 3), tilting_module(F, 3))),
     (3, lambda F: tensor_module(tilting_module(F, 3), tilting_module(F, 3))),
-], ids=["T(8) ell 7", "T(5)+T(3)+T(3) ell 3", "T(3)xT(3) ell 3"])
+    (5, lambda F: tensor_module(tilting_module(F, 4), tilting_module(F, 2))),
+    (3, lambda F: direct_sum(tilting_module(F, 3), tilting_module(F, 3), tilting_module(F, 1))),
+    (5, lambda F: direct_sum(tilting_module(F, 5), tilting_module(F, 5), tilting_module(F, 3))),
+], ids=["T(8) ell 7", "T(5)+T(3)+T(3) ell 3", "T(3)xT(3) ell 3", "T(4)xT(2) ell 5",
+        "T(3)+T(3)+T(1) ell 3", "T(5)+T(5)+T(3) ell 5"])
 def test_split_parts_resolve_the_identity(ell, build):
-    """sum_i incl_i o proj_i = id_M and proj_i o incl_j = delta_ij id."""
+    """sum_i incl_i o proj_i = id_M and proj_i o incl_j = delta_ij id; every
+    witness is a module map, and every part is the canonical T(mu)."""
     from tiltlab.linalg import ExactMatrix
+    from tiltlab.minimal import _intertwines
 
     F = CycloField(ell)
     M = build(F)
     parts = decompose_indecomposables(M)
     total = ExactMatrix.zero(F, M.dim, M.dim)
     for i, p in enumerate(parts):
+        assert p.module is tilting_module(F, p.label[1])
+        assert _intertwines(p.inclusion.matrix, p.module, M)
+        assert _intertwines(p.projection.matrix, M, p.module)
         total = total + p.inclusion.matrix @ p.projection.matrix
         for j, q in enumerate(parts):
             comp = p.projection.matrix @ q.inclusion.matrix
@@ -161,11 +170,13 @@ def test_non_tilting_decomposition_labels():
     # ch(Delta(3) + L(3)) is no sum of tilting characters
     with pytest.raises(ValueError):
         decompose_indecomposables(direct_sum(weyl_module(F3, 3), simple_module(F3, 3)))
-    # Delta(3) + Delta(1) has the character of T(3) but T(3) does not split off
-    M = direct_sum(weyl_module(F3, 3), weyl_module(F3, 1))
-    assert M.character == tilting_character(F3, 3)
-    with pytest.raises(NonSplitError):
-        decompose_indecomposables(M)
+    # Delta(3) + Delta(1) and Nabla(3) + Nabla(1) have the character of T(3)
+    # but T(3) does not split off: the pruned cover keeps two maps T(3) -> M
+    for M in (direct_sum(weyl_module(F3, 3), weyl_module(F3, 1)),
+              direct_sum(dual_weyl_module(F3, 3), dual_weyl_module(F3, 1))):
+        assert M.character == tilting_character(F3, 3)
+        with pytest.raises(NonSplitError, match="labels"):
+            decompose_indecomposables(M)
 
 
 def test_end_local_for_tiltings():
@@ -275,19 +286,29 @@ def test_tilting_parts_lets_certification_errors_through(monkeypatch):
         raise CertificationError("broken split")
 
     T = tilting_module(F3, 3)
-    monkeypatch.setattr(tiltlab.standard, "_split_pair", broken)
-    with pytest.raises(CertificationError):
+    monkeypatch.setattr(tiltlab.standard, "_prune_factoring", broken)
+    # passed through as it is, not turned into a refusal to split
+    with pytest.raises(CertificationError, match="broken split"):
         split_if_tilting(T)
 
 
 def test_tilting_parts_raises_when_a_predicted_summand_does_not_split(monkeypatch):
     import tiltlab.standard
 
+    prune = tiltlab.standard._prune_factoring
     T = tilting_module(F3, 3)
     not_tilting = direct_sum(weyl_module(F3, 3), weyl_module(F3, 1))
-    monkeypatch.setattr(tiltlab.standard, "_split_pair", lambda R, C: None)
-    with pytest.raises(CertificationError, match="does not split"):
-        split_if_tilting(T)
+    # a cover that lost a component has labels other than those of ch M
+    with monkeypatch.context() as m:
+        m.setattr(tiltlab.standard, "_prune_factoring", lambda *args: prune(*args)[:-1])
+        with pytest.raises(CertificationError, match="does not split: .* labels"):
+            split_if_tilting(T)
+    # a component repeated in place of another of the same label keeps the
+    # labels, but the stacked cover is singular
+    with monkeypatch.context() as m:
+        m.setattr(tiltlab.standard, "_prune_factoring", lambda *args: prune(*args)[:1] * 2)
+        with pytest.raises(CertificationError, match="does not split: .* singular"):
+            split_if_tilting(direct_sum(T, T))
     # the counts reject a module that is not tilting before any split
     assert split_if_tilting(not_tilting) is None
 
