@@ -123,8 +123,7 @@ def test_decomposition_witnesses_are_orthogonal_idempotents():
 
 
 @pytest.mark.parametrize("ell, build", [
-    # M is the cached T(8) itself, so the split solves End(T(8)) once and
-    # leaves the zero module
+    # M is the cached T(8) itself: its one part is T(8) with the identity
     (7, lambda F: tilting_module(F, 8)),
     (3, lambda F: direct_sum(tilting_module(F, 5), tilting_module(F, 3), tilting_module(F, 3))),
     (3, lambda F: tensor_module(tilting_module(F, 3), tilting_module(F, 3))),
