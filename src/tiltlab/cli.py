@@ -3,9 +3,9 @@
 Subcommands: cmin, ideals, verify, alcove.  All output is single-object JSON
 on stdout (canonical key order, no timestamps), so identical configuration
 and seed give byte-identical reports.  Exit codes: 0 pass, 1 suite failure,
-2 resource, window or input errors (a stdout closed by its reader, an ideal
-window too small for its labels and a step cap of the C_min construction
-included), 3 an internal result that failed its exact check (a program
+2 resource, window or input errors (a stdout closed by its reader, a path
+that cannot be opened, an ideal window too small for its labels and a step
+cap of the C_min construction included), 3 an internal result that failed its exact check (a program
 fault, such as an embedding missing from its exact window; nothing is
 printed on stdout).
 """
@@ -306,6 +306,10 @@ def main(argv=None):
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         print("error: stdout was closed before the report was written", file=sys.stderr)
+        return EXIT_RESOURCE
+    except OSError as exc:
+        # an --output, --config or --cache path that cannot be opened
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (WindowError, WindowOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -33,10 +33,10 @@ selection.
 
 Every grid term is a sum of T(mu) with known parts, so maps between them are
 solved over the cached bases of Hom(T(a), T(b)) (standard.tilting_hom_basis):
-a cover component is dropped when it lies in the span of the other
-components composed with those bases (standard._prune_factoring, which
-splits a tilting module too), and the maps of the staircase solve only for
-coefficients in them.
+the cover is standard.minimal_tilting_cover, whose prune, shared with the
+split of a tilting module, drops a component that lies in the span of the
+other components composed with those bases, and the maps of the staircase
+solve only for coefficients in them.
 """
 
 from __future__ import annotations
@@ -54,17 +54,16 @@ from tiltlab.modules import (
 )
 from tiltlab.standard import (
     _flatten,
-    _prune_factoring,
     _stack_maps,
     composition_multiplicities,
     decompose_tilting_character,
     has_nabla_flag,
     is_tilting,
     label_table_character,
+    minimal_tilting_cover,
     split_if_tilting,
     tilting_character,
     tilting_hom_basis,
-    tilting_hom_dimension,
     tilting_module,
     tilting_socle,
 )
@@ -163,44 +162,21 @@ def embed_into_tilting(M: UModule):
 
 
 def cover_by_tilting(M: UModule):
-    """Surjection onto M from a labeled direct sum of T(mu); M must be
-    Nabla-filtered, as the coresolution's tail and every cover kernel are.
-
-    The bases of Hom(T(mu), M), mu in S(M) = {c : (M:Nabla(c)) > 0}, give a
-    right add(T)-approximation P -> M with Nabla-filtered kernel (Ringel,
-    Math. Z. 208, 1991; Auslander-Reiten, Adv. Math. 86, 1991): a map
-    Delta(c) -> M extends along Delta(c) -> T(c), whose cokernel is
-    Delta-filtered, so Hom(Delta(c), P) -> Hom(Delta(c), M) is onto, and
-    P -> M is onto by induction along a Nabla-flag.  A solved dimension other
-    than `tilting_hom_dimension`, or a cover that is not onto, raises
-    CertificationError.  The prune keeps the approximation.
+    """Surjection onto M from a labeled direct sum of T(mu): the minimal
+    tilting cover of M over S(M) = {c : (M:Nabla(c)) > 0}
+    (standard.minimal_tilting_cover, where the proofs are).  M must be
+    Nabla-filtered, as the coresolution's tail and every cover kernel are; a
+    solved dimension other than `tilting_hom_dimension`, or a cover that is
+    not onto, raises CertificationError.
     """
     field = M.field
     if M.dim == 0:
         raise ValueError("cannot cover the zero module")
     mults = {c: m for c, m in decompose_into_weyl(M.character).items() if m > 0}
-    components = []
-    for mu in sorted(mults, reverse=True):
-        homs = hom_space(tilting_module(field, mu), M)
-        expected = tilting_hom_dimension(field, mu, mults)
-        if len(homs) != expected:
-            raise CertificationError(f"Hom(T({mu}), M) has dimension {len(homs)}, not {expected}")
-        components += [(mu, h) for h in homs]
-    if not _is_onto(components, M):
+    P, surj, parts = _stack_from_sum(field, minimal_tilting_cover(M, mults, mults), M)
+    if surj.matrix.rank() != M.dim:
         raise CertificationError(f"the tilting cover of a dim-{M.dim} module is not onto")
-    components = _prune_factoring(field, components, M)
-    return _stack_from_sum(field, components, M)
-
-
-def _is_onto(components, M):
-    """Whether the images of the maps h: T -> M span M; the columns are
-    inserted into one echelon form until its rank reaches dim M."""
-    ech = RowEchelon(M.field)
-    for _, h in components:
-        for col in h.matrix.transpose().entries:
-            if ech.insert(col) is not None and len(ech.rows) == M.dim:
-                return True
-    return False
+    return P, surj, parts
 
 
 def _coresolution(M: UModule):

@@ -14,18 +14,19 @@ same count on the dual holds, read off the same weight blocks without
 building the dual.  Neither flag is peeled and nothing is split to decide.
 Each count is taken once per module and kept on it.
 
-Krull-Schmidt decomposition of a tilting module reads its summand labels off
-the closed-form character (tilting characters are unitriangular) and splits
-M by its minimal tilting cover, with no search: the maps T(mu) -> M, mu a
-label, pruned of those that factor through the rest, are the inclusions of
-the parts, and one inverse of their sum gives every projection.
-split_if_tilting(M) is that split when is_tilting(M) and None otherwise, so
-a cover that does not split M there is an internal fault
-(CertificationError).  A glued T(n) is certified by its character and its
-flag counts, since a tilting module is determined by its character.
-
-Hom(T(a), T(b)) is solved once per (ell, a, b) (tilting_hom_basis) and its
-dimension certified against sum_c (T(a):Delta(c)) (T(b):Nabla(c)).
+The minimal tilting cover of a Nabla-filtered X over a set of labels
+(minimal_tilting_cover) builds every tilting term: the maps T(mu) -> X, mu
+a label, from one certified solve of each Hom(T(mu), X) (tilting_homs),
+pruned of those that factor through the rest.  Over every c with
+(X:Nabla(c)) > 0 it is onto (minimal.cover_by_tilting); over the labels of
+a module that the flag counts prove tilting, read off the closed-form
+character, it is an isomorphism, whose maps are the inclusions of the
+Krull-Schmidt parts and whose inverse gives every projection
+(decompose_indecomposables; split_if_tilting is that split when
+is_tilting(M) and None otherwise).  Hom(T(a), T(b)) is the same solve,
+cached per (ell, a, b) (tilting_hom_basis).  A glued T(n) is certified by
+its character and its flag counts, since a tilting module is determined by
+its character.
 
 T(n) has a simple socle L(s(n)) with s(n) in closed form (tilting_socle),
 and the composition multiplicities [M:L(c)] are read off ch M by the same
@@ -118,13 +119,6 @@ def simple_module(field: CycloField, n: int) -> UModule:
 # splitting machinery
 
 
-class NonSplitError(ArithmeticError):
-    """A module whose character is a sum of tilting characters but which is
-    not the matching sum of T(n), so it is not tilting; reported, never
-    guessed.
-    """
-
-
 class Part:
     __slots__ = ("label", "module", "inclusion", "projection")
 
@@ -144,14 +138,68 @@ def _flatten(mat: ExactMatrix):
     return {r * n + c: v for r, row in enumerate(mat.entries) for c, v in row.items()}
 
 
+def tilting_homs(mu: int, X: UModule, nabla_mults):
+    """Basis of Hom(T(mu), X), the `hom_space` basis, for a Nabla-filtered X
+    with nabla_mults {c: (X:Nabla(c))}.
+
+    Its dimension is certified against `tilting_hom_dimension`, and a space
+    predicted zero is not solved.
+    """
+    field = X.field
+    expected = tilting_hom_dimension(field, mu, nabla_mults)
+    if not expected:
+        return []
+    basis = hom_space(tilting_module(field, mu), X)
+    if len(basis) != expected:
+        raise CertificationError(f"Hom(T({mu}), X) has dimension {len(basis)}, not {expected},"
+                                 f" for X of Nabla-multiplicities {dict(nabla_mults)}")
+    return basis
+
+
+def minimal_tilting_cover(X: UModule, labels, nabla_mults):
+    """The maps (mu, h), h: T(mu) -> X, mu in labels, of the minimal tilting
+    cover of a Nabla-filtered X with nabla_mults {c: (X:Nabla(c))}.
+
+    For each mu in labels, descending, the basis of Hom(T(mu), X)
+    (tilting_homs, certified) gives components, and _prune_factoring drops
+    those that factor through the rest.  With S the labels, the kept h_i,
+    stacked into h: P = sum_i T(mu_i) -> X, satisfy:
+      1. h is a right add(T_S)-approximation: each map T(mu) -> X, mu in S,
+         is a sum of components, and a component is dropped only when it is
+         a sum of h_j o phi over components then kept, each of which is kept
+         or is such a sum itself.  So the prune keeps the image of h too.
+      2. h is onto when S holds every c with (X:Nabla(c)) > 0 (Ringel, Math.
+         Z. 208, 1991; Auslander-Reiten, Adv. Math. 86, 1991): a map
+         Delta(c) -> X extends along Delta(c) -> T(c), whose cokernel is
+         Delta-filtered, so by 1 Hom(Delta(c), P) -> Hom(Delta(c), X) is
+         onto, and h is onto by induction along a Nabla-flag.
+      3. h is right minimal: otherwise P has a summand T(nu) on which h is
+         zero (Auslander-Smalo, J. Algebra 66, 1980), with kappa: T(nu) -> P,
+         rho: P -> T(nu), rho kappa = 1 and h kappa = 0.  With kappa_i,
+         rho_i the blocks at T(mu_i), 1 = sum_i rho_i kappa_i in the local
+         ring End(T(nu)), so some rho_i kappa_i is a unit, and kappa_i, split
+         into the indecomposable T(mu_i), is an isomorphism.  Then h kappa = 0
+         gives h_i = -sum_(j != i) h_j kappa_j kappa_i^-1, a sum of h_j o phi,
+         so h_i was dropped: it was tested against a superset of the kept.
+      4. When X is in add(T_S), as a tilting X with S its labels is, id_X
+         factors through h by 1, so h is split onto and its kernel is a
+         summand of P on which h is zero, 0 by 3.  So h is an isomorphism (a
+         right minimal approximation of a module in add(T) is one; Ringel,
+         Math. Z. 208, 1991), and the kept labels are those of X.
+    """
+    components = [(mu, h) for mu in sorted(labels, reverse=True)
+                  for h in tilting_homs(mu, X, nabla_mults)]
+    return _prune_factoring(X.field, components, X)
+
+
 def _prune_factoring(field, components, M):
     """Drop cover components that factor through the remaining ones.
 
     h_i: T(mu_i) -> M factors through the other kept components exactly when
     it lies in the span of the h_j o phi, phi in the basis of
-    Hom(T(mu_i), T(mu_j)) (a right approximation is minimal once no
-    component does; Auslander-Smalo 1980).  Components are tested from the
-    largest source down, each against the components still kept.
+    Hom(T(mu_i), T(mu_j)) (minimal_tilting_cover, where the proofs are).
+    Components are tested from the largest source down, each against the
+    components still kept.
     """
     kept = list(components)
     order = sorted(range(len(kept)), key=lambda i: kept[i][1].source.dim, reverse=True)
@@ -192,52 +240,28 @@ def decompose_indecomposables(M: UModule):
     """Krull-Schmidt decomposition of a tilting module into parts T(n), with
     witness inclusions and projections, read off its minimal tilting cover.
 
-    The labels S are read off ch M (decompose_tilting_character; a character
-    that is no sum of tilting characters raises ValueError).  For each mu in
-    S, descending, Hom(T(mu), M) is solved once and its dimension checked
-    against tilting_hom_dimension with the Nabla-multiplicities of ch M.  The
-    components over those bases are pruned (_prune_factoring), the kept
-    labels must be those of ch M, and the kept h_i, stacked into one map
-    h: P = sum_i T(mu_i) -> M, must be invertible.  Part i is T(mu_i) with
-    inclusion h_i and projection block i of the rows of h^-1.  A failed check
-    raises NonSplitError; what passes is a decomposition, as h is invertible.
-
-    Proof that a tilting M passes.  M is Nabla-filtered, so each dimension is
-    the formula's.
-      1. h is a right add(T_S)-approximation: each map T(mu) -> M, mu in S,
-         is a sum of components, and a component is dropped only when it is
-         a sum of h_j o phi over components then kept, each of which is kept
-         or is such a sum itself.  M is in add(T_S), so id_M factors through
-         h: h is split onto, and K = ker h is a summand of P.
-      2. h is right minimal (Auslander-Smalo, J. Algebra 66, 1980): K = 0.
-         Otherwise K has a summand T(nu), with kappa: T(nu) -> P, rho:
-         P -> T(nu), rho kappa = 1 and h kappa = 0.  With kappa_i, rho_i the
-         blocks at T(mu_i), 1 = sum_i rho_i kappa_i in the local ring
-         End(T(nu)), so some rho_i kappa_i is a unit, and kappa_i, split into
-         the indecomposable T(mu_i), is an isomorphism.  Then h kappa = 0
-         gives h_i = -sum_(j != i) h_j kappa_j kappa_i^-1, a sum of h_j o phi,
-         so h_i was dropped: it was tested against a superset of the kept.
-    So h is an isomorphism (a right minimal approximation of a module in
-    add(T) is one; Ringel, Math. Z. 208, 1991), and the kept labels are S.
+    A module that the flag counts do not prove tilting raises ValueError.
+    The labels S are read off ch M (decompose_tilting_character), and the
+    cover (minimal_tilting_cover over S, with the Nabla-multiplicities of
+    ch M) is then an isomorphism h: P = sum_i T(mu_i) -> M with the labels
+    S, by point 4 of its proof.  Part i is T(mu_i) with inclusion h_i and
+    projection block i of the rows of h^-1.  Other kept labels, or a
+    singular h, raise CertificationError.
     """
+    if not is_tilting(M):
+        raise ValueError(f"the flag counts do not prove a dim-{M.dim} module tilting")
     field = M.field
     labels = decompose_tilting_character(field, M.character)
-    nabla = decompose_into_weyl(M.character)
-    components = []
-    for mu in sorted(labels, reverse=True):
-        homs = hom_space(tilting_module(field, mu), M)
-        expected = tilting_hom_dimension(field, mu, nabla)
-        if len(homs) != expected:
-            raise NonSplitError(f"Hom(T({mu}), M) has dimension {len(homs)}, not {expected}")
-        components += [(mu, h) for h in homs]
-    kept = _prune_factoring(field, components, M)
+    kept = minimal_tilting_cover(M, labels, decompose_into_weyl(M.character))
     kept_labels = Counter(mu for mu, _ in kept)
     if kept_labels != labels:
-        raise NonSplitError(f"the minimal tilting cover has labels {dict(kept_labels)}, not {labels}")
+        raise CertificationError(f"a tilting module does not split: its minimal tilting cover"
+                                 f" has labels {dict(kept_labels)}, not {labels}")
     try:
         inverse = _stack_maps(field, [h for _, h in kept], M.dim).inverse()
     except ZeroDivisionError as exc:
-        raise NonSplitError(f"the minimal tilting cover of a dim-{M.dim} module is singular") from exc
+        raise CertificationError(f"a tilting module does not split: the minimal tilting cover"
+                                 f" of a dim-{M.dim} module is singular") from exc
     parts, off = [], 0
     for mu, h in kept:
         d = h.source.dim
@@ -248,18 +272,9 @@ def decompose_indecomposables(M: UModule):
 
 
 def split_if_tilting(M: UModule):
-    """decompose_indecomposables(M) if M is tilting, else None.
-
-    Nothing is split unless both flag counts hold; a tilting M is the direct
-    sum of the T(mu) that ch M predicts, so a predicted summand that then
-    does not split is an internal fault and raises CertificationError.
-    """
-    if not is_tilting(M):
-        return None
-    try:
-        return decompose_indecomposables(M)
-    except NonSplitError as exc:
-        raise CertificationError(f"a tilting module by the flag counts does not split: {exc}") from exc
+    """decompose_indecomposables(M) if the flag counts prove M tilting, else
+    None; the counts are kept on M, so none is taken twice."""
+    return decompose_indecomposables(M) if is_tilting(M) else None
 
 
 # ---------------------------------------------------------------------------
@@ -324,23 +339,13 @@ def _glued_tilting_module(field: CycloField, b: int) -> UModule:
 
 
 def tilting_hom_basis(field: CycloField, a: int, b: int):
-    """Basis of Hom(T(a), T(b)), the `hom_space` basis, cached per (ell, a, b).
-
-    Its dimension is certified against `tilting_hom_dimension`, with the
-    Nabla-multiplicities of T(b) read off its closed-form character; a pair
-    predicted zero is not solved.
-    """
+    """Basis of Hom(T(a), T(b)), tilting_homs over the Nabla-multiplicities
+    of T(b) read off its closed-form character, cached per (ell, a, b)."""
     key = (field.ell, a, b)
     basis = _tilting_hom_cache.get(key)
     if basis is None:
-        expected = tilting_hom_dimension(field, a, tilting_weyl_multiplicities(field, b))
-        basis = []
-        if expected:
-            basis = hom_space(tilting_module(field, a), tilting_module(field, b))
-            if len(basis) != expected:
-                raise CertificationError(
-                    f"Hom(T({a}), T({b})) has dimension {len(basis)}, not {expected}")
-        _tilting_hom_cache[key] = basis
+        basis = _tilting_hom_cache[key] = tilting_homs(
+            a, tilting_module(field, b), tilting_weyl_multiplicities(field, b))
     return basis
 
 

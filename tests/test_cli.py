@@ -544,11 +544,12 @@ def test_internal_invariant_failure_exits_internal(monkeypatch, capsys):
 def test_a_lost_cover_solution_exits_internal(monkeypatch, capsys):
     import tiltlab.cache
     import tiltlab.minimal
+    import tiltlab.standard
 
     monkeypatch.setattr(tiltlab.cache, "_active_cache", None)
     monkeypatch.delenv("TILTLAB_CACHE", raising=False)
     monkeypatch.setattr(tiltlab.minimal, "_cmin_cache", {})
-    solve = tiltlab.minimal.hom_space
+    solve = tiltlab.standard.hom_space
 
     def lossy(M, N):
         basis = solve(M, N)
@@ -557,7 +558,8 @@ def test_a_lost_cover_solution_exits_internal(monkeypatch, capsys):
             return basis[:-1]
         return basis
 
-    monkeypatch.setattr(tiltlab.minimal, "hom_space", lossy)
+    # the one certified solve of Hom(T(mu), X), for the cover and the split
+    monkeypatch.setattr(tiltlab.standard, "hom_space", lossy)
     code = main(["cmin", "--ell", "3", "--module", "L:4"])
     captured = capsys.readouterr()
     assert code == 3
@@ -612,11 +614,34 @@ def test_a_tilting_kernel_that_does_not_split_exits_internal(monkeypatch, capsys
     monkeypatch.setattr(tiltlab.minimal, "_cmin_cache", {})
     for n in range(9):  # the tiltings the resolution of L(4) needs, built first
         tilting_module(CycloField(3), n)
-    prune = tiltlab.standard._prune_factoring
-    # the split's cover loses a component, so its labels are not those of ch M
-    monkeypatch.setattr(tiltlab.standard, "_prune_factoring", lambda *args: prune(*args)[:-1])
+    # the split's cover loses a component, so its labels are not those of
+    # ch M; minimal holds its own binding, so the cover of the tail is intact
+    cover = tiltlab.standard.minimal_tilting_cover
+    monkeypatch.setattr(tiltlab.standard, "minimal_tilting_cover", lambda *args: cover(*args)[:-1])
     code = main(["cmin", "--ell", "3", "--module", "L:4"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
-    assert "internal error: a tilting module by the flag counts does not split" in captured.err
+    assert "internal error: a tilting module does not split" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["cmin", "--ell", "3", "--module", "L:3", "--output", "{tmp}/no/such/dir/x.json"],
+    ["cmin", "--module", "L:3", "--config", "{tmp}/no-such.cfg"],
+    # a cache directory under a regular file cannot be created
+    ["cmin", "--ell", "3", "--module", "L:3", "--cache", "{tmp}/file/cache"],
+], ids=["output", "config", "cache"])
+def test_a_path_that_cannot_be_opened_exits_resource(argv, tmp_path, monkeypatch, capsys):
+    import tiltlab.cache
+    import tiltlab.minimal
+
+    monkeypatch.setattr(tiltlab.cache, "_active_cache", None)
+    monkeypatch.delenv("TILTLAB_CACHE", raising=False)
+    monkeypatch.setattr(tiltlab.minimal, "_cmin_cache", {})
+    (tmp_path / "file").write_text("")
+    code = main([a.replace("{tmp}", str(tmp_path)) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("error: ")
+    assert "Traceback" not in captured.err

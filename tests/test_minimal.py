@@ -165,15 +165,30 @@ def test_kunneth_of_selftensor():
     assert coh[0].dim == 4
 
 
-def test_embed_and_cover_shapes():
+def test_embed_and_cover_shapes(monkeypatch):
+    import tiltlab.minimal
+    from tiltlab.modules import UMorphism
+
     L3 = simple_module(F3, 3)
     Q, emb, parts = embed_into_tilting(L3)
     assert is_injective(emb)
     assert all(lab[0] == "T" for lab in (p.label for p in parts))
     # a cover's input is Nabla-filtered, as the coresolution's tail is
-    P, surj, parts2 = cover_by_tilting(direct_sum(dual_weyl_module(F3, 3), dual_weyl_module(F3, 1)))
+    M = direct_sum(dual_weyl_module(F3, 3), dual_weyl_module(F3, 1))
+    P, surj, parts2 = cover_by_tilting(M)
     assert is_surjective(surj)
+    assert len(parts2) >= 2
     assert all(lab[0] == "T" for lab in (p.label for p in parts2))
+    # a cover with one kept component replaced by the zero map is not onto
+    cover = tiltlab.minimal.minimal_tilting_cover
+
+    def lossy(X, labels, nabla_mults):
+        *kept, (mu, h) = cover(X, labels, nabla_mults)
+        return kept + [(mu, UMorphism.zero(h.source, X))]
+
+    monkeypatch.setattr(tiltlab.minimal, "minimal_tilting_cover", lossy)
+    with pytest.raises(CertificationError, match="dim-6 module is not onto"):
+        cover_by_tilting(M)
 
 
 @pytest.mark.parametrize("field", [F3, F5], ids=["ell3", "ell5"])
@@ -465,9 +480,9 @@ def test_solve_chain_map_rejects_a_non_intertwiner():
 
 @pytest.mark.parametrize("field, top", [(F3, 8), (F5, 12)], ids=["ell3", "ell5"])
 def test_prune_keeps_the_components_lifting_keeps(monkeypatch, field, top):
-    import tiltlab.minimal
+    import tiltlab.standard
 
-    prune = tiltlab.minimal._prune_factoring
+    prune = tiltlab.standard._prune_factoring
     dropped = []
 
     def counted_prune(field, components, M):
@@ -481,10 +496,10 @@ def test_prune_keeps_the_components_lifting_keeps(monkeypatch, field, top):
     inputs += [tensor_module(nabla[a], nabla[b]) for a in range(1, 5) for b in range(1, a + 1)]
     for M in inputs:
         with monkeypatch.context() as m:
-            m.setattr(tiltlab.minimal, "_prune_factoring", counted_prune)
+            m.setattr(tiltlab.standard, "_prune_factoring", counted_prune)
             _, surj, parts = cover_by_tilting(M)
         with monkeypatch.context() as m:
-            m.setattr(tiltlab.minimal, "_prune_factoring", prune_by_lifting)
+            m.setattr(tiltlab.standard, "_prune_factoring", prune_by_lifting)
             _, oracle_surj, oracle_parts = cover_by_tilting(M)
         # equal matrices: the same Hom basis elements, in the same order
         assert [p.label for p in parts] == [p.label for p in oracle_parts]
@@ -496,9 +511,8 @@ def test_prune_never_factors_through_a_dropped_component():
     # A and B = A o (1 + x), x spanning rad End(T(3)), are isomorphisms
     # T(3) -> T(3) that factor through each other: A is dropped first, and B
     # must then be kept, since nothing else is left to factor through
-    from tiltlab.minimal import _prune_factoring
     from tiltlab.modules import UMorphism
-    from tiltlab.standard import tilting_hom_basis
+    from tiltlab.standard import _prune_factoring, tilting_hom_basis
 
     T = tilting_module(F3, 3)
     A = UMorphism.identity(T)

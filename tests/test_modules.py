@@ -527,5 +527,5 @@ def test_tilting_hom_cache_certifies_its_dimension(monkeypatch):
     # T(3) and T(2) lie in different blocks at ell 3
     assert tilting_hom_basis(F3, 3, 2) == []
     monkeypatch.setattr(tiltlab.standard, "hom_space", lambda M, N: hom_space(M, N)[1:])
-    with pytest.raises(CertificationError, match=r"Hom\(T\(3\), T\(3\)\) has dimension 1, not 2"):
+    with pytest.raises(CertificationError, match=r"Hom\(T\(3\), X\) has dimension 1, not 2"):
         tilting_hom_basis(F3, 3, 3)

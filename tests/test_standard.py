@@ -14,7 +14,6 @@ from tiltlab.modules import (
     tensor_module,
 )
 from tiltlab.standard import (
-    NonSplitError,
     composition_multiplicities,
     decompose_indecomposables,
     decompose_tilting_character,
@@ -165,16 +164,22 @@ def test_krull_schmidt_doubling():
         assert doubled == {k: 2 * v for k, v in single.items()}
 
 
-def test_non_tilting_decomposition_labels():
+def test_non_tilting_decomposition_labels(monkeypatch):
+    import tiltlab.standard
+
     # ch(Delta(3) + L(3)) is no sum of tilting characters
     with pytest.raises(ValueError):
         decompose_indecomposables(direct_sum(weyl_module(F3, 3), simple_module(F3, 3)))
     # Delta(3) + Delta(1) and Nabla(3) + Nabla(1) have the character of T(3)
-    # but T(3) does not split off: the pruned cover keeps two maps T(3) -> M
+    # but each lacks one flag: the counts refuse them before any solve
+    def refuse(M, N):
+        raise AssertionError("a module that is not tilting was solved")
+
+    monkeypatch.setattr(tiltlab.standard, "hom_space", refuse)
     for M in (direct_sum(weyl_module(F3, 3), weyl_module(F3, 1)),
               direct_sum(dual_weyl_module(F3, 3), dual_weyl_module(F3, 1))):
         assert M.character == tilting_character(F3, 3)
-        with pytest.raises(NonSplitError, match="labels"):
+        with pytest.raises(ValueError, match="flag counts do not prove"):
             decompose_indecomposables(M)
 
 
@@ -300,14 +305,21 @@ def test_tilting_parts_raises_when_a_predicted_summand_does_not_split(monkeypatc
     # a cover that lost a component has labels other than those of ch M
     with monkeypatch.context() as m:
         m.setattr(tiltlab.standard, "_prune_factoring", lambda *args: prune(*args)[:-1])
-        with pytest.raises(CertificationError, match="does not split: .* labels"):
+        with pytest.raises(CertificationError, match="does not split: its minimal tilting cover has labels"):
             split_if_tilting(T)
     # a component repeated in place of another of the same label keeps the
     # labels, but the stacked cover is singular
     with monkeypatch.context() as m:
         m.setattr(tiltlab.standard, "_prune_factoring", lambda *args: prune(*args)[:1] * 2)
-        with pytest.raises(CertificationError, match="does not split: .* singular"):
+        with pytest.raises(CertificationError, match="does not split: the minimal tilting cover .* is singular"):
             split_if_tilting(direct_sum(T, T))
+    # a Hom solve that loses a basis element is off the dimension formula
+    TT = direct_sum(T, T)
+    solve = tiltlab.standard.hom_space
+    with monkeypatch.context() as m:
+        m.setattr(tiltlab.standard, "hom_space", lambda M, N: solve(M, N)[:-1] if N is TT else solve(M, N))
+        with pytest.raises(CertificationError, match=r"Hom\(T\(3\), X\) has dimension 3, not 4"):
+            split_if_tilting(TT)
     # the counts reject a module that is not tilting before any split
     assert split_if_tilting(not_tilting) is None
 
