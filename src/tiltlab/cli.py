@@ -5,9 +5,9 @@ on stdout (canonical key order, no timestamps), so identical configuration
 and seed give byte-identical reports.  Exit codes: 0 pass, 1 suite failure,
 2 resource, window or input errors (a stdout closed by its reader, a path
 that cannot be opened, an ideal window too small for its labels and a step
-cap of the C_min construction included), 3 an internal result that failed its exact check (a program
-fault, such as an embedding missing from its exact window; nothing is
-printed on stdout).
+cap of the C_min construction included), 3 an internal result that failed
+its exact check (a program fault, such as an embedding missing from its
+exact window; nothing is printed on stdout).
 """
 
 from __future__ import annotations
