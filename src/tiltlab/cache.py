@@ -60,13 +60,19 @@ class CacheDir:
 
     def _read(self, name):
         """The entry's JSON, or None when it is absent or unreadable (the
-        latter with a warning)."""
+        latter with a warning).  An OSError raised while the directory
+        itself cannot be searched and written, such as a path under a
+        regular file, is the directory's fault, not the entry's: it is
+        raised, since no entry could be rebuilt there."""
         try:
             with open(os.path.join(self.path, name)) as fh:
                 return json.load(fh)
         except FileNotFoundError:
             return None
         except (json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
+            if isinstance(exc, OSError) and not (
+                    os.path.isdir(self.path) and os.access(self.path, os.W_OK | os.X_OK)):
+                raise
             print(f"warning: cache entry {name} unreadable ({exc}); rebuilding", file=sys.stderr)
             return None
 

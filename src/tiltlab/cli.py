@@ -137,11 +137,13 @@ def parse_weight(text, rank):
     return tuple(parts)
 
 
-def emit(obj, output=None):
+def emit(obj, out=None):
+    """Write the report to the open --output file, or to stdout when None."""
     text = canonical_dumps(obj)
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text + "\n")
+    if out is not None:
+        if out.seekable():
+            out.truncate(0)
+        out.write(text + "\n")
     else:
         # flushed here, so that a closed pipe is reported by main
         print(text, flush=True)
@@ -156,15 +158,8 @@ def cmd_cmin(args):
     module = cached_standard_module(cache, field, kind, n)
     table = active_cmin_labels(module)
     pretty_kind = {"Delta": "delta", "Nabla": "nabla"}.get(kind, kind)
-    emit(
-        {
-            "ell": cfg["ell"],
-            "module": f"{pretty_kind}({n})",
-            "degrees": degrees_json(table),
-        },
-        args.output,
-    )
-    return EXIT_PASS
+    report = {"ell": cfg["ell"], "module": f"{pretty_kind}({n})", "degrees": degrees_json(table)}
+    return report, EXIT_PASS
 
 
 def cmd_ideals(args):
@@ -184,8 +179,7 @@ def cmd_ideals(args):
                 "prime": is_prime_on_window(ideal) if ideal.is_proper() else None,
             }
         )
-    emit({"ell": cfg["ell"], "window": window, "ideals": rows}, args.output)
-    return EXIT_PASS
+    return {"ell": cfg["ell"], "window": window, "ideals": rows}, EXIT_PASS
 
 
 # settings each suite would ignore: lemmas has no window, alcove-cross and
@@ -207,8 +201,7 @@ def cmd_verify(args):
     )
     report["config"] = {k: cfg[k] for k in sorted(cfg) if cfg[k] is not None}
     report["cases"] = sorted(report["cases"], key=lambda c: str(c.get("case", "")))
-    emit(report, args.output)
-    return EXIT_FAILURE if report["failures"] else EXIT_PASS
+    return report, EXIT_FAILURE if report["failures"] else EXIT_PASS
 
 
 def cmd_alcove(args):
@@ -240,8 +233,7 @@ def cmd_alcove(args):
         out["orbit"] = [list(m) for m in dot_orbit(rs, lam, args.p, bound)]
     elif args.action == "twist":
         out.update(steinberg_twist_example(rs, args.p))
-    emit(out, args.output)
-    return EXIT_PASS
+    return out, EXIT_PASS
 
 
 def build_parser():
@@ -294,11 +286,36 @@ def build_parser():
     return top
 
 
+def run(args):
+    """Run the command and write its report; returns the exit code.
+
+    The --output file is opened before any work, so a path that cannot be
+    written fails first.  It is opened to append, which leaves an existing
+    file as it was until the report replaces its bytes, and a file that the
+    open made is removed again when the run fails, so a failed run leaves
+    no report behind.
+    """
+    if not args.output:
+        report, code = args.func(args)
+        emit(report)
+        return code
+    created = not os.path.lexists(args.output)
+    with open(args.output, "a") as out:
+        try:
+            report, code = args.func(args)
+            emit(report, out)
+            return code
+        except BaseException:
+            if created:
+                os.remove(args.output)
+            raise
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return run(args)
     except BrokenPipeError:
         # the reader closed stdout: send what is still buffered to devnull,
         # so that the interpreter's final flush stays quiet

@@ -347,7 +347,10 @@ def submodule_generated(M: UModule, vectors, close: bool = True):
 
     Returns (S, inclusion).  With close=False the span must already be stable
     (images and kernels of intertwiners); stability is still verified when the
-    induced action is computed.
+    induced action is computed.  When the span is all of M, S is M itself and
+    the inclusion is the identity, so a whole submodule shares M's
+    fingerprint and everything kept on M; no caller changes a module once it
+    is built.
 
     The span of each weight space is kept in reduced echelon form.  A weight
     space is full when its form holds one row per basis vector of the space;
@@ -391,31 +394,21 @@ def submodule_generated(M: UModule, vectors, close: bool = True):
 def _subspace_to_module(M: UModule, echs):
     """(S, inclusion) for the span of the per-weight echelon forms.
 
-    S's basis is the stored rows, weights descending and pivots ascending,
-    and its action holds the coefficients of each generator image in that
-    basis.  In a full weight space the form is the identity, so an image
-    there is its own coefficient vector with a zero residual and is not
-    reduced; an image in any other weight space is reduced, and a nonzero
-    residual means the span is not stable.  When every weight space is full,
-    S is M with its basis re-indexed in that order.
+    When every weight space is full, the span is M and (M, identity) is
+    returned.  Otherwise S's basis is the stored rows, weights descending and
+    pivots ascending, and its action holds the coefficients of each generator
+    image in that basis.  In a full weight space the form is the identity, so
+    an image there is its own coefficient vector with a zero residual and is
+    not reduced; an image in any other weight space is reduced, and a nonzero
+    residual means the span is not stable.
     """
     field = M.field
     blocks = M.weight_blocks()
-    order = sorted(blocks, reverse=True)
     full = {m for m, ech in echs.items() if len(ech.rows) == len(blocks[m])}
     if len(full) == len(blocks):
-        basis = [i for m in order for i in blocks[m]]
-        position = {i: j for j, i in enumerate(basis)}
-        mats = [
-            ExactMatrix(field, M.dim, M.dim,
-                        [{position[c]: v for c, v in g.entries[i].items()} for i in basis])
-            for g in (M.E, M.F, M.El, M.Fl)
-        ]
-        S = UModule(field, tuple(M.weights[i] for i in basis), *mats)
-        incl = ExactMatrix.from_columns(field, [{i: field.one} for i in basis], M.dim)
-        return S, UMorphism(S, M, incl)
+        return M, UMorphism.identity(M)
     basis = []  # (weight, pivot, vector) in deterministic order
-    for m in order:
+    for m in sorted(blocks, reverse=True):
         rows = echs[m].rows
         for pivot in sorted(rows):
             basis.append((m, pivot, rows[pivot]))

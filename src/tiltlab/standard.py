@@ -101,14 +101,26 @@ def simple_module(field: CycloField, n: int) -> UModule:
 
     The socle of Nabla(n) is L(n) and holds the one-dimensional weight-n
     space, so that vector generates L(n) (the image of Delta(n) -> Nabla(n));
-    the result is certified by its closed-form character.
+    the result is certified by its closed-form character.  L(n) has its
+    basis weights descending.  When Nabla(n) is simple (n < ell, or
+    n = -1 mod ell) the generated submodule is Nabla(n) itself, whose basis
+    is weights ascending, so that basis is put in weights-descending order
+    here, once per (ell, n).
     """
     key = (field.ell, n)
     if key in _simple_cache:
         return _simple_cache[key]
     nabla = dual_weyl_module(field, n)
-    (top,) = nabla.weight_blocks()[n]
+    blocks = nabla.weight_blocks()
+    (top,) = blocks[n]
     L, _ = submodule_generated(nabla, [{top: field.one}])
+    if L is nabla:
+        basis = [i for m in sorted(blocks, reverse=True) for i in blocks[m]]
+        position = {i: j for j, i in enumerate(basis)}
+        L = UModule(field, tuple(nabla.weights[i] for i in basis), *(
+            ExactMatrix(field, L.dim, L.dim,
+                        [{position[c]: v for c, v in g.entries[i].items()} for i in basis])
+            for g in (nabla.E, nabla.F, nabla.El, nabla.Fl)))
     if L.character != simple_character(field, n):
         raise CertificationError(f"the weight-{n} vector of Nabla({n}) does not generate L({n})")
     _simple_cache[key] = L

@@ -215,3 +215,39 @@ def test_a_pickled_cache_dir_starts_with_an_empty_memory(tmp_path):
     cache._cmin_tables[FINGERPRINT] = {0: [3]}
     copy = pickle.loads(pickle.dumps(cache))
     assert copy.path == cache.path and copy._cmin_tables == {}
+
+
+def test_a_sequence_whose_sub_is_everything_builds_and_stores_one_cmin(tmp_path, monkeypatch):
+    """0 -> A -> B -> 0 with A all of B: A is B itself, so the membership
+    test of the sequence builds C_min once and stores one label table.
+    B = L(1) (x) L(3) at ell 3 is L(4), simple and not tilting, and its
+    basis is not weights descending."""
+    import tiltlab.minimal
+    from tiltlab.ideals import RepIdealHandle, SampledSES, negligible_ideal
+    from tiltlab.modules import quotient_module, submodule_generated, tensor_module
+    from tiltlab.standard import simple_module
+
+    F = CycloField(3)
+    B = tensor_module(simple_module(F, 1), simple_module(F, 3))
+    assert list(B.weights) != sorted(B.weights, reverse=True)
+    A, incl = submodule_generated(B, [{0: F.one}])
+    assert A.dim == B.dim
+    C, _ = quotient_module(B, incl)
+    ses = SampledSES(A, B, C, "L(1)xL(3) generated by its first basis vector")
+
+    builds = []
+    real = tiltlab.minimal.tilting_complex_of
+
+    def counted(M):
+        builds.append(M.dim)
+        return real(M)
+
+    monkeypatch.setattr(tiltlab.minimal, "_cmin_cache", {})
+    monkeypatch.setattr(tiltlab.minimal, "tilting_complex_of", counted)
+    cache = CacheDir(str(tmp_path))
+    monkeypatch.setattr(tiltlab.cache, "_active_cache", cache)
+    handle = RepIdealHandle(negligible_ideal(F, 12))
+    pattern = [handle.membership(M) for M in (ses.sub, ses.total, ses.quotient)]
+    assert pattern[0] == pattern[1] and pattern[2]
+    assert builds == [B.dim]
+    assert os.listdir(tmp_path) == [cache.cmin_key(B.fingerprint())]

@@ -645,3 +645,63 @@ def test_a_path_that_cannot_be_opened_exits_resource(argv, tmp_path, monkeypatch
     assert captured.out == ""
     assert captured.err.splitlines()[-1].startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+def _no_cmin_build(monkeypatch):
+    """No cache and an empty C_min memory, with a construction that must not run."""
+    import tiltlab.cache
+    import tiltlab.minimal
+
+    def refuse(M):
+        raise AssertionError("C_min was built")
+
+    monkeypatch.setattr(tiltlab.cache, "_active_cache", None)
+    monkeypatch.delenv("TILTLAB_CACHE", raising=False)
+    monkeypatch.setattr(tiltlab.minimal, "_cmin_cache", {})
+    monkeypatch.setattr(tiltlab.minimal, "tilting_complex_of", refuse)
+
+
+def test_a_cache_path_under_a_regular_file_is_one_error_with_no_rebuild(tmp_path, monkeypatch, capsys):
+    """An unusable cache directory is reported once, as exit 2, and is not
+    taken for a corrupt entry to rebuild."""
+    _no_cmin_build(monkeypatch)
+    (tmp_path / "file").write_text("")
+    code = main(["cmin", "--ell", "3", "--module", "L:3", "--cache", str(tmp_path / "file" / "c")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "rebuilding" not in captured.err
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
+def test_an_output_path_that_cannot_be_opened_fails_before_any_work(tmp_path, monkeypatch, capsys):
+    _no_cmin_build(monkeypatch)
+    for out in (tmp_path / "no" / "such" / "dir" / "x.json", tmp_path):
+        code = main(["cmin", "--ell", "3", "--module", "L:3", "--output", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "AssertionError" not in captured.err
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_failed_run_leaves_no_report(tmp_path, monkeypatch, capsys):
+    """A run that fails after its --output file was opened removes the file
+    it made, and leaves a file that was there before as it was."""
+    import tiltlab.minimal
+
+    _no_cmin_build(monkeypatch)
+    monkeypatch.setattr(tiltlab.minimal, "tilting_complex_of", lambda M: 1 / 0)
+    fresh = tmp_path / "fresh.json"
+    assert main(["cmin", "--ell", "3", "--module", "L:3", "--output", str(fresh)]) == 2
+    assert not fresh.exists()
+    old = tmp_path / "old.json"
+    old.write_text("an earlier report\n")
+    assert main(["cmin", "--ell", "3", "--module", "L:3", "--output", str(old)]) == 2
+    assert old.read_text() == "an earlier report\n"
+    capsys.readouterr()
+    # a run that succeeds replaces the earlier bytes with its report; T(4)
+    # is tilting, so its C_min needs no construction
+    assert main(["cmin", "--ell", "3", "--module", "T:4", "--output", str(old)]) == 0
+    assert json.loads(old.read_text())["degrees"] == {"0": [4]}
+    assert old.read_text().count("\n") == 1

@@ -386,10 +386,17 @@ def test_quotient_by_an_onto_map_is_zero():
             assert (proj.matrix @ phi.matrix).is_zero()
 
 
-def _assert_same_submodule(got, want):
+def _assert_same_submodule(M, got, want):
+    """A whole submodule is M itself with the identity inclusion; any other
+    has the bytes and the inclusion that elimination finds."""
     (S, incl), (S0, incl0) = got, want
-    assert module_text(S) == module_text(S0)
-    assert incl.matrix == incl0.matrix
+    if S0.dim == M.dim:
+        assert S is M
+        assert incl.source is M and incl.target is M
+        assert incl.matrix == ExactMatrix.identity(M.field, M.dim)
+    else:
+        assert module_text(S) == module_text(S0)
+        assert incl.matrix == incl0.matrix
 
 
 def _assert_same_quotient(M, phi):
@@ -419,7 +426,7 @@ def test_submodules_and_quotients_match_elimination_into_every_weight_space():
             B = tensor_module(b1(field, n1), b2(field, n2))
             for vec in _seeded_vectors(field, B.dim, rng, sizes):
                 got = submodule_generated(B, [vec])
-                _assert_same_submodule(got, eliminating_submodule(B, [vec]))
+                _assert_same_submodule(B, got, eliminating_submodule(B, [vec]))
                 A, incl = got
                 _assert_same_quotient(B, incl)
                 kinds["zero" if A.dim == 0 else "whole" if A.dim == B.dim else "proper"] += 1
@@ -439,9 +446,9 @@ def test_kernels_and_images_of_hom_maps_match_elimination():
         assert homs
         for h in homs:
             kernel_vectors = h.matrix.kernel().transpose().entries
-            _assert_same_submodule(kernel_module(h),
+            _assert_same_submodule(M, kernel_module(h),
                                    eliminating_submodule(M, kernel_vectors, close=False))
-            _assert_same_submodule(image_module(h),
+            _assert_same_submodule(N, image_module(h),
                                    eliminating_submodule(N, h.matrix.transpose().entries, close=False))
             _assert_same_quotient(N, h)
 

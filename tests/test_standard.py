@@ -11,8 +11,10 @@ from tiltlab.modules import (
     dual_module,
     find_isomorphism,
     hom_space,
+    submodule_generated,
     tensor_module,
 )
+from tiltlab.serialize import module_text
 from tiltlab.standard import (
     composition_multiplicities,
     decompose_indecomposables,
@@ -33,7 +35,13 @@ from tiltlab.standard import (
 )
 from tiltlab.suites import sample_ses
 
-from oracles import end_algebra, is_local_end, peeled_tilting_module, radical_dimension
+from oracles import (
+    eliminating_submodule,
+    end_algebra,
+    is_local_end,
+    peeled_tilting_module,
+    radical_dimension,
+)
 
 F3 = CycloField(3)
 F5 = CycloField(5)
@@ -74,6 +82,25 @@ def test_simple_equals_weyl_below_first_wall():
     for n in range(0, 4):  # n < ell - 1 region and the wall itself
         iso = find_isomorphism(simple_module(F5, n), weyl_module(F5, n))
         assert iso is not None, n
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7])
+def test_simple_nabla_keeps_the_bytes_of_its_generated_submodule(ell):
+    """Where Nabla(n) is simple (n < ell, or n = -1 mod ell), the weight-n
+    vector generates all of it: submodule_generated returns Nabla(n) itself,
+    and L(n) keeps the weight-descending basis that elimination gives."""
+    F = CycloField(ell)
+    simple = [n for n in range(3 * ell + 1) if n < ell or n % ell == ell - 1]
+    for n in simple:
+        nabla = dual_weyl_module(F, n)
+        (top,) = nabla.weight_blocks()[n]
+        assert submodule_generated(nabla, [{top: F.one}])[0] is nabla
+        S0, _ = eliminating_submodule(nabla, [{top: F.one}])
+        assert S0.dim == nabla.dim
+        assert module_text(simple_module(F, n)) == module_text(S0), n
+    # every other Nabla(n) in the range has a proper socle
+    for n in set(range(3 * ell + 1)) - set(simple):
+        assert simple_module(F, n).dim < n + 1, n
 
 
 def test_tilting_small_and_characters():
