@@ -1,71 +1,70 @@
 """Minimal tilting complexes.
 
-The construction is a checked pipeline: (1) coresolve the module by sums of
-indecomposable tiltings X^0, ..., X^(k-1) until the cokernel, the tail,
-acquires a costandard filtration, (2) resolve the tail, the one term that is
-not already a labeled sum of T(mu), on the left by tiltings until a kernel
-becomes tilting, (3) join the coresolution to that column by one staircase
-of maps and totalize, verifying that the square vanishes exactly, then
-(4) minimalize.  The result is certified by
-its Euler character, of the terms and of the closed-form tilting characters
-of its labels, both equal to ch M, and by ranks and the map that minimalize
-carries: H^i = 0 for i != 0, and the map of degree 0 onto the
-coresolution's first term, or onto M when M is its own tail, maps H^0 onto
-the image of M (_certify_cmin).
+A tilting module is its own C_min, in degree zero: the flag counts
+(standard.primitive_counts, kept on each module) prove M tilting when both
+its Nabla- and its Delta-count are equalities, its labels are read off its
+closed-form character, and the one-term complex splits its term only when a
+caller reads the parts (ChainComplex.ensure_parts).
 
-A tilting module is its own C_min, in degree zero.  Flags are decided by
-counting primitive vectors (standard.primitive_counts): M is tilting exactly
-when both its Nabla- and its Delta-count are equalities, and then its labels
-are read off its closed-form character and nothing is split; the one-term
-complex splits its term only when a caller reads the parts
-(ChainComplex.ensure_parts).  The same counts decide when the tail of the
-coresolution is costandard-filtered, and when it, or a kernel of a left
-resolution, is already tilting; each count is kept on its module, so the
-short path and the construction share the source module's counts.
-Every kernel is costandard-filtered, which the Nabla-count checks, so each
-tilting cover is exact: one Hom(T(mu), X) per (X:Nabla(mu)) > 0.  The
-embeddings are exact too: the maps into T(mu), mu at most 2(ell-1) above the
-top weight of M, always hold an embedding.  Of that window only the T(mu)
-whose simple socle L(s(mu)) is a composition factor of M, read off ch M,
-can receive a nonzero map, so only those are solved; they are solved and
-built one at a time, smallest first, and none after the first injective
-selection.
+Every other M is the cone of two one-sided resolutions (tilting_complex_of,
+where the proofs that its extension rounds end and that the Delta-stop is
+valid are):
+  1. a left F(Nabla)-approximation 0 -> M -> Y -> X -> 0, Y Nabla-filtered
+     and X Delta-filtered (Ringel, Math. Z. 208, 1991);
+  2. the left resolution P_(-r) -> ... -> P_0 ->> Y of Y by tiltings, with
+     augmentation eps, and the coresolution X -> X^0 -> ... -> X^k of X,
+     with first embedding iota_X, whose last cokernel X^k must be tilting;
+  3. one row, P_(-u) in degree -u and X^s in degree s+1, joined by
+     d^0 = iota_X o q o eps: P_0 -> X^0, q: Y ->> X; then minimalize.
+The row is a complex, as eps d^(-1) = 0 and d iota_X = 0.  Its cohomology is
+M in degree 0: the resolutions are exact away from their ends, so H^i = 0
+for i < 0 and i > 1; H^1 = 0, as ker(X^0 -> X^1) = iota_X(X) = im d^0 (eps
+and q are onto); and, iota_X being injective, ker d^0 = eps^-1(M) and
+im d^(-1) = ker eps, so eps induces H^0 = eps^-1(M) / ker eps = M.
 
-Every grid term is a sum of T(mu) with known parts, so maps between them are
-solved over the cached bases of Hom(T(a), T(b)) (standard.tilting_hom_basis):
-the cover is standard.minimal_tilting_cover, whose prune, shared with the
-split of a tilting module, drops a component that lies in the span of the
-other components composed with those bases, and the maps of the staircase
-solve only for coefficients in them.
+C_min is certified by its Euler character, of the terms and of the
+closed-form tilting characters of its labels, both equal to ch M, and by
+ranks and the map that minimalize carries: H^i = 0 for i != 0, and eps maps
+H^0 onto the image of M (_certify_cmin).
+
+Every kernel of Y's resolution is Nabla-filtered, which the Nabla-count
+checks, so each tilting cover is exact: one Hom(T(mu), X) per
+(X:Nabla(mu)) > 0.  The embeddings are exact too: the maps into T(mu), mu
+at most 2(ell-1) above the top weight, always hold an embedding, and only
+the T(mu) that can receive a nonzero map are solved, one at a time,
+smallest first, none after the first injective selection.
 """
 
 from __future__ import annotations
 
 from tiltlab.characters import decompose_into_weyl
-from tiltlab.complexes import ChainComplex, labeled_direct_sum, minimalize, total_complex
+from tiltlab.complexes import ChainComplex, labeled_direct_sum, minimalize
 from tiltlab.cyclotomic import CertificationError
-from tiltlab.linalg import ExactMatrix, RowEchelon, SparseSystem
+from tiltlab.linalg import ExactMatrix, RowEchelon
 from tiltlab.modules import (
     UModule,
     UMorphism,
+    direct_sum,
     hom_space,
     kernel_module,
     quotient_module,
 )
 from tiltlab.standard import (
-    _flatten,
     _stack_maps,
     composition_multiplicities,
     decompose_tilting_character,
+    has_delta_flag,
     has_nabla_flag,
     is_tilting,
     label_table_character,
     minimal_tilting_cover,
+    primitive_counts,
     split_if_tilting,
     tilting_character,
-    tilting_hom_basis,
+    tilting_hom_dimension,
     tilting_module,
     tilting_socle,
+    weyl_module,
 )
 
 CORESOLUTION_CAP = 60
@@ -133,7 +132,10 @@ def embed_into_tilting(M: UModule):
     Hom(-, T(mu)) is left exact, so along a composition series of M,
     dim Hom(M, T(mu)) <= sum_c [M:L(c)] dim Hom(L(c), T(mu)) = [M:L(s(mu))].
     The multiplicities are read off ch M (standard.composition_multiplicities);
-    a negative one is an internal fault and raises CertificationError.
+    a negative one is an internal fault and raises CertificationError.  A
+    Delta-filtered M has dim Hom(M, T(mu)) = sum_c (M:Delta(c))
+    (T(mu):Nabla(c)), as Ext^1(Delta, Nabla) = 0 (tilting_hom_dimension), and
+    there only the mu where it is nonzero are solved.
 
     The greedy selection takes the maps by (dim T(mu), mu, basis index) and
     stops at the first injective selection.  dim T(mu) is read off the
@@ -146,12 +148,16 @@ def embed_into_tilting(M: UModule):
     if top is None:
         raise ValueError("cannot embed the zero module")
     bound = top + 2 * (field.ell - 1)
-    try:
-        mults = composition_multiplicities(field, ch)
-    except ValueError as exc:
-        raise CertificationError(str(exc)) from exc
-    window = sorted((mu for mu in range(bound + 1) if tilting_socle(field, mu) in mults),
-                    key=lambda mu: (tilting_character(field, mu).dimension(), mu))
+    if has_delta_flag(M):
+        weyl = decompose_into_weyl(ch)
+        window = [mu for mu in range(bound + 1) if tilting_hom_dimension(field, mu, weyl)]
+    else:
+        try:
+            mults = composition_multiplicities(field, ch)
+        except ValueError as exc:
+            raise CertificationError(str(exc)) from exc
+        window = [mu for mu in range(bound + 1) if tilting_socle(field, mu) in mults]
+    window.sort(key=lambda mu: (tilting_character(field, mu).dimension(), mu))
     components = ((mu, h) for mu in window for h in hom_space(M, tilting_module(field, mu)))
     chosen = _greedy_embedding(components, M)
     if chosen is None:
@@ -181,7 +187,7 @@ def cover_by_tilting(M: UModule):
 
 def _coresolution(M: UModule):
     """0 -> M -> X^0 -> ... -> X^(k-1) -> tail -> 0 with labeled tilting terms
-    X^s and a costandard-filtered tail; returns (terms, parts, maps, tail,
+    X^s and a Nabla-filtered tail; returns (terms, parts, maps, tail,
     iota) with maps[s]: X^s -> X^(s+1), the last of them the projection onto
     the tail, and iota: M -> X^0 the first embedding (the identity of M, its
     own tail, when k = 0)."""
@@ -203,16 +209,18 @@ def _coresolution(M: UModule):
     raise WindowError(f"coresolution did not terminate within {CORESOLUTION_CAP} steps")
 
 
-def _left_resolution(X: UModule):
-    """Column P_(-r) -> ... -> P_0 ->> X of the Nabla-filtered tail X, every
-    term a labeled sum of T(mu).
+def _left_resolution(X: UModule, parts=None):
+    """Column P_(-r) -> ... -> P_0 ->> X of a Nabla-filtered X, every term a
+    labeled sum of T(mu).
 
     Returns (terms, parts, maps, augmentation) with terms[u] = P_(-u) and
     maps[u - 1]: P_(-u) -> P_(-u+1).  X is its own P_0 when it is tilting,
-    and the column ends at the first tilting kernel.  Each cover kernel is
-    checked Nabla-filtered.
+    with the given parts when it is a labeled sum already, and the column
+    ends at the first tilting kernel.  Each cover kernel is checked
+    Nabla-filtered.
     """
-    parts = split_if_tilting(X)
+    if parts is None:
+        parts = split_if_tilting(X)
     if parts is not None:
         return [X], [parts], [], UMorphism.identity(X)
     P, aug, pparts = cover_by_tilting(X)
@@ -237,128 +245,115 @@ def _left_resolution(X: UModule):
     return terms, partl, maps, aug
 
 
-def _lift_over_tiltings(src, src_parts, tgt, tgt_parts, left: ExactMatrix, rhs: ExactMatrix):
-    """The intertwiner f: src -> tgt with left @ f = rhs that is zero on the
-    free unknowns of the intertwiner equations of Hom(src, tgt), or None when
-    there is no such intertwiner.
+def _ext_counts(N: UModule, T: UModule, C: UModule):
+    """{c: dim Ext^1(Delta(c), N)} for 0 -> N -> T -> C -> 0, T tilting:
+    Ext^1(Delta(c), T) = 0 leaves the exact 0 -> Hom(Delta(c), N) ->
+    Hom(Delta(c), T) -> Hom(Delta(c), C) -> Ext^1(Delta(c), N) -> 0, so it is
+    h_c(C) - h_c(T) + h_c(N) (primitive_counts); a negative count raises
+    CertificationError."""
+    hN, hT, hC = primitive_counts(N), primitive_counts(T), primitive_counts(C)
+    counts = {c: hC.get(c, 0) - hT.get(c, 0) + hN.get(c, 0) for c in hN.keys() | hT.keys() | hC.keys()}
+    if min(counts.values()) < 0:
+        raise CertificationError(f"Ext^1(Delta(c), N) has a negative count: {counts}")
+    return counts
 
-    src and tgt are sums of T(mu) with the given parts, so Hom(src, tgt) has
-    the basis iota_j phi pi_i, phi in the cached basis of Hom(T(mu_i),
-    T(nu_j)), and only its coefficients are solved for.  The solution found
-    is then reduced by the homogeneous solutions, in reduced echelon form
-    with pivot the last nonzero entry in the order of the unknowns of
-    `intertwiner_equations` (weight descending, then row, then column).
-    That leaves the one solution which is zero at those pivots, the free
-    unknowns of a solve over all weight-preserving entries.
+
+def _extension_round(N: UModule, emb: UMorphism, pi: UMorphism, last):
+    """(c, N', N -> N'): the universal extension 0 -> N -> N' -> Delta(c)^m
+    -> 0, c the largest weight with m = dim Ext^1(Delta(c), N) > 0, for N
+    with emb: N -> T tilting and pi: T ->> C = T/N.
+
+    A map from Delta(c) is fixed by its image of the highest weight vector,
+    so one echelon form finds m maps g_i: Delta(c) -> C, independent modulo
+    pi o Hom(Delta(c), T), a basis of Ext^1(Delta(c), N); N' is the pullback
+    ker(pi - g: T + Delta(c)^m -> C).  No such c, a c not below `last` (the
+    round before's), or another number of maps than m raises
+    CertificationError.
     """
-    field = left.field
-    basis = [(i, j, phi.matrix)
-             for j, q in enumerate(tgt_parts)
-             for i, p in enumerate(src_parts)
-             for phi in tilting_hom_basis(field, p.label[1], q.label[1])]
-
-    def combine(coeffs):
-        """sum_k coeffs[k] iota_j phi_k pi_i over the basis (i, j, phi_k)."""
-        blocks = {}
-        for k, c in coeffs.items():
-            i, j, phi = basis[k]
-            term = phi.scale(c)
-            blocks[(i, j)] = blocks[(i, j)] + term if (i, j) in blocks else term
-        out = ExactMatrix(field, tgt.dim, src.dim)
-        for (i, j), block in blocks.items():
-            out = out + tgt_parts[j].inclusion.matrix @ block @ src_parts[i].projection.matrix
-        return out
-
-    # one equation sum_k c_k (left @ B_k)[r, c] = rhs[r, c] per entry (r, c)
-    left_incl = [left @ q.inclusion.matrix for q in tgt_parts]
-    rows = {}
-    for k, (i, j, phi) in enumerate(basis):
-        image = left_incl[j] @ phi @ src_parts[i].projection.matrix
-        for cell, v in _flatten(image).items():
-            rows.setdefault(cell, {})[k] = v
-    sys = SparseSystem(field, len(basis))
-    target = _flatten(rhs)
-    for cell in rows.keys() | target.keys():
-        sys.add_row(rows.get(cell, {}), target.get(cell))
-    solved = sys.echelon()
-    coeffs = solved.particular_solution(len(basis))
-    if coeffs is None:
-        return None
-    f = combine(coeffs)
-    homogeneous = solved.kernel_basis(len(basis)) if coeffs else []
-    if not homogeneous:
-        return f
-    # key (w, -r, -c) of entry (r, c) of weight w: the least key is the last
-    # unknown, so RowEchelon's pivots are the last nonzero entries
-    weights = tgt.weights
-
-    def reversed_cells(mat):
-        return {(weights[r], -r, -c): v for r, row in enumerate(mat.entries) for c, v in row.items()}
-
+    field, T, C = N.field, pi.source, pi.target
+    counts = _ext_counts(N, T, C)
+    c = max((c for c, m in counts.items() if m > 0), default=None)
+    if c is None:
+        raise CertificationError("N has no Nabla-flag, but Ext^1(Delta(c), N) counts 0 at every c")
+    if last is not None and c >= last:
+        raise CertificationError(f"an extension round left Ext^1(Delta({c}), N) != 0,"
+                                 f" not below the c = {last} of the round before")
+    delta = weyl_module(field, c)
     ech = RowEchelon(field)
-    for vec in homogeneous:
-        ech.insert(reversed_cells(combine(vec)))
-    residual, _ = ech.reduce(reversed_cells(f))
-    out = ExactMatrix(field, tgt.dim, src.dim)
-    for (_, r, c), v in residual.items():
-        out.entries[-r][-c] = v
-    return out
+    for h in hom_space(delta, T):
+        ech.insert((pi.matrix @ h.matrix).column(0))
+    maps = [-g for g in hom_space(delta, C) if ech.insert(g.matrix.column(0)) is not None]
+    if len(maps) != counts[c]:
+        raise CertificationError(f"{len(maps)} maps Delta({c}) -> T/N are independent modulo T,"
+                                 f" not the {counts[c]} that Ext^1 counts")
+    S = direct_sum(T, *(delta for _ in maps))
+    grown, kincl = kernel_module(UMorphism(S, C, _stack_maps(field, [pi, *maps], C.dim)))
+    incl = kincl.matrix.solve(ExactMatrix(field, S.dim, N.dim, [*map(dict, emb.matrix.entries),
+                                                                *({} for _ in range(S.dim - T.dim))]))
+    if incl is None:
+        raise CertificationError(f"N does not lie in its extension by Delta({c})^{len(maps)}")
+    return c, grown, UMorphism(N, grown, incl)
+
+
+def _approximation(M: UModule):
+    """The extension rounds of tilting_complex_of: (Y, the parts of Y or
+    None, iota: M -> Y, X, q: Y ->> X), X and q None when Y is M."""
+    N, incl, last = M, UMorphism.identity(M), None
+    while not has_nabla_flag(N):
+        T, emb, parts = embed_into_tilting(N)
+        C, pi = quotient_module(T, emb)
+        if has_delta_flag(C):
+            if N is M:
+                return T, parts, emb, C, pi
+            iota = UMorphism(M, T, emb.matrix @ incl.matrix)
+            return (T, parts, iota, *quotient_module(T, iota))
+        last, N, grow = _extension_round(N, emb, pi, last)
+        incl = UMorphism(M, N, grow.matrix @ incl.matrix)
+    return (M, None, incl, None, None) if N is M else (N, None, incl, *quotient_module(N, incl))
 
 
 def tilting_complex_of(M: UModule):
-    """(X, iota, pi): a bounded complex X of tiltings quasi-isomorphic to M
-    (degree-0 cohomology), the embedding iota: M -> Y of the coresolution and
-    pi: X^0 -> Y, zero off the (0, 0) block.  There pi is the identity of
-    Y = X^0 when k >= 1, and the augmentation P_0 ->> Y = M when k = 0.
+    """(X, iota, pi): the cone X (the module docstring proves H(X) = M in
+    degree 0), the embedding iota: M -> Y and pi = eps: P_0 ->> Y.
 
-    X^s of the coresolution sits at (s, 0), and P_(-u) of the tail's column
-    at (k, -u), k the number of tilting terms.  The maps d_s: X^s -> X^(s+1)
-    for s < k-1 and the column's maps are components as they are.  A
-    staircase g_j: X^(k-1-j) -> P_(-j) joins the two: g_0 lifts the
-    projection X^(k-1) ->> tail through P_0 ->> tail (it is the projection
-    itself when the tail is tilting), and g_j solves
-    d o g_j = -g_(j-1) o d_(k-1-j), so that the square of the total
-    differential vanishes from X^(k-1-j) to P_(-j+1), until a right-hand
-    side is zero.
+    Y is built by extension rounds from N = M, with N/M Delta-filtered:
+      - if N has a Nabla-flag, Y = N and X = N/M (X = 0, no quotient taken,
+        when N is M);
+      - otherwise N embeds into a labeled tilting T, C = T/N, and if C has a
+        Delta-flag, Y = T, not split, and X = T/M (X = C when N is M);
+      - otherwise N grows by the universal extension by Delta(c)^m, c the
+        largest weight with m = dim Ext^1(Delta(c), N) > 0
+        (_extension_round).
+    The Delta-stop is valid: T is tilting, so Nabla-filtered, and
+    0 -> N/M -> T/M -> C -> 0 makes T/M Delta-filtered.  The rounds end:
+    after a round Ext^1(Delta(c), N') = 0, since the connecting map from
+    Hom(Delta(c), Delta(c)^m) onto Ext^1(Delta(c), N) is onto and
+    Ext^1(Delta(c), Delta(c)) = 0; and for c' > c, Ext^1(Delta(c'), N') = 0,
+    since Ext^1(Delta(c'), N) = 0 and Ext^1(Delta(c'), Delta(c)) = 0
+    (Ext^1(Delta(a), Delta(b)) != 0 only for a < b).  So c falls every
+    round, and once Ext^1(Delta, N) = 0, N has a Nabla-flag.  A round that
+    does not lower c raises CertificationError, in place of a step cap; so
+    does a last cokernel of the coresolution of X that is not tilting.
     """
     field = M.field
     if M.dim == 0:
         return ChainComplex.zero(field), UMorphism.identity(M), UMorphism.identity(M)
-    terms, partlists, maps, tail, iota = _coresolution(M)
-    column, cparts, cmaps, aug = _left_resolution(tail)
-    k = len(terms)
-    grid = {(s, 0): X for s, X in enumerate(terms)}
-    gparts = {(s, 0): parts for s, parts in enumerate(partlists)}
-    for u, (P, parts) in enumerate(zip(column, cparts)):
-        grid[(k, -u)] = P
-        gparts[(k, -u)] = parts
-    components = {((k, -u), (k, 1 - u)): d.matrix for u, d in enumerate(cmaps, 1)}
-    for s, d in enumerate(maps[:-1]):
-        components[((s, 0), (s + 1, 0))] = d.matrix
-    if k:
-        g = maps[-1].matrix
-        if column[0] is not tail:
-            g = _lift_over_tiltings(terms[-1], partlists[-1], column[0], cparts[0], aug.matrix, g)
-            if g is None:
-                raise CertificationError(f"vertical lift at column {k - 1}, level 0 is inconsistent")
-        components[((k - 1, 0), (k, 0))] = g
-    for j in range(1, k):
-        s = k - 1 - j
-        rhs = g @ maps[s].matrix
-        if rhs.is_zero():
-            break
-        where = f"correction at column {s}, level 0"
-        if j == len(column):
-            raise CertificationError(f"{where} has nowhere to go")
-        g = _lift_over_tiltings(terms[s], partlists[s], column[j], cparts[j], cmaps[j - 1].matrix, -rhs)
-        if g is None:
-            raise CertificationError(f"{where} is inconsistent")
-        components[((s, 0), (k, -j))] = g
-    X = total_complex(field, grid, components, gparts)
-    # the (0, 0) block comes first in degree 0, and is all of it when k = 0
-    X0, Y = X.term(0), iota.target
-    pi = ExactMatrix(field, Y.dim, X0.dim, [{r: field.one} for r in range(Y.dim)]) if k else aug.matrix
-    return X, iota, UMorphism(X0, Y, pi)
+    Y, yparts, iota, X, q = _approximation(M)
+    column, cparts, cmaps, eps = _left_resolution(Y, yparts)
+    terms = {-u: P for u, P in enumerate(column)}
+    parts = {-u: p for u, p in enumerate(cparts)}
+    diffs = {-u: d for u, d in enumerate(cmaps, 1)}
+    if X is not None:
+        row, rparts, rmaps, tail, iota_X = _coresolution(X)
+        tparts = split_if_tilting(tail)
+        if tparts is None:
+            raise CertificationError(f"the coresolution of a Delta-filtered quotient ends in a"
+                                     f" dim-{tail.dim} cokernel that is not tilting")
+        for s, (term, p) in enumerate(zip([*row, tail], [*rparts, tparts]), 1):
+            terms[s], parts[s] = term, p
+        diffs[0] = UMorphism(column[0], terms[1], iota_X.matrix @ q.matrix @ eps.matrix)
+        diffs.update(enumerate(rmaps, 1))
+    return ChainComplex(field, terms, diffs, parts), iota, eps
 
 
 class MinimalTiltingComplex:

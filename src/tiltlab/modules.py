@@ -21,7 +21,7 @@ def _shifts(ell):
 
 class UModule:
     __slots__ = ("field", "dim", "weights", "E", "F", "El", "Fl",
-                 "_blocks", "_char", "_fp", "_powers", "_nabla_flag", "_delta_flag")
+                 "_blocks", "_char", "_fp", "_powers", "_nabla_counts", "_delta_counts")
 
     def __init__(self, field: CycloField, weights, E, F, El, Fl):
         self.field = field
@@ -35,9 +35,9 @@ class UModule:
         self._char = None
         self._fp = None
         self._powers = None  # gen -> entries of gen^(a), a = 0..ell
-        # filled by standard.has_nabla_flag and has_delta_flag
-        self._nabla_flag = None
-        self._delta_flag = None
+        # filled by standard.primitive_counts and dual_primitive_counts
+        self._nabla_counts = None
+        self._delta_counts = None
 
     @classmethod
     def zero_module(cls, field):

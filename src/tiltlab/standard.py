@@ -543,9 +543,12 @@ def primitive_counts(M: UModule):
         Hom(Delta(c), Nabla(d)) is k when c = d and 0 otherwise; the sum is
         then sum_c (M:Nabla(c)) dim Nabla(c) = dim M.
     M has a Delta-flag exactly when M* has a Nabla-flag
-    (dual_primitive_counts).
+    (dual_primitive_counts).  The counts are taken once per module and kept
+    on it.
     """
-    return _primitive_counts(M, 1, M.E.entries, M.El.entries)
+    if M._nabla_counts is None:
+        M._nabla_counts = _primitive_counts(M, 1, M.E.entries, M.El.entries)
+    return M._nabla_counts
 
 
 def dual_primitive_counts(M: UModule):
@@ -555,8 +558,11 @@ def dual_primitive_counts(M: UModule):
     transposes of E, E^(ell) up to sign and the invertible K^-1, so
     h_c(M*) = dim M_{-c} minus the rank of E M_{-c-2} + E^(ell) M_{-c-2ell}
     inside M_{-c}: the same blocks as primitive_counts, read by column.
+    Kept on the module, as primitive_counts is.
     """
-    return _primitive_counts(M, -1, M.E.transpose().entries, M.El.transpose().entries)
+    if M._delta_counts is None:
+        M._delta_counts = _primitive_counts(M, -1, M.E.transpose().entries, M.El.transpose().entries)
+    return M._delta_counts
 
 
 def _primitive_counts(M: UModule, sign: int, E_vecs, El_vecs):
@@ -588,19 +594,13 @@ def _count_holds(M: UModule, counts) -> bool:
 
 
 def has_nabla_flag(M: UModule) -> bool:
-    """Whether M has a Nabla-flag (criterion of primitive_counts), counted
-    once per module and kept on it."""
-    if M._nabla_flag is None:
-        M._nabla_flag = _count_holds(M, primitive_counts(M))
-    return M._nabla_flag
+    """Whether M has a Nabla-flag (criterion of primitive_counts)."""
+    return _count_holds(M, primitive_counts(M))
 
 
 def has_delta_flag(M: UModule) -> bool:
-    """Whether M has a Delta-flag (the Nabla criterion on M*), counted once
-    per module and kept on it."""
-    if M._delta_flag is None:
-        M._delta_flag = _count_holds(M, dual_primitive_counts(M))
-    return M._delta_flag
+    """Whether M has a Delta-flag (the Nabla criterion on M*)."""
+    return _count_holds(M, dual_primitive_counts(M))
 
 
 def is_tilting(M: UModule) -> bool:

@@ -6,13 +6,15 @@ surjectivity through its own exact invariants.
 """
 
 import hashlib
+import itertools
+import math
 from fractions import Fraction
 
-from tiltlab.alcove import _check_dominant, linkage_class
+from tiltlab.alcove import _check_dominant
 from tiltlab.complexes import ChainComplex, _find_cancellable, _part_blocks, total_complex
 from tiltlab.cyclotomic import CertificationError, sum_of_products
-from tiltlab.linalg import ExactMatrix, RowEchelon
-from tiltlab.minimal import _stack_from_sum, _stack_into_sum
+from tiltlab.linalg import ExactMatrix, RowEchelon, SparseSystem
+from tiltlab.minimal import _coresolution, _left_resolution, _stack_from_sum, _stack_into_sum
 from tiltlab.modules import (
     UModule,
     UMorphism,
@@ -26,7 +28,7 @@ from tiltlab.modules import (
     weight_echelons,
 )
 from tiltlab.serialize import canonical_dumps
-from tiltlab.standard import tilting_module, weyl_module
+from tiltlab.standard import _flatten, tilting_hom_basis, tilting_module, weyl_module
 
 _peeled_tilting_cache = {}
 
@@ -441,18 +443,131 @@ def closed_form_label_table(ell, kind, n):
     return {j: sorted(x[p] for p in range(abs(j), len(x), 2)) for j in range(1 - len(x), len(x))}
 
 
+def _simple_roots(rs):
+    """alpha_1, ..., alpha_n, alpha_j the positive root with root
+    coordinates e_j."""
+    return sorted((r for r in rs.positive_roots if sum(r.simple_coords) == 1),
+                  key=lambda r: r.simple_coords.index(1))
+
+
+def _to_root_coords(rs):
+    """The matrix, with Fraction entries, that maps the omega coordinates of
+    a weight to its alpha coordinates: the inverse of the matrix whose
+    column j is alpha_j in omega coordinates, by Gauss-Jordan elimination."""
+    n = rs.rank
+    simple = _simple_roots(rs)
+    rows = [[Fraction(simple[j].weight_coords[i]) for j in range(n)] + [Fraction(int(i == k)) for k in range(n)]
+            for i in range(n)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if rows[r][c])
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c]:
+                rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], rows[c])]
+    return [row[n:] for row in rows]
+
+
+def _weyl_orbit(rs, y):
+    """W(y) for y in omega coordinates, by breadth-first closure under the
+    simple reflections s_i(y) = y - (y, alpha_i^vee) alpha_i, which generate
+    the finite Weyl group W."""
+    simple = _simple_roots(rs)
+    seen, queue = {y}, [y]
+    for v in queue:
+        for i, a in enumerate(simple):
+            u = tuple(x - v[i] * w for x, w in zip(v, a.weight_coords))
+            if u not in seen:
+                seen.add(u)
+                queue.append(u)
+    return seen
+
+
+def translated_weyl_orbit(rs, lam, p, bound):
+    """Dominant weights in the affine dot orbit of lam, with
+    (mu, highest coroot) <= bound, sorted, as w(lam + rho) + p gamma - rho
+    over the finite Weyl group W and the root lattice ZPhi: the test oracle
+    for alcove.dot_orbit that follows the orbit's definition.
+
+    W_p is generated by the s_(beta, rp)(y) = s_beta(y) + rp beta, so it is
+    W acting on the translations by pZPhi (s_(beta, p) s_beta is the
+    translation by p beta, and W permutes the roots), and the orbit of
+    y0 = lam + rho is W(y0) + pZPhi.  The output is z - rho over its points z
+    in R = {z : z_i >= 1, (z, theta^vee) <= top}, top = bound +
+    (rho, theta^vee), with theta^vee = sum_i c_i alpha_i^vee, every c_i >= 1.
+
+    The box for gamma.  With k(z) = A z the alpha coordinates of z (A the
+    inverse of the matrix whose columns are the alpha_j in omega
+    coordinates, every entry of it >= 0, which is checked), a z in R has
+    0 <= k_j(z) = sum_i A_ji z_i <= max_i (A_ji / c_i) sum_i c_i z_i
+    <= b_j = max_i (A_ji / c_i) top.  So z = w(y0) + p gamma needs
+    gamma_j in [-k_j(w y0) / p, (b_j - k_j(w y0)) / p], and every integer
+    gamma_j there is tried.
+    """
+    lam = _check_dominant(rs, lam)
+    A = _to_root_coords(rs)
+    if any(x < 0 for row in A for x in row):
+        raise ValueError(f"{rs.label}: the inverse Cartan matrix has a negative entry")
+    theta = rs.highest_coroot
+    top = bound + theta.pairing(rs.rho)
+    c = theta.coroot_coords
+    b = [max(A[j][i] / c[i] for i in range(rs.rank)) * top for j in range(rs.rank)]
+    simple = _simple_roots(rs)
+    out = set()
+    for y in _weyl_orbit(rs, tuple(l + r for l, r in zip(lam, rs.rho))):
+        k = [sum(a * x for a, x in zip(row, y)) for row in A]
+        ranges = [range(math.ceil(-k_j / p), math.floor((b_j - k_j) / p) + 1) for k_j, b_j in zip(k, b)]
+        for gamma in itertools.product(*ranges):
+            z = tuple(x + p * sum(g * a.weight_coords[i] for g, a in zip(gamma, simple)) for i, x in enumerate(y))
+            if min(z) >= 1 and theta.pairing(z) <= top:
+                out.add(tuple(x - r for x, r in zip(z, rs.rho)))
+    return sorted(out)
+
+
 def filter_dot_orbit(rs, lam, p, bound):
     """Dominant weights in the affine dot orbit of lam, with
     (mu, highest coroot) <= bound, sorted: the dominant weights under the
-    bound, enumerated in lexicographic order, kept when their linkage class
-    equals that of lam.  Its cost grows like bound^rank; the test oracle
-    for alcove.dot_orbit.
+    bound, enumerated in lexicographic order, kept when mu + rho lies in
+    W(lam + rho) + pZPhi (translated_weyl_orbit gives the reason).  The
+    test is on alpha coordinates: z - y lies in pZPhi exactly when
+    k(z) - k(y) is p times an integer vector, that is when D k(z) and
+    D k(y) agree mod pD, D the common denominator of the entries of A; so
+    each point is kept when the integers D k(z) mod pD are those of a point
+    of W(lam + rho).  Its cost grows like bound^rank; the test oracle for
+    alcove.dot_orbit.
     """
-    home = linkage_class(rs, _check_dominant(rs, lam), p)
-    box = [((), bound)]  # (leading coordinates, what the bound leaves for the rest)
-    for c in rs.highest_coroot.coroot_coords:
-        box = [(mu + (x,), rest - c * x) for mu, rest in box for x in range(rest // c + 1)]
-    return [mu for mu, _ in box if linkage_class(rs, mu, p) == home]
+    lam = _check_dominant(rs, lam)
+    residues, box = _residue_box(rs, p, bound)
+    key = (rs.label, p, lam)
+    if key not in _home_residues:
+        _home_residues[key] = {residues(y) for y in _weyl_orbit(rs, tuple(l + r for l, r in zip(lam, rs.rho)))}
+    home = _home_residues[key]
+    return [mu for mu, key in box if key in home]
+
+
+_residue_boxes = {}
+_home_residues = {}  # (type, p, lam) -> the residues of W(lam + rho)
+
+
+def _residue_box(rs, p, bound):
+    """(residues, box) for filter_dot_orbit, kept per (type, p, bound):
+    residues(y) = D k(y) mod pD, and box the dominant weights mu under the
+    bound in lexicographic order, each with residues(mu + rho)."""
+    key = (rs.label, p, bound)
+    if key not in _residue_boxes:
+        A = _to_root_coords(rs)
+        D = math.lcm(*(x.denominator for row in A for x in row))
+        DA = [[int(x * D) for x in row] for row in A]
+
+        def residues(y):
+            return tuple(sum(a * x for a, x in zip(row, y)) % (p * D) for row in DA)
+
+        box = [((), bound)]  # (leading coordinates, what the bound leaves for the rest)
+        for c in rs.highest_coroot.coroot_coords:
+            box = [(mu + (x,), rest - c * x) for mu, rest in box for x in range(rest // c + 1)]
+        _residue_boxes[key] = residues, [(mu, residues(tuple(m + r for m, r in zip(mu, rs.rho))))
+                                         for mu, _ in box]
+    return _residue_boxes[key]
 
 
 # ---------------------------------------------------------------------------
@@ -554,3 +669,135 @@ def eliminating_quotient(M, phi):
         mats[name] = proj @ g @ sect
     Q = UModule(field, weights, mats["E"], mats["F"], mats["El"], mats["Fl"])
     return Q, UMorphism(M, Q, proj)
+
+
+# ---------------------------------------------------------------------------
+# the staircase construction of a tilting complex: the coresolution of M to
+# a Nabla-filtered tail, the tail's left resolution as a column, and a
+# staircase of lifts joining them on a grid.  minimal.tilting_complex_of
+# builds the cone of two one-sided resolutions instead, and the tests compare
+# the two.
+
+
+def lift_over_tiltings(src, src_parts, tgt, tgt_parts, left: ExactMatrix, rhs: ExactMatrix):
+    """The intertwiner f: src -> tgt with left @ f = rhs that is zero on the
+    free unknowns of the intertwiner equations of Hom(src, tgt), or None when
+    there is no such intertwiner.
+
+    src and tgt are sums of T(mu) with the given parts, so Hom(src, tgt) has
+    the basis iota_j phi pi_i, phi in the cached basis of Hom(T(mu_i),
+    T(nu_j)), and only its coefficients are solved for.  The solution found
+    is then reduced by the homogeneous solutions, in reduced echelon form
+    with pivot the last nonzero entry in the order of the unknowns of
+    `intertwiner_equations` (weight descending, then row, then column).
+    That leaves the one solution which is zero at those pivots, the free
+    unknowns of a solve over all weight-preserving entries.
+    """
+    field = left.field
+    basis = [(i, j, phi.matrix)
+             for j, q in enumerate(tgt_parts)
+             for i, p in enumerate(src_parts)
+             for phi in tilting_hom_basis(field, p.label[1], q.label[1])]
+
+    def combine(coeffs):
+        """sum_k coeffs[k] iota_j phi_k pi_i over the basis (i, j, phi_k)."""
+        blocks = {}
+        for k, c in coeffs.items():
+            i, j, phi = basis[k]
+            term = phi.scale(c)
+            blocks[(i, j)] = blocks[(i, j)] + term if (i, j) in blocks else term
+        out = ExactMatrix(field, tgt.dim, src.dim)
+        for (i, j), block in blocks.items():
+            out = out + tgt_parts[j].inclusion.matrix @ block @ src_parts[i].projection.matrix
+        return out
+
+    # one equation sum_k c_k (left @ B_k)[r, c] = rhs[r, c] per entry (r, c)
+    left_incl = [left @ q.inclusion.matrix for q in tgt_parts]
+    rows = {}
+    for k, (i, j, phi) in enumerate(basis):
+        image = left_incl[j] @ phi @ src_parts[i].projection.matrix
+        for cell, v in _flatten(image).items():
+            rows.setdefault(cell, {})[k] = v
+    sys = SparseSystem(field, len(basis))
+    target = _flatten(rhs)
+    for cell in rows.keys() | target.keys():
+        sys.add_row(rows.get(cell, {}), target.get(cell))
+    solved = sys.echelon()
+    coeffs = solved.particular_solution(len(basis))
+    if coeffs is None:
+        return None
+    f = combine(coeffs)
+    homogeneous = solved.kernel_basis(len(basis)) if coeffs else []
+    if not homogeneous:
+        return f
+    # key (w, -r, -c) of entry (r, c) of weight w: the least key is the last
+    # unknown, so RowEchelon's pivots are the last nonzero entries
+    weights = tgt.weights
+
+    def reversed_cells(mat):
+        return {(weights[r], -r, -c): v for r, row in enumerate(mat.entries) for c, v in row.items()}
+
+    ech = RowEchelon(field)
+    for vec in homogeneous:
+        ech.insert(reversed_cells(combine(vec)))
+    residual, _ = ech.reduce(reversed_cells(f))
+    out = ExactMatrix(field, tgt.dim, src.dim)
+    for (_, r, c), v in residual.items():
+        out.entries[-r][-c] = v
+    return out
+
+
+def staircase_complex_of(M):
+    """(X, iota, pi): a bounded complex X of tiltings quasi-isomorphic to M
+    (degree-0 cohomology), the embedding iota: M -> Y of the coresolution and
+    pi: X^0 -> Y, zero off the (0, 0) block.  There pi is the identity of
+    Y = X^0 when k >= 1, and the augmentation P_0 ->> Y = M when k = 0.
+
+    X^s of the coresolution sits at (s, 0), and P_(-u) of the tail's column
+    at (k, -u), k the number of tilting terms.  The maps d_s: X^s -> X^(s+1)
+    for s < k-1 and the column's maps are components as they are.  A
+    staircase g_j: X^(k-1-j) -> P_(-j) joins the two: g_0 lifts the
+    projection X^(k-1) ->> tail through P_0 ->> tail (it is the projection
+    itself when the tail is tilting), and g_j solves
+    d o g_j = -g_(j-1) o d_(k-1-j), so that the square of the total
+    differential vanishes from X^(k-1-j) to P_(-j+1), until a right-hand
+    side is zero.
+    """
+    field = M.field
+    if M.dim == 0:
+        return ChainComplex.zero(field), UMorphism.identity(M), UMorphism.identity(M)
+    terms, partlists, maps, tail, iota = _coresolution(M)
+    column, cparts, cmaps, aug = _left_resolution(tail)
+    k = len(terms)
+    grid = {(s, 0): X for s, X in enumerate(terms)}
+    gparts = {(s, 0): parts for s, parts in enumerate(partlists)}
+    for u, (P, parts) in enumerate(zip(column, cparts)):
+        grid[(k, -u)] = P
+        gparts[(k, -u)] = parts
+    components = {((k, -u), (k, 1 - u)): d.matrix for u, d in enumerate(cmaps, 1)}
+    for s, d in enumerate(maps[:-1]):
+        components[((s, 0), (s + 1, 0))] = d.matrix
+    if k:
+        g = maps[-1].matrix
+        if column[0] is not tail:
+            g = lift_over_tiltings(terms[-1], partlists[-1], column[0], cparts[0], aug.matrix, g)
+            if g is None:
+                raise CertificationError(f"vertical lift at column {k - 1}, level 0 is inconsistent")
+        components[((k - 1, 0), (k, 0))] = g
+    for j in range(1, k):
+        s = k - 1 - j
+        rhs = g @ maps[s].matrix
+        if rhs.is_zero():
+            break
+        where = f"correction at column {s}, level 0"
+        if j == len(column):
+            raise CertificationError(f"{where} has nowhere to go")
+        g = lift_over_tiltings(terms[s], partlists[s], column[j], cparts[j], cmaps[j - 1].matrix, -rhs)
+        if g is None:
+            raise CertificationError(f"{where} is inconsistent")
+        components[((s, 0), (k, -j))] = g
+    X = total_complex(field, grid, components, gparts)
+    # the (0, 0) block comes first in degree 0, and is all of it when k = 0
+    X0, Y = X.term(0), iota.target
+    pi = ExactMatrix(field, Y.dim, X0.dim, [{r: field.one} for r in range(Y.dim)]) if k else aug.matrix
+    return X, iota, UMorphism(X0, Y, pi)

@@ -17,7 +17,7 @@ from tiltlab.alcove import (
     steinberg_twist_example,
 )
 
-from oracles import filter_dot_orbit
+from oracles import filter_dot_orbit, translated_weyl_orbit
 
 
 def test_root_counts_and_coxeter_numbers():
@@ -165,40 +165,10 @@ def test_nonrank_weight_rejected():
         separating_hyperplane_count(A2, (-1, 0), 3)
 
 
-def bfs_dot_orbit(rs, lam, p, bound):
-    """The orbit by breadth-first reflection closure, cut off at a slack of
-    one Coxeter number plus 2p beyond the bound; the test oracle for
-    dot_orbit."""
-    start = tuple(l + r for l, r in zip(lam, rs.rho))
-    theta = rs.highest_coroot
-    cutoff = bound + theta.pairing(rs.rho)
-    slack = cutoff + rs.coxeter_number + 2 * p
-    seen = {start}
-    queue = [start]
-    while queue:
-        nu = queue.pop()
-        for beta in rs.positive_roots:
-            val = beta.pairing(nu)
-            # reflect across (x, beta^vee) = rp: new pairing is 2rp - val
-            for r in range((val - slack) // (2 * p) - 1, (val + slack) // (2 * p) + 2):
-                delta = val - r * p
-                if delta == 0:
-                    continue
-                nxt = tuple(x - delta * w for x, w in zip(nu, beta.weight_coords))
-                if abs(theta.pairing(nxt)) <= slack and nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-    out = []
-    for nu in seen:
-        mu = tuple(x - r for x, r in zip(nu, rs.rho))
-        if rs.is_dominant(mu) and theta.pairing(nu) <= cutoff:
-            out.append(mu)
-    return sorted(out)
-
-
 @pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2"])
 def test_dot_orbit_matches_bfs(label):
-    # every dominant weight under the bound, one BFS per orbit it meets
+    # every dominant weight under the bound, one oracle orbit per orbit it
+    # meets: the breadth-first Weyl orbit of lam + rho, translated by pZPhi
     rs = root_system(label)
     for p in (2, 3, 5):
         for bound in (5, 8):
@@ -210,7 +180,7 @@ def test_dot_orbit_matches_bfs(label):
             for lam in box:
                 if lam in seen:
                     continue
-                orbit = bfs_dot_orbit(rs, lam, p, bound)
+                orbit = translated_weyl_orbit(rs, lam, p, bound)
                 assert lam in orbit
                 for mu in orbit:
                     assert dot_orbit(rs, mu, p, bound) == orbit, (p, bound, mu)

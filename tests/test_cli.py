@@ -585,21 +585,38 @@ def test_an_embedding_missing_from_its_window_exits_internal(monkeypatch, capsys
     assert "mu <= 8, do not embed a dim-4 module" in captured.err
 
 
-def test_a_failed_lift_exits_internal(monkeypatch, capsys):
+def test_a_dropped_ext1_class_exits_internal(monkeypatch, capsys):
+    """L(4) at ell 3 takes one extension round, by Delta(0): a Hom(Delta(0),
+    T/N) that loses a map leaves fewer classes than Ext^1 counts, which is a
+    program fault."""
     import tiltlab.cache
     import tiltlab.minimal
+    from tiltlab.standard import is_tilting
 
     monkeypatch.setattr(tiltlab.cache, "_active_cache", None)
     monkeypatch.delenv("TILTLAB_CACHE", raising=False)
     monkeypatch.setattr(tiltlab.minimal, "_cmin_cache", {})
-    monkeypatch.setattr(tiltlab.minimal, "_lift_over_tiltings", lambda *args: None)
-    # the coresolution of L(4) at ell 3 has two columns, joined by a lift
-    assert len(tiltlab.minimal._coresolution(simple_module(CycloField(3), 4))[0]) == 1
+    solve, extend = tiltlab.minimal.hom_space, tiltlab.minimal._extension_round
+    inside = []
+
+    def lossy(M, N):
+        basis = solve(M, N)
+        return basis[:-1] if inside and not is_tilting(N) else basis
+
+    def marked_round(*args):
+        inside.append(True)
+        try:
+            return extend(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(tiltlab.minimal, "hom_space", lossy)
+    monkeypatch.setattr(tiltlab.minimal, "_extension_round", marked_round)
     code = main(["cmin", "--ell", "3", "--module", "L:4"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
-    assert "vertical lift at column 0, level 0 is inconsistent" in captured.err
+    assert "0 maps Delta(0) -> T/N are independent modulo T, not the 1 that Ext^1 counts" in captured.err
 
 
 def test_a_tilting_kernel_that_does_not_split_exits_internal(monkeypatch, capsys):

@@ -9,9 +9,11 @@ from tiltlab.cyclotomic import CertificationError, CycloField
 from tiltlab.linalg import ExactMatrix
 from tiltlab.modules import UModule, UMorphism, direct_sum, find_isomorphism, tensor_module
 from tiltlab.minimal import (
+    _approximation,
     _certify_cmin,
+    _ext_counts,
     _intertwines,
-    _lift_over_tiltings,
+    _stack_into_sum,
     cover_by_tilting,
     embed_into_tilting,
     filtration_dimensions,
@@ -21,6 +23,7 @@ from tiltlab.minimal import (
 from tiltlab.standard import (
     composition_multiplicities,
     dual_weyl_module,
+    is_tilting,
     label_table_character,
     peel_standard_filtration,
     simple_character,
@@ -33,12 +36,15 @@ from tiltlab.standard import (
 
 from oracles import (
     closed_form_label_table,
+    complex_to_json,
     embed_full_window,
     is_injective,
     is_minimal,
     is_surjective,
+    lift_over_tiltings,
     prune_by_lifting,
     solve_chain_map,
+    staircase_complex_of,
 )
 
 F3 = CycloField(3)
@@ -229,9 +235,13 @@ def test_embedding_matches_the_full_window(ell, top):
 
 
 def test_embedding_solves_only_nonzero_hom_spaces(monkeypatch):
-    """Over C_min(L(0..13)) at ell 3 and C_min(L(0..15)) at ell 5 the
-    embeddings solve 89 Hom(M, T(mu)), each nonzero; the full windows
-    solved 686, 597 of them zero."""
+    """Over C_min(L(0..13)) at ell 3 and C_min(L(0..15)) at ell 5 the 40
+    embeddings (of M, of the extension rounds' N and of the cokernels of
+    the Delta-filtered quotient's coresolution) solve 64 Hom(M, T(mu)),
+    each nonzero; their full windows would solve 584, 502 of them zero.
+    The socle filter alone would solve 13 zero spaces, such as
+    Hom(Delta(4), T(0)) at ell 3, which the exact Hom dimension of a
+    Delta-filtered module drops."""
     import tiltlab.minimal
 
     solves = []
@@ -257,7 +267,7 @@ def test_embedding_solves_only_nonzero_hom_spaces(monkeypatch):
     for field, top in ((F3, 13), (F5, 15)):
         for n in range(top + 1):
             minimal_tilting_complex(simple_module(field, n))
-    assert len(solves) == 89
+    assert len(solves) == 64
     assert all(solves)
 
 
@@ -412,7 +422,7 @@ def test_solve_chain_map_with_identity_returns_each_intertwiner():
         assert basis
         left = ExactMatrix.identity(field, N.dim)
         for h in basis:
-            lifted = _lift_over_tiltings(M, mparts, N, nparts, left, h.matrix)
+            lifted = lift_over_tiltings(M, mparts, N, nparts, left, h.matrix)
             assert lifted == solve_chain_map(M, N, left, h.matrix) == h.matrix
 
 
@@ -455,7 +465,7 @@ def test_solve_chain_map_matches_oracle_on_random_combinations(field):
         if rhs.is_zero():
             continue
         cases += 1
-        lifted = _lift_over_tiltings(M, mparts, N, nparts, left, rhs)
+        lifted = lift_over_tiltings(M, mparts, N, nparts, left, rhs)
         assert lifted == solve_chain_map(M, N, left, rhs)
         assert left @ lifted == rhs
 
@@ -469,13 +479,13 @@ def test_solve_chain_map_rejects_a_non_intertwiner():
     top[0, 0] = F3.one
     assert T.weights[0] == 3
     assert solve_chain_map(T, T, left, top) is None
-    assert _lift_over_tiltings(T, parts, T, parts, left, top) is None
+    assert lift_over_tiltings(T, parts, T, parts, left, top) is None
     # a map that moves weights is not an intertwiner either
     shift = ExactMatrix(F3, T.dim, T.dim)
     shift[1, 0] = F3.one
     assert T.weights[1] != T.weights[0]
     assert solve_chain_map(T, T, left, shift) is None
-    assert _lift_over_tiltings(T, parts, T, parts, left, shift) is None
+    assert lift_over_tiltings(T, parts, T, parts, left, shift) is None
 
 
 @pytest.mark.parametrize("field, top", [(F3, 8), (F5, 12)], ids=["ell3", "ell5"])
@@ -542,3 +552,142 @@ def test_closed_form_label_tables_have_the_euler_character(ell):
         for kind, ch in (("delta", weyl_character(n)), ("nabla", weyl_character(n)),
                          ("L", simple_character(field, n))):
             assert label_table_character(field, closed_form_label_table(ell, kind, n)) == ch, (kind, n)
+
+
+def _non_tilting(field, top):
+    """Delta(n), Nabla(n) and L(n), n <= top, that are not tilting."""
+    return [build(field, n) for n in range(top + 1) for _, build in KINDS if not is_tilting(build(field, n))]
+
+
+@pytest.mark.parametrize("field", [F3, F5], ids=["ell3", "ell5"])
+def test_a_nabla_filtered_module_is_its_own_approximation(monkeypatch, field):
+    """Y = M and X = 0, with no embedding and no quotient taken: the row is
+    the left resolution of M alone."""
+    import tiltlab.minimal
+
+    def refuse(*args):
+        raise AssertionError("a Nabla-filtered module was embedded or divided")
+
+    monkeypatch.setattr(tiltlab.minimal, "embed_into_tilting", refuse)
+    monkeypatch.setattr(tiltlab.minimal, "quotient_module", refuse)
+    for n in range(3 * field.ell):
+        M = dual_weyl_module(field, n)
+        if is_tilting(M):
+            continue
+        Y, parts, iota, X, q = _approximation(M)
+        assert Y is M and parts is None and X is None and q is None, n
+        assert iota.matrix == ExactMatrix.identity(field, M.dim)
+        assert max(tilting_complex_of(M)[0].degrees()) == 0, n
+
+
+@pytest.mark.parametrize("field", [F3, F5], ids=["ell3", "ell5"])
+def test_a_delta_filtered_module_stops_at_its_embedding(monkeypatch, field):
+    """T/M is Delta-filtered for every Delta(n) here, so Y is the embedding's
+    labeled T, not split, X = T/M and no extension round is taken; the row
+    is the staircase construction's, byte for byte."""
+    import tiltlab.minimal
+
+    embed, split = tiltlab.minimal.embed_into_tilting, tiltlab.minimal.split_if_tilting
+    embedded, splits = [], []
+
+    def recording_embed(M):
+        embedded.append(embed(M))
+        return embedded[-1]
+
+    def recording_split(M):
+        splits.append(M)
+        return split(M)
+
+    def no_round(*args):
+        raise AssertionError("an extension round was taken")
+
+    monkeypatch.setattr(tiltlab.minimal, "embed_into_tilting", recording_embed)
+    monkeypatch.setattr(tiltlab.minimal, "split_if_tilting", recording_split)
+    monkeypatch.setattr(tiltlab.minimal, "_extension_round", no_round)
+    for n in range(3 * field.ell):
+        M = weyl_module(field, n)
+        if is_tilting(M):
+            continue
+        embedded.clear()
+        Y, parts, iota, X, q = _approximation(M)
+        (T, emb, tparts), = embedded
+        assert Y is T and parts is tparts and iota is emb and q.source is T, n
+        assert X.dim == T.dim - M.dim, n
+        splits.clear()
+        row = tilting_complex_of(M)[0]
+        assert all(S is not row.term(0) for S in splits), n
+        assert complex_to_json(row) == complex_to_json(staircase_complex_of(M)[0]), n
+
+
+def _staircase_table(M):
+    """The label table of the minimalized staircase construction, after its
+    certificate passes."""
+    X, iota, pi = staircase_complex_of(M)
+    res = minimalize(X)
+    _certify_cmin(M, res.complex, pi.matrix @ res.chain_map[0], iota)
+    return res.complex.tilting_label_table()
+
+
+def _products(field, top):
+    """A (x) B, A and B non-tilting Delta(n), Nabla(n) or L(n), n <= top,
+    each unordered pair once, where the product is not tilting; a tilting
+    factor such as L(0) would repeat the single modules."""
+    factors = _non_tilting(field, top)
+    pairs = (tensor_module(A, B) for i, A in enumerate(factors) for B in factors[i:])
+    return [P for P in pairs if not is_tilting(P)]
+
+
+POOLS = {
+    "single ell3": lambda: _non_tilting(F3, 15),
+    "single ell5": lambda: _non_tilting(F5, 15),
+    "single ell7": lambda: _non_tilting(CycloField(7), 15),
+    "product ell3": lambda: _products(F3, 7),
+    "product ell5": lambda: _products(F5, 8),
+}
+
+
+@pytest.mark.parametrize("pool", sorted(POOLS))
+def test_the_cone_matches_the_staircase_oracle(pool):
+    """Over the pool, C_min from the cone has the label table of the
+    minimalized staircase construction, and both certificates pass:
+    minimal_tilting_complex certifies the cone before it returns or caches
+    it, and _staircase_table certifies the oracle."""
+    modules = POOLS[pool]()
+    assert modules
+    for M in modules:
+        assert minimal_tilting_complex(M).label_table() == _staircase_table(M), (pool, M.character)
+
+
+def test_ext_counts_do_not_depend_on_the_embedding(monkeypatch):
+    """Each round's count h_c(C) - h_c(T) + h_c(N) is dim Ext^1(Delta(c), N):
+    recomputed over the sum of every map into the full window
+    (tests/oracles.py::embed_full_window), which is another embedding
+    wherever the window holds more maps than the greedy selection takes, it
+    is the same."""
+    import tiltlab.minimal
+
+    count, rounds = tiltlab.minimal._ext_counts, []
+
+    def recording(N, T, C):
+        rounds.append((N, count(N, T, C)))
+        return rounds[-1][1]
+
+    monkeypatch.setattr(tiltlab.minimal, "_cmin_cache", {})
+    monkeypatch.setattr(tiltlab.minimal, "_ext_counts", recording)
+    for field, top in ((F3, 10), (F5, 11)):
+        for n in range(top + 1):
+            minimal_tilting_complex(simple_module(field, n))
+    minimal_tilting_complex(tensor_module(simple_module(F3, 4), weyl_module(F3, 3)))
+    assert len(rounds) > 10
+    larger = 0
+    for N, counts in rounds:
+        (T, _, _), solved = embed_full_window(N)
+        every = [(mu, h) for mu, basis in solved.items() for h in basis]
+        T_all, emb, _ = _stack_into_sum(N.field, every, N)
+        larger += T_all.dim > T.dim
+        C_all, _ = tiltlab.minimal.quotient_module(T_all, emb)
+        again = _ext_counts(N, T_all, C_all)
+        assert {c: m for c, m in again.items() if m} == {c: m for c, m in counts.items() if m}
+    # most windows hold only the maps the greedy selection takes
+    assert larger
+

@@ -7,7 +7,8 @@ one SCALE_<pr>.json.
     python3 tools/scale_probe.py --parent ../parent --change ../change --out SCALE_24.json
 
 The benchmark's modules are small (n <= 15); this probe measures the regime
-past them: C_min(L(24)) and C_min(L(30)) at ell 3 and C_min(L(40)) at ell 7.
+past them: C_min(L(24)), C_min(L(30)) and C_min(L(36)) at ell 3 and
+C_min(L(40)) at ell 7.
 Each case runs in a fresh interpreter of each checkout, one process at a
 time, importing that checkout's src/; it times the construction of L(n) and
 of C_min(L(n)) separately and reports the process's peak resident memory.
@@ -37,7 +38,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
 from oracles import closed_form_label_table  # noqa: E402
 
-CASES = [(3, 24), (3, 30), (7, 40)]
+CASES = [(3, 24), (3, 30), (3, 36), (7, 40)]
 PAIRS = 5
 
 # run in the checkout, with its src/ first on sys.path; prints one JSON line
