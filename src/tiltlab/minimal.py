@@ -171,7 +171,7 @@ def cover_by_tilting(M: UModule):
     """Surjection onto M from a labeled direct sum of T(mu): the minimal
     tilting cover of M over S(M) = {c : (M:Nabla(c)) > 0}
     (standard.minimal_tilting_cover, where the proofs are).  M must be
-    Nabla-filtered, as the coresolution's tail and every cover kernel are; a
+    Nabla-filtered, as Y and every cover kernel are; a
     solved dimension other than `tilting_hom_dimension`, or a cover that is
     not onto, raises CertificationError.
     """

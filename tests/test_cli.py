@@ -632,7 +632,7 @@ def test_a_tilting_kernel_that_does_not_split_exits_internal(monkeypatch, capsys
     for n in range(9):  # the tiltings the resolution of L(4) needs, built first
         tilting_module(CycloField(3), n)
     # the split's cover loses a component, so its labels are not those of
-    # ch M; minimal holds its own binding, so the cover of the tail is intact
+    # ch M; minimal holds its own binding, so the cover of Y is intact
     cover = tiltlab.standard.minimal_tilting_cover
     monkeypatch.setattr(tiltlab.standard, "minimal_tilting_cover", lambda *args: cover(*args)[:-1])
     code = main(["cmin", "--ell", "3", "--module", "L:4"])

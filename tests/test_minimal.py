@@ -179,7 +179,7 @@ def test_embed_and_cover_shapes(monkeypatch):
     Q, emb, parts = embed_into_tilting(L3)
     assert is_injective(emb)
     assert all(lab[0] == "T" for lab in (p.label for p in parts))
-    # a cover's input is Nabla-filtered, as the coresolution's tail is
+    # a cover's input is Nabla-filtered, as Y of the approximation is
     M = direct_sum(dual_weyl_module(F3, 3), dual_weyl_module(F3, 1))
     P, surj, parts2 = cover_by_tilting(M)
     assert is_surjective(surj)
@@ -302,8 +302,8 @@ def _refused(*args):
 
 
 def test_construction_certificate_rejects_corruption():
-    # Nabla(6) is its own tail (k = 0): there iota is the identity and p the
-    # augmentation; the other four have a tilting term X^0 = Y and a d^0
+    # Nabla(6) is its own Y (X = 0): there iota is the identity and p the
+    # augmentation; the other four have Y != M and a d^0
     modules = (simple_module(F3, 3), weyl_module(F3, 6), simple_module(F5, 10), weyl_module(F5, 7),
                dual_weyl_module(F3, 6))
     for M in modules:
