@@ -542,7 +542,7 @@ def filter_dot_orbit(rs, lam, p, bound):
     if key not in _home_residues:
         _home_residues[key] = {residues(y) for y in _weyl_orbit(rs, tuple(l + r for l, r in zip(lam, rs.rho)))}
     home = _home_residues[key]
-    return [mu for mu, key in box if key in home]
+    return [mu for mu, residue in box if residue in home]
 
 
 _residue_boxes = {}
