@@ -31,7 +31,11 @@ import json
 import os
 import sys
 
+from tiltlab.characters import weyl_character
+from tiltlab.minimal import minimal_tilting_complex
+from tiltlab.modules import check_relations, dual_module, submodule_generated
 from tiltlab.serialize import canonical_dumps, module_from_json, module_text
+from tiltlab.standard import is_tilting, label_table_character, simple_character, tilting_character
 
 # Bump whenever a cached module basis or entry format changes.  Version 2:
 # T(n) above 2ell-2 is T(ell-1+b) (x) L(a)^[1] instead of tensor-and-peel.
@@ -103,8 +107,6 @@ class CacheDir:
         A loaded module must store K as zeta^weight, be weight graded,
         satisfy the defining relations and be the module kind(n).
         """
-        from tiltlab.modules import check_relations
-
         data = self._read(self.module_key(ell, kind, n))
         if data is None:
             return None
@@ -165,10 +167,6 @@ def _check_named_module(M, kind: str, n: int):
     counts (standard.is_tilting), since a tilting module is fixed by its
     character; T(n) is not built.
     """
-    from tiltlab.characters import weyl_character
-    from tiltlab.modules import dual_module, submodule_generated
-    from tiltlab.standard import is_tilting, simple_character, tilting_character
-
     field = M.field
     if kind == "L":
         expected = simple_character(field, n)
@@ -198,9 +196,6 @@ def cmin_label_table_cached(cache: CacheDir | None, M):
     The table is kept in the directory's memory either way, so repeated
     lookups return the same dict: callers read it and never change it.
     """
-    from tiltlab.minimal import minimal_tilting_complex
-    from tiltlab.standard import label_table_character
-
     if cache is None:
         return minimal_tilting_complex(M).label_table()
     fp = M.fingerprint()

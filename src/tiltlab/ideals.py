@@ -10,6 +10,7 @@ membership test: every term of the minimal tilting complex lies in I.
 
 from __future__ import annotations
 
+from tiltlab.cache import active_cmin_labels
 from tiltlab.cyclotomic import CycloField
 from tiltlab.modules import UModule
 from tiltlab.standard import decompose_tilting_character, tilting_character, tilting_module
@@ -176,8 +177,6 @@ class RepIdealHandle:
     def membership(self, M: UModule) -> bool:
         if M.dim == 0:
             return True
-        from tiltlab.cache import active_cmin_labels
-
         table = active_cmin_labels(M)
         for degree, labels in table.items():
             for n in labels:

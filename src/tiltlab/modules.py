@@ -265,14 +265,31 @@ def _coproduct(M: UModule, N: UModule, gen: str, r: int) -> ExactMatrix:
     return out
 
 
+_tensor_cache: dict = {}
+
+
 def tensor_module(M: UModule, N: UModule) -> UModule:
-    """M tensor N with the comultiplication action on divided powers."""
+    """M tensor N with the comultiplication action on divided powers.
+
+    Each product is built once per process: the result is kept under
+    (ell, M.fingerprint(), N.fingerprint()), so factors equal in content,
+    even as distinct objects, return the same module, with everything it
+    has kept (fingerprint, weight blocks, divided powers, flag counts).
+    `_coproduct` reads only the factors' weights and E, F, E^(l), F^(l),
+    all of which the fingerprint covers.  This relies on the invariant
+    that no caller changes a module once it is built.
+    """
     if M.field is not N.field:
         raise MismatchedFieldError("tensor factors over different ell")
     ell = M.field.ell
-    weights = tuple(wm + wn for wm in M.weights for wn in N.weights)
-    return UModule(M.field, weights, _coproduct(M, N, "E", 1), _coproduct(M, N, "F", 1),
-                   _coproduct(M, N, "E", ell), _coproduct(M, N, "F", ell))
+    key = (ell, M.fingerprint(), N.fingerprint())
+    P = _tensor_cache.get(key)
+    if P is None:
+        weights = tuple(wm + wn for wm in M.weights for wn in N.weights)
+        P = _tensor_cache[key] = UModule(
+            M.field, weights, _coproduct(M, N, "E", 1), _coproduct(M, N, "F", 1),
+            _coproduct(M, N, "E", ell), _coproduct(M, N, "F", ell))
+    return P
 
 
 def dual_module(M: UModule) -> UModule:

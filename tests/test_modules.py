@@ -70,11 +70,14 @@ def test_tensor_passes_relations_and_characters():
     T.assert_weight_graded()
 
 
+def _oracle_factors(F):
+    return [weyl_module(F, 2), simple_module(F, F.ell + 1), tilting_module(F, F.ell),
+            dual_weyl_module(F, 3), frobenius_twist(F, 1)]
+
+
 @pytest.mark.parametrize("ell", [3, 5, 7])
 def test_tensor_module_matches_kron_oracle(ell):
-    F = CycloField(ell)
-    factors = [weyl_module(F, 2), simple_module(F, ell + 1), tilting_module(F, ell),
-               dual_weyl_module(F, 3), frobenius_twist(F, 1)]
+    factors = _oracle_factors(CycloField(ell))
     for M in factors:
         for N in factors:
             got, want = tensor_module(M, N), kron_tensor_module(M, N)
@@ -100,6 +103,37 @@ def test_tensor_module_reuses_divided_powers_of_its_factors(ell):
         assert sorted(M._powers) == sorted(N._powers) == ["E", "F"]
 
 
+def test_a_repeated_tensor_product_is_the_same_module():
+    X, Y = weyl_module(F3, 2), simple_module(F3, 4)
+    P = tensor_module(X, Y)
+    assert tensor_module(X, Y) is P
+    assert tensor_module(Y, X) is not P
+
+
+def test_factors_equal_in_content_share_one_product():
+    # each call builds new factor objects, with no fingerprint taken yet
+    def factors():
+        return direct_sum(weyl_module(F5, 3), frobenius_twist(F5, 1)), dual_module(weyl_module(F5, 2))
+
+    (X, Y), (X2, Y2) = factors(), factors()
+    assert X is not X2 and Y is not Y2 and X2._fp is None and Y2._fp is None
+    P = tensor_module(X, Y)
+    assert tensor_module(X2, Y2) is P
+    copy = module_from_json(module_to_json(Y))
+    assert copy is not Y and tensor_module(X, copy) is P
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7])
+def test_memoized_tensor_module_text_matches_kron_oracle(ell):
+    factors = _oracle_factors(CycloField(ell))
+    for M in factors:
+        for N in factors:
+            first = tensor_module(M, N)
+            again = tensor_module(M, N)
+            assert again is first
+            assert module_text(again) == module_text(kron_tensor_module(M, N)), (ell, M.weights, N.weights)
+
+
 def test_tensor_with_trivial_is_isomorphic():
     M = weyl_module(F3, 3)
     T = tensor_module(M, UModule.trivial(F3))
@@ -117,6 +151,12 @@ def test_tensor_character_example():
 def test_tensor_mismatched_ell():
     with pytest.raises(MismatchedFieldError):
         tensor_module(weyl_module(F3, 1), weyl_module(F5, 1))
+    # a memoized product over either field does not mask the mismatch
+    tensor_module(weyl_module(F3, 1), weyl_module(F3, 1))
+    tensor_module(weyl_module(F5, 1), weyl_module(F5, 1))
+    for M, N in ((weyl_module(F3, 1), weyl_module(F5, 1)), (weyl_module(F5, 1), weyl_module(F3, 1))):
+        with pytest.raises(MismatchedFieldError):
+            tensor_module(M, N)
 
 
 def test_dual_module_properties():
