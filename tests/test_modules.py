@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tiltlab.modules
 from tiltlab.cyclotomic import CycloField, MismatchedFieldError
 from tiltlab.linalg import ExactMatrix
 from tiltlab.modules import (
@@ -70,44 +71,36 @@ def test_tensor_passes_relations_and_characters():
     T.assert_weight_graded()
 
 
-def _oracle_factors(F):
-    return [weyl_module(F, 2), simple_module(F, F.ell + 1), tilting_module(F, F.ell),
-            dual_weyl_module(F, 3), frobenius_twist(F, 1)]
-
-
 @pytest.mark.parametrize("ell", [3, 5, 7])
 def test_tensor_module_matches_kron_oracle(ell):
-    factors = _oracle_factors(CycloField(ell))
+    F = CycloField(ell)
+    factors = [weyl_module(F, 2), simple_module(F, ell + 1), tilting_module(F, ell),
+               dual_weyl_module(F, 3), frobenius_twist(F, 1)]
     for M in factors:
         for N in factors:
-            got, want = tensor_module(M, N), kron_tensor_module(M, N)
-            assert got.weights == want.weights
-            for name in ("E", "F", "El", "Fl"):
-                assert getattr(got, name) == getattr(want, name), (ell, M.weights, N.weights, name)
+            got = tensor_module(M, N)
+            # the repeat is the memoized product, the same bytes as the oracle's
+            assert tensor_module(M, N) is got
+            assert module_text(got) == module_text(kron_tensor_module(M, N)), (ell, M.weights, N.weights)
 
 
 @pytest.mark.parametrize("ell", [3, 5])
-def test_tensor_module_reuses_divided_powers_of_its_factors(ell):
+def test_tensor_module_reuses_divided_powers_of_its_factors(ell, monkeypatch):
     # fresh factors, so the first tensor_module fills their divided powers
-    # and the second reads them back
+    # and the second, with the product memo emptied, reads them back
+    monkeypatch.setattr(tiltlab.modules, "_tensor_cache", {})
     F = CycloField(ell)
     M = tensor_module(weyl_module(F, 2), UModule.trivial(F))
     N = direct_sum(simple_module(F, ell + 1), frobenius_twist(F, 1))
     assert M._powers is None and N._powers is None
     want = kron_tensor_module(M, N)
     for _ in range(2):
+        monkeypatch.setattr(tiltlab.modules, "_tensor_cache", {})
         got = tensor_module(M, N)
         assert got.weights == want.weights
         for name in ("E", "F", "El", "Fl"):
             assert getattr(got, name) == getattr(want, name), (ell, name)
         assert sorted(M._powers) == sorted(N._powers) == ["E", "F"]
-
-
-def test_a_repeated_tensor_product_is_the_same_module():
-    X, Y = weyl_module(F3, 2), simple_module(F3, 4)
-    P = tensor_module(X, Y)
-    assert tensor_module(X, Y) is P
-    assert tensor_module(Y, X) is not P
 
 
 def test_factors_equal_in_content_share_one_product():
@@ -121,17 +114,8 @@ def test_factors_equal_in_content_share_one_product():
     assert tensor_module(X2, Y2) is P
     copy = module_from_json(module_to_json(Y))
     assert copy is not Y and tensor_module(X, copy) is P
-
-
-@pytest.mark.parametrize("ell", [3, 5, 7])
-def test_memoized_tensor_module_text_matches_kron_oracle(ell):
-    factors = _oracle_factors(CycloField(ell))
-    for M in factors:
-        for N in factors:
-            first = tensor_module(M, N)
-            again = tensor_module(M, N)
-            assert again is first
-            assert module_text(again) == module_text(kron_tensor_module(M, N)), (ell, M.weights, N.weights)
+    # the key is ordered: Y (x) X has another basis, so it is another product
+    assert tensor_module(Y, X) is not P
 
 
 def test_tensor_with_trivial_is_isomorphic():
