@@ -137,6 +137,20 @@ def parse_weight(text, rank):
     return tuple(parts)
 
 
+def parse_generators(text, window):
+    """The comma-separated weights of `ideals generate`; a token that is not
+    an integer is named in the error with the window."""
+    gens = set()
+    for token in text.split(","):
+        try:
+            gens.add(int(token))
+        except ValueError:
+            raise ValueError(
+                f"generator {token!r} is not an integer weight of the window [0, {window}]"
+            ) from None
+    return gens
+
+
 def emit(obj, out=None):
     """Write the report to the open --output file, or to stdout when None."""
     text = canonical_dumps(obj)
@@ -169,7 +183,7 @@ def cmd_ideals(args):
     if args.action == "enumerate":
         ideals = enumerate_tilt_ideals(field, window)
     else:
-        gens = {int(x) for x in args.generators.split(",")}
+        gens = parse_generators(args.generators, window)
         ideals = [generate_tilt_ideal(field, gens, window)]
     rows = []
     for ideal in ideals:

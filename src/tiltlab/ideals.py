@@ -2,10 +2,19 @@
 ideals of the module category they generate through minimal tilting
 complexes.
 
-Ideals live in [0, W]; tensor closure is tracked in the extended window
-[0, 2W] and any conclusion that would need labels beyond that aborts loudly.
-The category-side ideal attached to a window ideal I is handled through its
+Ideals live in [0, W].  Closure and primality decompose products of two
+labels of the window against the label limit 2W, which always holds: the
+labels of T(m) (x) T(n) are at most m + n.  `tensor_labels` still raises
+`WindowOverflowError` for a label above the limit its caller gives.  The
+category-side ideal attached to a window ideal I is handled through its
 membership test: every term of the minimal tilting complex lies in I.
+
+Two per-process memos serve the closure.  One decomposition is kept per
+unordered pair: the character product commutes, so T(m) (x) T(n) and
+T(n) (x) T(m) share the entry (ell, min(m, n), max(m, n)).  And the reach
+set of a label n in a window W, the labels <= W of T(n) (x) T(m) over every
+m <= W, is kept per (ell, n, W), so a closure walks reach sets and tensors
+nothing once they are known.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ class WindowOverflowError(RuntimeError):
 
 
 _tensor_label_cache: dict = {}
+_reach_cache: dict = {}
 
 
 def tensor_labels(field: CycloField, m: int, n: int, limit: int):
@@ -28,12 +38,15 @@ def tensor_labels(field: CycloField, m: int, n: int, limit: int):
 
     Computed by exact character arithmetic against the unitriangular tilting
     character basis; the tensor product of tiltings is tilting, so this is a
-    complete description.  Labels above `limit` raise.
+    complete description.  One decomposition serves both orders of a pair,
+    under (ell, min(m, n), max(m, n)).  Labels above `limit` raise, and the
+    caller gets its own copy of the cached multiset.
     """
-    key = (field.ell, m, n)
+    a, b = (m, n) if m <= n else (n, m)
+    key = (field.ell, a, b)
     dec = _tensor_label_cache.get(key)
     if dec is None:
-        ch = tilting_character(field, m) * tilting_character(field, n)
+        ch = tilting_character(field, a) * tilting_character(field, b)
         dec = decompose_tilting_character(field, ch)
         _tensor_label_cache[key] = dec
     if any(k > limit for k in dec):
@@ -41,6 +54,23 @@ def tensor_labels(field: CycloField, m: int, n: int, limit: int):
             f"T({m}) (x) T({n}) produced a label above {limit}"
         )
     return dict(dec)
+
+
+def _reach(field: CycloField, n: int, window: int) -> frozenset:
+    """The labels k <= W of T(n) (x) T(m) over every m <= W, memoized per
+    (ell, n, W).  The limit 2W of each product always holds, since its
+    labels are at most n + m."""
+    key = (field.ell, n, window)
+    reach = _reach_cache.get(key)
+    if reach is None:
+        reach = frozenset(
+            k
+            for m in range(window + 1)
+            for k in tensor_labels(field, n, m, 2 * window)
+            if k <= window
+        )
+        _reach_cache[key] = reach
+    return reach
 
 
 class TiltIdeal:
@@ -84,21 +114,27 @@ class TiltIdeal:
 
 
 def generate_tilt_ideal(field: CycloField, generators, window: int) -> TiltIdeal:
-    """Least closed superset of the generators under tensor-decompose-and-collect."""
+    """Least closed superset of the generators under tensor-decompose-and-collect.
+
+    The closure walks reach sets (`_reach`): each round adds the reach of
+    every label that the last round added, members_{r+1} = members_r united
+    with reach(n) over that frontier, which is the member set that
+    tensoring each frontier label with every m in [0, W] collects.
+    """
     generators = set(generators)
-    if any(g < 0 or g > window for g in generators):
-        raise ValueError("generators must lie in [0, W]")
+    outside = sorted(g for g in generators if g < 0 or g > window)
+    if outside:
+        raise ValueError(
+            f"generators must lie in the window [0, {window}], got {', '.join(map(str, outside))}"
+        )
     members = set(generators)
-    frontier = set(generators)
+    frontier = generators
     while frontier:
-        new = set()
-        for n in sorted(frontier):
-            for m in range(window + 1):
-                for k in tensor_labels(field, n, m, 2 * window):
-                    if k <= window and k not in members:
-                        members.add(k)
-                        new.add(k)
-        frontier = new
+        reached = set()
+        for n in frontier:
+            reached |= _reach(field, n, window)
+        frontier = reached - members
+        members |= frontier
     return TiltIdeal(field, window, members)
 
 
@@ -150,17 +186,15 @@ def negligible_ideal(field: CycloField, window: int) -> TiltIdeal:
 
 def is_prime_on_window(ideal: TiltIdeal) -> bool:
     """For all m, n in the window: all labels of T(m) (x) T(n) inside the
-    ideal forces m or n inside.  Requires a proper ideal."""
+    ideal forces m or n inside.  Requires a proper ideal.  The product
+    commutes, so each unordered pair of non-members is tested once."""
     if not ideal.is_proper():
         raise ValueError("primality is only defined for proper ideals")
     field = ideal.field
     W = ideal.window
-    for m in range(W + 1):
-        if m in ideal:
-            continue
-        for n in range(W + 1):
-            if n in ideal:
-                continue
+    outside = [n for n in range(W + 1) if n not in ideal]
+    for i, m in enumerate(outside):
+        for n in outside[i:]:
             dec = tensor_labels(field, m, n, 2 * W)
             if all(k in ideal.members for k in dec):
                 return False

@@ -13,6 +13,7 @@ from fractions import Fraction
 from tiltlab.alcove import _check_dominant
 from tiltlab.complexes import ChainComplex, _find_cancellable, _part_blocks, total_complex
 from tiltlab.cyclotomic import CertificationError, sum_of_products
+from tiltlab.ideals import tensor_labels
 from tiltlab.linalg import ExactMatrix, RowEchelon, SparseSystem
 from tiltlab.minimal import _coresolution, _left_resolution, _stack_from_sum, _stack_into_sum
 from tiltlab.modules import (
@@ -28,7 +29,14 @@ from tiltlab.modules import (
     weight_echelons,
 )
 from tiltlab.serialize import canonical_dumps
-from tiltlab.standard import _flatten, tilting_hom_basis, tilting_module, weyl_module
+from tiltlab.standard import (
+    _flatten,
+    decompose_tilting_character,
+    tilting_character,
+    tilting_hom_basis,
+    tilting_module,
+    weyl_module,
+)
 
 _peeled_tilting_cache = {}
 
@@ -801,3 +809,38 @@ def staircase_complex_of(M):
     X0, Y = X.term(0), iota.target
     pi = ExactMatrix(field, Y.dim, X0.dim, [{r: field.one} for r in range(Y.dim)]) if k else aug.matrix
     return X, iota, UMorphism(X0, Y, pi)
+
+
+# ---------------------------------------------------------------------------
+# tensor ideals of tiltings in a weight window
+
+
+def closure_by_tensoring(field, generators, window):
+    """The least tensor-closed superset of the generators in [0, W], by
+    tensoring each new label with every m in [0, W] round after round and
+    collecting the labels <= W (the loop `ideals.generate_tilt_ideal` ran
+    before it walked memoized reach sets)."""
+    members = set(generators)
+    frontier = set(generators)
+    while frontier:
+        new = set()
+        for n in sorted(frontier):
+            for m in range(window + 1):
+                for k in tensor_labels(field, n, m, 2 * window):
+                    if k <= window and k not in members:
+                        members.add(k)
+                        new.add(k)
+        frontier = new
+    return frozenset(members)
+
+
+def prime_by_ordered_pairs(field, members, window):
+    """Primality of a proper member set of [0, W] over every ordered pair of
+    non-members, each product decomposed from its characters afresh."""
+    outside = [n for n in range(window + 1) if n not in members]
+    for m in outside:
+        for n in outside:
+            ch = tilting_character(field, m) * tilting_character(field, n)
+            if all(k in members for k in decompose_tilting_character(field, ch)):
+                return False
+    return True

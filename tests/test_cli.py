@@ -59,6 +59,19 @@ def test_ideals_generate(capsys):
     assert json.loads(out)["ideals"][0]["members"] == list(range(13))
 
 
+@pytest.mark.parametrize("generators, message", [
+    ("3,x", "generator 'x' is not an integer weight of the window [0, 12]"),
+    ("20", "generators must lie in the window [0, 12], got 20"),
+    ("3,13,20", "generators must lie in the window [0, 12], got 13, 20"),
+])
+def test_ideals_generate_names_the_bad_generator(generators, message, capsys):
+    code = main(["ideals", "generate", generators, "--window", "12"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("flag", [["--ell", "5"], ["--window", "4"]])
 def test_ideals_settings_before_the_action_are_rejected(flag, capsys):
     with pytest.raises(SystemExit) as exc:

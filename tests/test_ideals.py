@@ -1,8 +1,10 @@
+import itertools
 import random
 from collections import Counter
 
 import pytest
 
+import tiltlab.ideals
 from tiltlab.cyclotomic import CycloField
 from tiltlab.ideals import (
     RepIdealHandle,
@@ -21,7 +23,7 @@ from tiltlab.modules import tensor_module
 from tiltlab.standard import simple_module, tilting_module, weyl_module
 from tiltlab.suites import sample_ses, verify_bijection, verify_two_out_of_three
 
-from oracles import peeled_tilting_module, search_peel
+from oracles import closure_by_tensoring, peeled_tilting_module, prime_by_ordered_pairs, search_peel
 
 F3 = CycloField(3)
 F5 = CycloField(5)
@@ -65,6 +67,35 @@ def test_enumerate_ideals():
     ]
 
 
+@pytest.mark.parametrize("ell", [3, 5, 7, 9])
+def test_closure_matches_tensoring_oracle(ell):
+    # every single generator and every pair, in every window up to 12
+    F = CycloField(ell)
+    for window in range(13):
+        for k in (1, 2):
+            for gens in itertools.combinations(range(window + 1), k):
+                got = generate_tilt_ideal(F, gens, window).members
+                assert got == closure_by_tensoring(F, gens, window), (ell, window, gens)
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7, 9])
+def test_enumerate_is_the_lattice_of_oracle_closures(ell):
+    # every ideal is the join of the principal closures of its members, so
+    # the lattice is the empty set and the principal closures, closed under
+    # the closure of pairwise unions
+    F = CycloField(ell)
+    for window in range(13):
+        got = [i.members for i in enumerate_tilt_ideals(F, window)]
+        assert len(set(got)) == len(got), (ell, window)
+        assert frozenset() in got
+        for members in got:
+            assert closure_by_tensoring(F, members, window) == members, (ell, window, members)
+        for g in range(window + 1):
+            assert closure_by_tensoring(F, {g}, window) in got, (ell, window, g)
+        for a, b in itertools.combinations(got, 2):
+            assert closure_by_tensoring(F, a | b, window) in got, (ell, window, a, b)
+
+
 def test_closure_is_fixed_point():
     for ideal in enumerate_tilt_ideals(F3, 12):
         again = generate_tilt_ideal(F3, ideal.members, 12)
@@ -88,6 +119,27 @@ def test_primality():
     full = TiltIdeal(F3, 12, frozenset(range(13)))
     with pytest.raises(ValueError):
         is_prime_on_window(full)
+
+
+@pytest.mark.parametrize("ell, not_prime", [(3, 33), (5, 28)])
+def test_primality_matches_ordered_pair_oracle(ell, not_prime):
+    # every proper member set of [0, W], W <= 5, closed or not: 120 sets
+    F = CycloField(ell)
+    verdicts = []
+    for window in range(6):
+        for bits in range(2 ** (window + 1) - 1):
+            members = frozenset(n for n in range(window + 1) if bits >> n & 1)
+            got = is_prime_on_window(TiltIdeal(F, window, members))
+            assert got == prime_by_ordered_pairs(F, members, window), (ell, window, members)
+            verdicts.append(got)
+    assert len(verdicts) == 120
+    assert verdicts.count(False) == not_prime
+
+
+def test_a_set_with_a_product_inside_is_not_prime():
+    # T(1) (x) T(1) = T(0) + T(2) at ell 3, and 1 lies outside {0, 2}
+    assert tensor_labels(F3, 1, 1, 2) == {0: 1, 2: 1}
+    assert not is_prime_on_window(TiltIdeal(F3, 2, {0, 2}))
 
 
 def test_negative_window_rejected():
@@ -156,6 +208,28 @@ def test_bijection_report():
 def test_tensor_labels_window_guard():
     with pytest.raises(WindowOverflowError):
         tensor_labels(F3, 12, 12, 20)
+
+
+def test_tensor_labels_one_entry_per_unordered_pair(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a character product was built again")
+
+    monkeypatch.setattr(tiltlab.ideals, "_tensor_label_cache", {})
+    first = tensor_labels(F3, 4, 7, 30)
+    monkeypatch.setattr(tiltlab.ideals, "tilting_character", refuse)
+    assert tensor_labels(F3, 7, 4, 30) == first
+    assert len(tiltlab.ideals._tensor_label_cache) == 1
+
+
+def test_tensor_labels_returns_a_copy_and_checks_a_cached_entry():
+    labels = tensor_labels(F3, 12, 12, 24)
+    expected = dict(labels)
+    labels.clear()
+    labels[99] = 1
+    assert tensor_labels(F3, 12, 12, 24) == expected
+    # the entry is cached now, and a smaller limit still raises
+    with pytest.raises(WindowOverflowError):
+        tensor_labels(F3, 12, 12, 23)
 
 
 def test_closure_stays_in_window_when_products_overflow():

@@ -463,6 +463,7 @@ def test_ideals_layer_builds_no_module(monkeypatch):
         raise AssertionError("the ideals layer built a module")
 
     monkeypatch.setattr(tiltlab.ideals, "_tensor_label_cache", {})
+    monkeypatch.setattr(tiltlab.ideals, "_reach_cache", {})
     monkeypatch.setattr(tiltlab.standard, "_tilting_character_cache", {})
     monkeypatch.setattr(tiltlab.standard, "tilting_module", refuse)
     monkeypatch.setattr(tiltlab.ideals, "tilting_module", refuse)
