@@ -119,6 +119,9 @@ def test_primality():
     full = TiltIdeal(F3, 12, frozenset(range(13)))
     with pytest.raises(ValueError):
         is_prime_on_window(full)
+    # T(1) (x) T(1) = T(0) + T(2) at ell 3, and 1 lies outside {0, 2}
+    assert tensor_labels(F3, 1, 1, 2) == {0: 1, 2: 1}
+    assert not is_prime_on_window(TiltIdeal(F3, 2, {0, 2}))
 
 
 @pytest.mark.parametrize("ell, not_prime", [(3, 33), (5, 28)])
@@ -134,12 +137,6 @@ def test_primality_matches_ordered_pair_oracle(ell, not_prime):
             verdicts.append(got)
     assert len(verdicts) == 120
     assert verdicts.count(False) == not_prime
-
-
-def test_a_set_with_a_product_inside_is_not_prime():
-    # T(1) (x) T(1) = T(0) + T(2) at ell 3, and 1 lies outside {0, 2}
-    assert tensor_labels(F3, 1, 1, 2) == {0: 1, 2: 1}
-    assert not is_prime_on_window(TiltIdeal(F3, 2, {0, 2}))
 
 
 def test_negative_window_rejected():
